@@ -47,6 +47,7 @@ from .monomial import (
 )
 from .solver import (
     SINGULAR_PIVOT_TOL,
+    DivergentSolutionError,
     FirstOrderForm,
     LinearProblem,
     SingularStepError,
@@ -62,7 +63,6 @@ from .solver import (
 )
 from .stability import (
     BOUND_SLACK,
-    THREADS_ENV_VAR,
     DecayClass,
     OrderComparison,
     ScanCell,

@@ -1,18 +1,20 @@
 """Command-line front end: thin, deterministic wrappers over the library.
 
 Exit codes: 0 success, 2 invalid parameters or malformed input, 3 input too
-short for the requested operator, 4 singular step while solving.  All numeric
-output is written with 17 significant digits, so identical invocations
-produce byte-identical files.
+short for the requested operator, 4 singular step while solving, 5 solution
+overflowed while solving.  All numeric output is written with 17 significant
+digits, so identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 
 import click
 
+from . import __version__
 from .grid import (
     DomainTooShortError,
     GridFunction,
@@ -25,6 +27,7 @@ from .grid import (
 )
 from .monomial import monomial_sequence
 from .solver import (
+    DivergentSolutionError,
     FirstOrderForm,
     LinearProblem,
     SingularStepError,
@@ -44,12 +47,21 @@ COEFFICIENT_PRESETS = {
 }
 
 
-class _DomainExit(click.ClickException):
-    exit_code = 3
+# library errors with their own exit code; any other ValueError exits 2
+_EXIT_CODES = {DomainTooShortError: 3, SingularStepError: 4, DivergentSolutionError: 5}
 
 
-class _SingularExit(click.ClickException):
-    exit_code = 4
+@contextlib.contextmanager
+def _library_errors():
+    """Turn library errors raised inside the block into the documented exit codes."""
+    try:
+        yield
+    except tuple(_EXIT_CODES) as exc:
+        error = click.ClickException(str(exc))
+        error.exit_code = _EXIT_CODES[type(exc)]
+        raise error from None
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
 
 
 def _resolve_coefficients(spec: str, n_max: int, base: int):
@@ -102,13 +114,8 @@ def _parse_axis(spec: str, name: str) -> list[float]:
         raise click.UsageError(f"{name} spec {spec!r}: {exc}") from None
 
 
-def _check_unit_nu(nu: float, what: str) -> None:
-    if not math.isfinite(nu) or not 0.0 < nu < 1.0:
-        raise click.UsageError(f"--nu must lie strictly in (0, 1) for {what}, got {nu}")
-
-
 @click.group()
-@click.version_option(package_name="nablafrac")
+@click.version_option(version=__version__)
 def main() -> None:
     """Discrete nabla fractional calculus toolkit."""
 
@@ -173,7 +180,7 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
             grid = read_grid_csv(stream)
         except ValueError as exc:
             raise click.UsageError(f"{input_path}: {exc}") from None
-    try:
+    with _library_errors():
         if op == "sum":
             result = nabla_sum(grid, nu)
         elif op == "diff-direct":
@@ -182,10 +189,6 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
             result = nabla_frac_diff_composed(grid, nu)
         else:
             result = nabla_diff(grid)
-    except DomainTooShortError as exc:
-        raise _DomainExit(str(exc)) from None
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     with click.open_file(output, "w") as stream:
         if fmt == "json":
             doc = {
@@ -243,19 +246,16 @@ def solve_cmd(
     if n_max < 1:
         raise click.UsageError(f"--n-max must be >= 1, got {n_max}")
     coeff = _resolve_coefficients(c_spec, n_max, base)
-    try:
+    with _library_errors():
         if order == "1":
             trace = solve_first_order(coeff, form, u0, n_max, base)
         else:
             if nu is None:
                 raise click.UsageError("--nu is required for the fractional solve")
-            _check_unit_nu(nu, "solve")
             if form == FirstOrderForm.ON_U_LAG.value:
                 trace = solve_lagged(coeff, nu, u0, n_max, base)
             else:
                 trace = solve_general(LinearProblem(nu, base, p=coeff, q=0.0, g=0.0, u0=u0), n_max)
-    except SingularStepError as exc:
-        raise _SingularExit(str(exc)) from None
     with click.open_file(output, "w") as stream:
         if fmt == "json":
             write_trace_json(
@@ -296,12 +296,9 @@ def compare_cmd(
     """
     if n_max < 20:
         raise click.UsageError(f"--n-max must be >= 20 for classification, got {n_max}")
-    _check_unit_nu(nu, "compare")
     coeff = _resolve_coefficients(c_spec, n_max, base)
-    try:
+    with _library_errors():
         comparison = compare_orders(coeff, nu, form, u0, n_max, base)
-    except SingularStepError as exc:
-        raise _SingularExit(str(exc)) from None
     with click.open_file(output, "w") as stream:
         stream.write("n,t,u_first_order,u_fractional\n")
         for n in range(n_max + 1):
@@ -332,19 +329,14 @@ def compare_cmd(
 def scan_cmd(nu_grid: str, c_grid: str, n_max: int, output: str) -> None:
     """Classify decay over a (nu, c) grid; emits nu,c,decay_class,tail_stat.
 
-    Worker threads are capped by the NABLA_FRAC_THREADS environment variable
-    (default 1); the output ordering never depends on it.
+    Rows come in row-major order, nu outer and c inner.
     """
     nus = _parse_axis(nu_grid, "--nu-grid")
     cs = _parse_axis(c_grid, "--c-grid")
-    for nu in nus:
-        _check_unit_nu(nu, "scan")
     if n_max < 20:
         raise click.UsageError(f"--n-max must be >= 20 for classification, got {n_max}")
-    try:
+    with _library_errors():
         cells = stability_scan(nus, cs, n_max)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     with click.open_file(output, "w") as stream:
         write_scan_csv(cells, stream)
 

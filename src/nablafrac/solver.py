@@ -19,7 +19,9 @@ general form adds an undelayed term and a forcing,
     (nabla^nu_{rho(a)} u)(t) = p(t) u(t) + q(t) u(t - 1) + g(t),
 
 and each step divides by the pivot 1 - p(t); a pivot within 1e-13 of zero
-raises :class:`SingularStepError`.
+raises :class:`SingularStepError`.  A solve that overflows raises
+:class:`DivergentSolutionError` at the first non-finite step, while
+:func:`mittag_leffler_seq` returns such traces as they are.
 
 First-order comparison equations come in two right-hand-side forms that are
 deliberately kept separate, since they produce different solutions:
@@ -49,6 +51,7 @@ from .monomial import convolution_weights, monomial_sequence
 
 __all__ = [
     "SINGULAR_PIVOT_TOL",
+    "DivergentSolutionError",
     "FirstOrderForm",
     "LinearProblem",
     "SingularStepError",
@@ -78,6 +81,21 @@ class SingularStepError(RuntimeError):
         )
         self.t = t
         self.pivot = pivot
+
+
+class DivergentSolutionError(RuntimeError):
+    """A solve's values overflowed; ``t`` is the first non-finite grid point."""
+
+    def __init__(self, t: int, value: float):
+        super().__init__(f"solution diverged at t = {t}: u(t) = {value} is not finite")
+        self.t = t
+        self.value = value
+
+
+def _require_finite(u: np.ndarray, base: int) -> None:
+    bad = np.flatnonzero(~np.isfinite(u))
+    if bad.size:
+        raise DivergentSolutionError(base + int(bad[0]), float(u[bad[0]]))
 
 
 class FirstOrderForm(str, enum.Enum):
@@ -129,17 +147,24 @@ def _solve_steps(
     n_max: int,
     base: int,
 ) -> np.ndarray:
-    """Shared stepping core; the inner history sum uses pairwise reduction."""
+    """Shared stepping core, time-major: ``u[n]`` is the solution at offset n.
+
+    Coefficients have shape (n_max,) or, to step k independent problems at
+    once, (n_max, k); ``u`` then has shape (n_max + 1, k).  The history sum is
+    one BLAS dot product per step (a vector-matrix product for k columns).
+    """
+    pivots = 1.0 - p
+    singular = np.argwhere(np.abs(pivots) < SINGULAR_PIVOT_TOL)
+    if singular.size:
+        first = tuple(singular[0])
+        raise SingularStepError(base + 1 + int(first[0]), float(pivots[first]))
     weights = convolution_weights(nu, n_max + 1)
-    u = np.empty(n_max + 1, dtype=float)
-    u[0] = float(u0)
+    u = np.empty((n_max + 1,) + np.shape(q)[1:], dtype=float)
+    u[0] = u0
     for n in range(1, n_max + 1):
-        pivot = 1.0 - p[n - 1]
-        if abs(pivot) < SINGULAR_PIVOT_TOL:
-            raise SingularStepError(base + n, pivot)
         # history term sum_{s=a}^{t-1} w(t - s + 1) u(s); lags n+1 down to 2
-        inner = float(np.dot(u[:n], weights[n:0:-1]))
-        u[n] = (q[n - 1] * u[n - 1] + g[n - 1] - inner) / pivot
+        inner = np.dot(weights[n:0:-1], u[:n])
+        u[n] = (q[n - 1] * u[n - 1] + g[n - 1] - inner) / pivots[n - 1]
     return u
 
 
@@ -213,15 +238,13 @@ class LinearProblem:
         _check_unit_order(self.nu)
 
 
-def _fractional_residuals(
-    values: np.ndarray, nu: float, base: int, rhs: np.ndarray
-) -> np.ndarray:
+def _fractional_trace(u: np.ndarray, nu: float, base: int, rhs: np.ndarray) -> SolutionTrace:
     # independent re-application: the direct operator based at rho(base)
     # consumes the solution mounted on N_base = N_{rho(base)+1}
-    applied = nabla_frac_diff_direct(GridFunction(base, values), nu)
-    residuals = np.zeros(values.size)
+    applied = nabla_frac_diff_direct(GridFunction(base, u), nu)
+    residuals = np.zeros(u.size)
     residuals[1:] = np.abs(applied.values[1:] - rhs)
-    return residuals
+    return SolutionTrace(base, u, residuals, envelope_sequence(nu, u.size - 1), nu)
 
 
 def solve_lagged(
@@ -234,21 +257,17 @@ def solve_lagged(
     carr = coefficient_array(c, n_max)
     zeros = np.zeros(n_max)
     u = _solve_steps(zeros, carr, zeros, nu, u0, n_max, base)
+    _require_finite(u, base)
     rhs = carr * u[:-1]
-    return SolutionTrace(
-        base=base,
-        values=u,
-        residuals=_fractional_residuals(u, nu, base, rhs),
-        envelope=envelope_sequence(nu, n_max),
-        nu=nu,
-    )
+    return _fractional_trace(u, nu, base, rhs)
 
 
 def solve_general(problem: LinearProblem, n_max: int) -> SolutionTrace:
     """Solve (nabla^nu_{rho(a)} u)(t) = p(t)u(t) + q(t)u(t-1) + g(t), u(a) = u0.
 
     Each step solves for u(t) through the pivot 1 - p(t); raises
-    :class:`SingularStepError` when the pivot is numerically zero.  With
+    :class:`SingularStepError` when the pivot is numerically zero and
+    :class:`DivergentSolutionError` when the solution overflows.  With
     p = 0, g = 0 this reduces exactly (bit for bit) to :func:`solve_lagged`.
     """
     if n_max < 1:
@@ -257,14 +276,9 @@ def solve_general(problem: LinearProblem, n_max: int) -> SolutionTrace:
     qarr = coefficient_array(problem.q, n_max)
     garr = coefficient_array(problem.g, n_max)
     u = _solve_steps(parr, qarr, garr, problem.nu, problem.u0, n_max, problem.base)
+    _require_finite(u, problem.base)
     rhs = parr * u[1:] + qarr * u[:-1] + garr
-    return SolutionTrace(
-        base=problem.base,
-        values=u,
-        residuals=_fractional_residuals(u, problem.nu, problem.base, rhs),
-        envelope=envelope_sequence(problem.nu, n_max),
-        nu=problem.nu,
-    )
+    return _fractional_trace(u, problem.nu, problem.base, rhs)
 
 
 def solve_first_order(
@@ -297,6 +311,7 @@ def solve_first_order(
             if abs(pivot) < SINGULAR_PIVOT_TOL:
                 raise SingularStepError(base + n, pivot)
             u[n] = (u[n - 1] + garr[n - 1]) / pivot
+    _require_finite(u, base)
     rhs = carr * (u[:-1] if form is FirstOrderForm.ON_U_LAG else u[1:]) + garr
     residuals = np.zeros(n_max + 1)
     residuals[1:] = np.abs(nabla_diff(GridFunction(base, u)).values - rhs)

@@ -13,7 +13,8 @@ Finite traces cannot witness a limit, so decay classification is a windowed
 heuristic with fixed thresholds: compared with the initial window and the
 global maximum, the last window must drop below 0.5x the initial window's
 maximum and 0.1x the global maximum to classify ``tends_to_zero``, and a
-last-window maximum above 10x the first sample classifies ``unbounded``.
+last-window maximum above 10x the first sample, or any non-finite sample
+(an overflowed trace), classifies ``unbounded``.
 Algebraic tails n^(nu-1) are slow, so classification runs want n_max >= 2000
 (default window n_max / 10); close to nu = 1 no desk-scale horizon can pass
 the 0.1x clause (the envelope decays like n^(-0.1) at nu = 0.9).
@@ -27,8 +28,6 @@ claim is made about it.
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -42,6 +41,8 @@ from .solver import (
     FirstOrderForm,
     LinearProblem,
     SolutionTrace,
+    _check_unit_order,
+    _solve_steps,
     coefficient_array,
     envelope_sequence,
     mittag_leffler_seq,
@@ -52,7 +53,6 @@ from .solver import (
 
 __all__ = [
     "BOUND_SLACK",
-    "THREADS_ENV_VAR",
     "DecayClass",
     "OrderComparison",
     "ScanCell",
@@ -69,18 +69,12 @@ __all__ = [
 ]
 
 BOUND_SLACK = 1e-12
-THREADS_ENV_VAR = "NABLA_FRAC_THREADS"
 
 
 class DecayClass(str, enum.Enum):
     TENDS_TO_ZERO = "tends_to_zero"
     BOUNDED_NONVANISHING = "bounded_nonvanishing"
     UNBOUNDED = "unbounded"
-
-
-def _check_unit_order(nu: float) -> None:
-    if not math.isfinite(nu) or not 0.0 < nu < 1.0:
-        raise ValueError(f"order must lie strictly in (0, 1), got {nu}")
 
 
 def default_window(trace_len: int) -> int:
@@ -105,7 +99,7 @@ def decay_classify(trace: Sequence[float] | np.ndarray, window: int) -> DecayCla
     """Windowed decay classification with fixed thresholds (scale invariant).
 
     The trace must span at least two windows.  An identically zero trace
-    classifies tends_to_zero.
+    classifies tends_to_zero; a trace with a non-finite sample, unbounded.
     """
     arr = np.abs(np.asarray(trace, dtype=float))
     if arr.ndim != 1:
@@ -114,6 +108,8 @@ def decay_classify(trace: Sequence[float] | np.ndarray, window: int) -> DecayCla
         raise ValueError(f"window must be >= 1, got {window}")
     if arr.size < 2 * window:
         raise ValueError(f"trace of length {arr.size} is shorter than two windows of {window}")
+    if not np.all(np.isfinite(arr)):
+        return DecayClass.UNBOUNDED
     global_max = float(arr.max())
     if global_max == 0.0:
         return DecayClass.TENDS_TO_ZERO
@@ -266,14 +262,15 @@ class ScanCell:
     tail_stat: float
 
 
-def _worker_count(max_workers: int | None) -> int:
-    if max_workers is not None:
-        return max(1, int(max_workers))
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR}={raw!r} is not an integer") from None
+def _scan_order(nu: float, cs: list[float], n_max: int, win: int) -> list[ScanCell]:
+    """Step every coefficient of one order together, then classify each column."""
+    zeros = np.zeros(n_max)
+    coeffs = np.broadcast_to(np.asarray(cs), (n_max, len(cs)))
+    traces = _solve_steps(zeros, coeffs, zeros, nu, 1.0, n_max, 0)
+    return [
+        ScanCell(nu, c, decay_classify(trace, win), tail_exponent(trace, win))
+        for c, trace in zip(cs, traces.T)
+    ]
 
 
 def stability_scan(
@@ -281,37 +278,21 @@ def stability_scan(
     c_grid: Sequence[float],
     n_max: int,
     window: int | None = None,
-    max_workers: int | None = None,
 ) -> list[ScanCell]:
     """Classify the constant-coefficient lagged equation over a (nu, c) grid.
 
-    Cells are returned in row-major order (nu outer, c inner) regardless of
-    worker count; the cap defaults to the NABLA_FRAC_THREADS env var.
+    All coefficients of one order are stepped as one batch, the same
+    recursion as :func:`mittag_leffler_seq` per cell.  Cells are returned in
+    row-major order (nu outer, c inner).
     """
     nus = [float(nu) for nu in nu_grid]
     for nu in nus:
         _check_unit_order(nu)
-    cs = [float(c) for c in c_grid]
+    cs = coefficient_array(c_grid, len(c_grid)).tolist()
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     win = default_window(n_max + 1) if window is None else window
-    pairs = [(nu, c) for nu in nus for c in cs]
-
-    def cell(pair: tuple[float, float]) -> ScanCell:
-        nu, c = pair
-        values = mittag_leffler_seq(c, nu, n_max)
-        return ScanCell(
-            nu=nu,
-            c=c,
-            decay_class=decay_classify(values, win),
-            tail_stat=tail_exponent(values, win),
-        )
-
-    workers = _worker_count(max_workers)
-    if workers == 1:
-        return [cell(pair) for pair in pairs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(cell, pairs))
+    return [cell for nu in nus for cell in _scan_order(nu, cs, n_max, win)]
 
 
 def write_scan_csv(cells: Sequence[ScanCell], stream: IO[str]) -> None:

@@ -248,6 +248,14 @@ def test_solve_singular_step_exits_4(runner):
     assert runner.invoke(main, args + ["--nu", "0.5"]).exit_code == 4
 
 
+def test_solve_divergence_exits_5_with_the_step(runner):
+    solve = runner.invoke(main, ["solve", "--nu", "0.1", "--c", "-2", "--n-max", "2000"])
+    assert solve.exit_code == 5
+    assert "diverged at t = 1090" in solve.output
+    compare = runner.invoke(main, ["compare", "--nu", "0.1", "--c", "-2", "--n-max", "2000"])
+    assert compare.exit_code == 5
+
+
 def test_solve_parameter_errors(runner):
     assert runner.invoke(main, ["solve", "--c", "0"]).exit_code == 2  # missing --nu
     assert runner.invoke(main, ["solve", "--nu", "1.5", "--c", "0"]).exit_code == 2
@@ -334,16 +342,6 @@ def test_scan_colon_axis_spec(runner):
     assert result.exit_code == 0
     nus = [line.split(",")[0] for line in result.output.strip().split("\n")[1:]]
     assert nus == ["0.5", "0.7", "0.9"]
-
-
-def test_scan_thread_environment(runner):
-    args = ["scan", "--nu-grid", "0.4,0.6", "--c-grid", "-0.6,-0.1", "--n-max", "300"]
-    serial = runner.invoke(main, args, env={"NABLA_FRAC_THREADS": "1"})
-    threaded = runner.invoke(main, args, env={"NABLA_FRAC_THREADS": "2"})
-    assert serial.exit_code == threaded.exit_code == 0
-    assert serial.output == threaded.output
-    broken = runner.invoke(main, args, env={"NABLA_FRAC_THREADS": "many"})
-    assert broken.exit_code == 2
 
 
 def test_scan_parameter_errors(runner):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nablafrac import (
+    DivergentSolutionError,
     FirstOrderForm,
     LinearProblem,
     SINGULAR_PIVOT_TOL,
@@ -184,6 +185,35 @@ def test_singular_pivot_raises_with_location():
         solve_general(LinearProblem(0.5, 2, p=p, q=0.0, g=1.0, u0=1.0), 10)
     assert info.value.t == 2 + 4
     assert abs(info.value.pivot) < SINGULAR_PIVOT_TOL
+
+
+def test_singular_pivot_keeps_its_sign():
+    p = np.zeros(6)
+    p[4] = 1.0 + 5e-14
+    with pytest.raises(SingularStepError) as info:
+        solve_general(LinearProblem(0.5, 0, p=p, q=0.0, g=0.0, u0=1.0), 6)
+    assert info.value.t == 5
+    assert -SINGULAR_PIVOT_TOL < info.value.pivot < 0.0
+
+
+def test_divergent_solves_name_the_first_nonfinite_step():
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the bare sequence keeps its overflowed tail; the solves refuse it
+        raw = mittag_leffler_seq(-2.0, 0.1, 2000)
+        first = int(np.flatnonzero(~np.isfinite(raw))[0])
+        solves = (
+            lambda: solve_lagged(-2.0, 0.1, 1.0, 2000, base=3),
+            lambda: solve_general(LinearProblem(0.1, 3, p=0.0, q=-2.0, g=0.0, u0=1.0), 2000),
+        )
+        for solve in solves:
+            with pytest.raises(DivergentSolutionError) as info:
+                solve()
+            assert info.value.t == 3 + first
+        with pytest.raises(DivergentSolutionError) as info:
+            solve_first_order(1e200, FirstOrderForm.ON_U_LAG, 1.0, 5)
+    assert info.value.t == 2
+    assert isinstance(info.value, RuntimeError)
+    assert "t = 2" in str(info.value)
 
 
 def test_singular_threshold_is_sharp():
