@@ -1,8 +1,10 @@
 """Grid functions on integer half-lines and the nabla operators acting on them.
 
 A :class:`GridFunction` stores samples u(base), u(base+1), ... together with
-the explicit ``base`` index; nothing is ever zero-filled implicitly.  The
-fractional operators follow the usual convention that the input lives on
+the explicit ``base`` index; nothing is ever zero-filled implicitly.  Every
+operator returns a GridFunction based at its first defined point
+(``OperatorResult`` is an alias kept for older imports).  The fractional
+operators follow the usual convention that the input lives on
 N_{a+1} = {a+1, a+2, ...} where ``a = u.base - 1`` is the operator's base
 point:
 
@@ -20,8 +22,11 @@ in floating point and in exact rational arithmetic.
 Because the direct weight row is nonzero at every lag for non-integer nu,
 the value (nabla^nu u)(t) depends on every sample u(a+1), ..., u(t): the
 operator has full memory t - a, in contrast to the two-point classical
-nabla.  Convolution sums are accumulated with ``math.fsum`` (exact
-summation), so the only rounding left is one multiply per term.
+nabla.  Each operator output is therefore one whole convolution, computed by
+a single ``np.convolve`` in ``np.longdouble``: products and running sums
+carry the extended precision and only the final values are rounded to
+float64.  Where ``np.longdouble`` is itself 64-bit, this is a plain float64
+convolution.
 """
 
 from __future__ import annotations
@@ -62,28 +67,32 @@ class GridCsvError(ValueError):
     """A grid CSV stream is malformed; the message names the offending line."""
 
 
-def _frozen_array(values, *, what: str) -> np.ndarray:
+def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
-        raise ValueError(f"{what} must be one-dimensional, got shape {arr.shape}")
+        raise ValueError(f"grid values must be one-dimensional, got shape {arr.shape}")
     if arr.size < 1:
-        raise ValueError(f"{what} must contain at least one value")
+        raise ValueError("grid values must contain at least one value")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite everywhere")
+        raise ValueError("grid values must be finite everywhere")
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real samples u(base), u(base+1), ..., u(base + len - 1)."""
+    """Real samples u(base), u(base+1), ..., u(base + len - 1).
+
+    Operators return this type too, with ``base`` at the first grid point
+    where their output is defined.
+    """
 
     base: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", int(self.base))
-        object.__setattr__(self, "values", _frozen_array(self.values, what="grid values"))
+        object.__setattr__(self, "values", _frozen_array(self.values))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -100,32 +109,13 @@ class GridFunction:
             )
         return float(self.values[t - self.base])
 
-
-@dataclass(frozen=True, eq=False)
-class OperatorResult:
-    """Operator output together with its first defined grid point."""
-
-    base: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", int(self.base))
-        object.__setattr__(self, "values", _frozen_array(self.values, what="operator values"))
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def last(self) -> int:
-        return self.base + len(self) - 1
-
-    def value_at(self, t: int) -> float:
-        if not self.base <= t <= self.last:
-            raise IndexError(f"t = {t} outside the domain [{self.base}, {self.last}]")
-        return float(self.values[t - self.base])
-
     def to_grid(self) -> GridFunction:
-        return GridFunction(self.base, self.values)
+        """The same immutable samples; kept for code written against OperatorResult."""
+        return self
+
+
+# the public name of operator outputs; imports of it keep working
+OperatorResult = GridFunction
 
 
 def _check_positive_order(nu: float) -> None:
@@ -133,14 +123,24 @@ def _check_positive_order(nu: float) -> None:
         raise ValueError(f"order must be positive and finite, got {nu}")
 
 
-def nabla_diff(u: GridFunction) -> OperatorResult:
+def _convolve_head(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """First ``v.size`` terms of the convolution kernel * v, in long double.
+
+    Entry m is sum_{j<=m} kernel[m - j] v[j].  An entry beyond the float64
+    range rounds to inf, which the caller's finiteness check reports.
+    """
+    full = np.convolve(kernel.astype(np.longdouble), v.astype(np.longdouble))
+    return full[: v.size].astype(float)
+
+
+def nabla_diff(u: GridFunction) -> GridFunction:
     """Backward difference u(t) - u(t-1), defined on {base+1, ...}."""
     if len(u) < 2:
         raise DomainTooShortError("nabla difference needs at least 2 points")
-    return OperatorResult(u.base + 1, np.diff(u.values))
+    return GridFunction(u.base + 1, np.diff(u.values))
 
 
-def nabla_diff_n(u: GridFunction, order: int) -> OperatorResult:
+def nabla_diff_n(u: GridFunction, order: int) -> GridFunction:
     """N-fold backward difference, defined on {base+N, ...}."""
     if order < 1:
         raise ValueError(f"difference order must be >= 1, got {order}")
@@ -151,35 +151,31 @@ def nabla_diff_n(u: GridFunction, order: int) -> OperatorResult:
     values = u.values
     for _ in range(order):
         values = np.diff(values)
-    return OperatorResult(u.base + order, values)
+    return GridFunction(u.base + order, values)
 
 
-def nabla_sum(u: GridFunction, nu: float) -> OperatorResult:
+def nabla_sum(u: GridFunction, nu: float) -> GridFunction:
     """Fractional sum of order nu, based at a = u.base - 1.
 
     The result lives on {a, a+1, ...} and is 0 at a by convention.  Kernel
-    row: H_{nu-1}(t, rho(s)) at lag t - s + 1.
+    row: H_{nu-1}(t, rho(s)) at lag t - s + 1, convolved with the samples in
+    long double (see the module notes).
     """
     _check_positive_order(nu)
-    size = len(u)
     # kernel[lag - 1] = H_{nu-1} at offset lag; nu - 1 is never a negative
     # integer for nu > 0, so no convention branch is live here
-    kernel = monomial_sequence(nu - 1.0, size)[1:]
-    v = u.values
-    out = np.empty(size + 1, dtype=float)
-    out[0] = 0.0
-    for k in range(1, size + 1):
-        out[k] = math.fsum(kernel[k - 1 :: -1] * v[:k])
-    return OperatorResult(u.base - 1, out)
+    kernel = monomial_sequence(nu - 1.0, len(u))[1:]
+    out = np.concatenate(([0.0], _convolve_head(kernel, u.values)))
+    return GridFunction(u.base - 1, out)
 
 
-def nabla_frac_diff_direct(u: GridFunction, nu: float) -> OperatorResult:
+def nabla_frac_diff_direct(u: GridFunction, nu: float) -> GridFunction:
     """Direct-form Riemann-Liouville difference, based at a = u.base - 1.
 
-    One-shot convolution with the H_{-nu-1} weight row, defined on
-    {a+1, ...} = {u.base, ...}.  Requires a positive non-integer order; the
-    weight row degenerates to zero at integer orders, where the composed or
-    classical path must be used instead.
+    One-shot convolution with the H_{-nu-1} weight row, in long double (see
+    the module notes), defined on {a+1, ...} = {u.base, ...}.  Requires a
+    positive non-integer order; the weight row degenerates to zero at integer
+    orders, where the composed or classical path must be used instead.
     """
     _check_positive_order(nu)
     if float(nu).is_integer():
@@ -187,16 +183,11 @@ def nabla_frac_diff_direct(u: GridFunction, nu: float) -> OperatorResult:
             f"direct form is undefined at integer order {nu}; "
             "use nabla_frac_diff_composed or nabla_diff_n"
         )
-    size = len(u)
-    weights = convolution_weights(nu, size)
-    v = u.values
-    out = np.empty(size, dtype=float)
-    for m in range(size):
-        out[m] = math.fsum(weights[m::-1] * v[: m + 1])
-    return OperatorResult(u.base, out)
+    weights = convolution_weights(nu, len(u))
+    return GridFunction(u.base, _convolve_head(weights, u.values))
 
 
-def nabla_frac_diff_composed(u: GridFunction, nu: float) -> OperatorResult:
+def nabla_frac_diff_composed(u: GridFunction, nu: float) -> GridFunction:
     """Composed-form Riemann-Liouville difference, based at a = u.base - 1.
 
     N-th classical difference of the (N - nu)-th sum, N = ceil(nu), defined
@@ -211,8 +202,7 @@ def nabla_frac_diff_composed(u: GridFunction, nu: float) -> OperatorResult:
         raise DomainTooShortError(
             f"composed order-{nu} difference needs at least {order} points, got {len(u)}"
         )
-    inner = nabla_sum(u, order - nu)
-    return nabla_diff_n(inner.to_grid(), order)
+    return nabla_diff_n(nabla_sum(u, order - nu), order)
 
 
 def power_rule_check(mu: float, nu: float, n_max: int) -> float:
@@ -237,7 +227,7 @@ def power_rule_check(mu: float, nu: float, n_max: int) -> float:
 
 
 def write_grid_csv(
-    obj: GridFunction | OperatorResult, stream: IO[str], *, record_base: bool = False
+    obj: GridFunction, stream: IO[str], *, record_base: bool = False
 ) -> None:
     """Write ``index,value`` rows; optionally record the base in a comment line.
 

@@ -161,10 +161,13 @@ def _solve_steps(
     weights = convolution_weights(nu, n_max + 1)
     u = np.empty((n_max + 1,) + np.shape(q)[1:], dtype=float)
     u[0] = u0
-    for n in range(1, n_max + 1):
-        # history term sum_{s=a}^{t-1} w(t - s + 1) u(s); lags n+1 down to 2
-        inner = np.dot(weights[n:0:-1], u[:n])
-        u[n] = (q[n - 1] * u[n - 1] + g[n - 1] - inner) / pivots[n - 1]
+    # an overflowing trace is reported by its callers (DivergentSolutionError,
+    # or the scan's unbounded class), not by NumPy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max + 1):
+            # history term sum_{s=a}^{t-1} w(t - s + 1) u(s); lags n+1 down to 2
+            inner = np.dot(weights[n:0:-1], u[:n])
+            u[n] = (q[n - 1] * u[n - 1] + g[n - 1] - inner) / pivots[n - 1]
     return u
 
 
@@ -303,14 +306,15 @@ def solve_first_order(
     garr = coefficient_array(0.0 if g is None else g, n_max)
     u = np.empty(n_max + 1, dtype=float)
     u[0] = float(u0)
-    for n in range(1, n_max + 1):
-        if form is FirstOrderForm.ON_U_LAG:
-            u[n] = (1.0 + carr[n - 1]) * u[n - 1] + garr[n - 1]
-        else:
-            pivot = 1.0 - carr[n - 1]
-            if abs(pivot) < SINGULAR_PIVOT_TOL:
-                raise SingularStepError(base + n, pivot)
-            u[n] = (u[n - 1] + garr[n - 1]) / pivot
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max + 1):
+            if form is FirstOrderForm.ON_U_LAG:
+                u[n] = (1.0 + carr[n - 1]) * u[n - 1] + garr[n - 1]
+            else:
+                pivot = 1.0 - carr[n - 1]
+                if abs(pivot) < SINGULAR_PIVOT_TOL:
+                    raise SingularStepError(base + n, pivot)
+                u[n] = (u[n - 1] + garr[n - 1]) / pivot
     _require_finite(u, base)
     rhs = carr * (u[:-1] if form is FirstOrderForm.ON_U_LAG else u[1:]) + garr
     residuals = np.zeros(n_max + 1)

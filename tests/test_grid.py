@@ -1,6 +1,8 @@
 """Grid functions, nabla operators, and CSV serialization."""
 
 import io
+import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from nablafrac import (
     GridCsvError,
     GridFunction,
     convolution_weight,
+    convolution_weights,
     monomial_sequence,
     nabla_diff,
     nabla_diff_n,
@@ -21,6 +24,11 @@ from nablafrac import (
     read_grid_csv,
     write_grid_csv,
 )
+from nablafrac.exact import (
+    oracle_frac_diff_composed,
+    oracle_frac_diff_direct,
+    oracle_nabla_sum,
+)
 
 
 def _common_domain_gap(direct, composed):
@@ -30,6 +38,20 @@ def _common_domain_gap(direct, composed):
     tail = direct.values[shift:]
     assert tail.size == composed.values.size
     return float(np.max(np.abs(tail - composed.values)))
+
+
+def _max_rel(got, want, floor=1.0):
+    scale = np.maximum(np.abs(want), floor)
+    return float(np.max(np.abs(np.asarray(got) - want) / scale))
+
+
+def _fsum_rows(kernel, v):
+    """Row-by-row reference convolution: entry m is fsum of kernel[m - j] v[j]."""
+    return np.array([math.fsum(kernel[m::-1] * v[: m + 1]) for m in range(v.size)])
+
+
+def _fsum_sum(v, nu):
+    return np.concatenate(([0.0], _fsum_rows(monomial_sequence(nu - 1.0, v.size)[1:], v)))
 
 
 # --- containers ---------------------------------------------------------
@@ -237,6 +259,41 @@ def test_operators_are_translation_invariant():
         a, b = op(lo, **kwargs), op(hi, **kwargs)
         assert b.base - a.base == 10
         assert np.array_equal(a.values, b.values)
+
+
+# --- references ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.5, 0.9, 1.3, 1.9])
+def test_operators_match_the_fsum_row_loop(nu):
+    # the long-double convolution against exact summation of float64 products
+    v = np.random.default_rng(23).uniform(-1.0, 1.0, size=2000)
+    u = GridFunction(1, v)
+    assert _max_rel(nabla_sum(u, nu).values, _fsum_sum(v, nu)) <= 1e-11
+    want = _fsum_rows(convolution_weights(nu, v.size), v)
+    assert _max_rel(nabla_frac_diff_direct(u, nu).values, want) <= 1e-11
+    order = math.ceil(nu)
+    want = np.diff(_fsum_sum(v, order - nu), n=order)
+    assert _max_rel(nabla_frac_diff_composed(u, nu).values, want) <= 1e-11
+
+
+@pytest.mark.parametrize("nu", [F(1, 4), F(3, 4), F(5, 4), F(7, 4)])
+def test_operators_match_the_exact_oracle(nu):
+    n = 120
+    exact_values = [F(int(k), 8) for k in np.random.default_rng(29).integers(-40, 41, size=n)]
+    u = GridFunction(1, [float(x) for x in exact_values])
+
+    def exact(values):
+        return np.array([float(x) for x in values])
+
+    want = exact(oracle_nabla_sum(exact_values, nu))
+    assert _max_rel(nabla_sum(u, float(nu)).values, want) <= 1e-12
+    want = exact(oracle_frac_diff_direct(exact_values, nu))
+    assert _max_rel(nabla_frac_diff_direct(u, float(nu)).values, want) <= 1e-12
+    first, composed = oracle_frac_diff_composed(exact_values, nu)
+    got = nabla_frac_diff_composed(u, float(nu))
+    assert got.base - (u.base - 1) == first
+    assert _max_rel(got.values, exact(composed)) <= 1e-12
 
 
 # --- power rule ---------------------------------------------------------

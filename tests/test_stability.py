@@ -214,9 +214,8 @@ def test_scan_slow_orders_need_longer_horizons():
 def test_overflowing_cell_is_unbounded():
     # the trace overflows to inf and nan near n = 1090; nan maxima compare
     # false against every threshold, so only a finiteness test catches it
-    with np.errstate(over="ignore", invalid="ignore"):
-        cell = stability_scan([0.1], [-2.0], 2000)[0]
-        report = bound_check(-2.0, 0.1, 2000)
+    cell = stability_scan([0.1], [-2.0], 2000)[0]
+    report = bound_check(-2.0, 0.1, 2000)
     assert cell.decay_class is DecayClass.UNBOUNDED
     assert report.decay_class is DecayClass.UNBOUNDED
 
@@ -226,9 +225,8 @@ def test_scan_matches_per_cell_sequences():
     # per order against one mittag_leffler_seq call per cell
     nus, cs, n_max = [0.1, 0.5, 0.8], [-2.0, -0.5, 0.0, 0.3], 2000
     win = default_window(n_max + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cells = stability_scan(nus, cs, n_max)
-        traces = [mittag_leffler_seq(cell.c, cell.nu, n_max) for cell in cells]
+    cells = stability_scan(nus, cs, n_max)
+    traces = [mittag_leffler_seq(cell.c, cell.nu, n_max) for cell in cells]
     assert [(cell.nu, cell.c) for cell in cells] == [(nu, c) for nu in nus for c in cs]
     assert {cell.decay_class for cell in cells} == set(DecayClass)
     assert any(not np.all(np.isfinite(values)) for values in traces)
