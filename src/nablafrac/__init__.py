@@ -8,7 +8,6 @@ floating kernel for testing.
 """
 
 from .exact import (
-    dumps_fractions,
     oracle_first_order,
     oracle_frac_diff_composed,
     oracle_frac_diff_direct,
@@ -20,9 +19,21 @@ from .exact import (
     oracle_weight,
     oracle_weight_row,
 )
-from .grid import (
-    DomainTooShortError,
+from .formats import (
     GridCsvError,
+    dumps_fractions,
+    read_grid_csv,
+    write_document,
+    write_grid_csv,
+    write_report_json,
+    write_scan_csv,
+    write_table,
+    write_trace_csv,
+    write_trace_json,
+)
+from .grid import (
+    DivergentSolutionError,
+    DomainTooShortError,
     GridFunction,
     OperatorResult,
     nabla_diff,
@@ -31,8 +42,6 @@ from .grid import (
     nabla_frac_diff_direct,
     nabla_sum,
     power_rule_check,
-    read_grid_csv,
-    write_grid_csv,
 )
 from .monomial import (
     MonomialParams,
@@ -47,7 +56,6 @@ from .monomial import (
 )
 from .solver import (
     SINGULAR_PIVOT_TOL,
-    DivergentSolutionError,
     FirstOrderForm,
     LinearProblem,
     SingularStepError,
@@ -58,8 +66,6 @@ from .solver import (
     solve_first_order,
     solve_general,
     solve_lagged,
-    write_trace_csv,
-    write_trace_json,
 )
 from .stability import (
     BOUND_SLACK,
@@ -74,8 +80,6 @@ from .stability import (
     default_window,
     stability_scan,
     tail_exponent,
-    write_report_json,
-    write_scan_csv,
 )
 
 __version__ = "0.1.0"

@@ -1,43 +1,47 @@
 """Command-line front end: thin, deterministic wrappers over the library.
 
 Exit codes: 0 success, 2 invalid parameters or malformed input, 3 input too
-short for the requested operator, 4 singular step while solving, 5 solution
-overflowed while solving.  All numeric output is written with 17 significant
+short for the requested operator, 4 singular step while solving, 5 result
+overflowed.  Output is written by :mod:`nablafrac.formats` with 17 significant
 digits, so identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 
 import click
 
 from . import __version__
+from .formats import (
+    read_grid_csv,
+    write_document,
+    write_grid_csv,
+    write_scan_csv,
+    write_table,
+    write_trace_csv,
+    write_trace_json,
+)
 from .grid import (
+    DivergentSolutionError,
     DomainTooShortError,
     GridFunction,
     nabla_diff,
     nabla_frac_diff_composed,
     nabla_frac_diff_direct,
     nabla_sum,
-    read_grid_csv,
-    write_grid_csv,
 )
 from .monomial import monomial_sequence
 from .solver import (
-    DivergentSolutionError,
     FirstOrderForm,
     LinearProblem,
     SingularStepError,
     solve_first_order,
     solve_general,
     solve_lagged,
-    write_trace_csv,
-    write_trace_json,
 )
-from .stability import compare_orders, stability_scan, write_scan_csv
+from .stability import compare_orders, stability_scan
 
 # coefficient presets: a one-liner for the oscillation-vs-decay comparison
 # (c = 2 with --form on_u_t) and for the constant-vs-decay one (c = 0)
@@ -64,36 +68,33 @@ def _library_errors():
         raise click.UsageError(str(exc)) from None
 
 
-def _resolve_coefficients(spec: str, n_max: int, base: int):
+def _read_grid(path: str) -> GridFunction:
+    """Read a grid CSV; a malformed file is a usage error naming the path."""
+    with open(path, "r") as stream:
+        try:
+            return read_grid_csv(stream)
+        except ValueError as exc:
+            raise click.UsageError(f"{path}: {exc}") from None
+
+
+def _resolve_coefficients(spec: str, base: int):
     """A coefficient spec is a constant, a preset name, or a grid CSV path."""
     if spec in COEFFICIENT_PRESETS:
         return COEFFICIENT_PRESETS[spec]
+    with contextlib.suppress(ValueError):
+        return float(spec)
     try:
-        value = float(spec)
-    except ValueError:
-        pass
-    else:
-        if not math.isfinite(value):
-            raise click.UsageError(f"coefficient constant must be finite, got {spec}")
-        return value
-    try:
-        stream = open(spec, "r")
+        grid = _read_grid(spec)
     except OSError as exc:
         raise click.UsageError(
             f"coefficient spec {spec!r} is not a number, a preset "
             f"({', '.join(sorted(COEFFICIENT_PRESETS))}), or a readable CSV file: {exc}"
         ) from None
-    with stream:
-        grid = read_grid_csv(stream)
     if grid.base != base + 1:
         raise click.UsageError(
             f"coefficient CSV must start at index base+1 = {base + 1}, got {grid.base}"
         )
-    if len(grid) < n_max:
-        raise click.UsageError(
-            f"coefficient CSV covers {len(grid)} steps, need n_max = {n_max}"
-        )
-    return grid.values[:n_max]
+    return grid.values
 
 
 def _parse_axis(spec: str, name: str) -> list[float]:
@@ -127,25 +128,14 @@ def main() -> None:
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def monomial_cmd(mu: float, n_max: int, output: str, fmt: str) -> None:
     """Emit the Taylor monomial values at offsets 0..N-MAX as n,value rows."""
-    if not math.isfinite(mu):
-        raise click.UsageError(f"--mu must be finite, got {mu}")
-    if n_max < 0:
-        raise click.UsageError(f"--n-max must be >= 0, got {n_max}")
-    values = monomial_sequence(mu, n_max)
+    with _library_errors():
+        values = monomial_sequence(mu, n_max)
     with click.open_file(output, "w") as stream:
         if fmt == "json":
-            doc = {
-                "kind": "monomial_sequence",
-                "mu": mu,
-                "n": list(range(n_max + 1)),
-                "value": [float(v) for v in values],
-            }
-            json.dump(doc, stream, indent=2)
-            stream.write("\n")
+            n = list(range(n_max + 1))
+            write_document(stream, "monomial_sequence", mu=mu, n=n, value=values)
         else:
-            stream.write("n,value\n")
-            for n, v in enumerate(values):
-                stream.write(f"{n},{v:.17g}\n")
+            write_table(stream, "n,value", range(n_max + 1), values)
 
 
 @main.command("apply")
@@ -165,21 +155,9 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
     The output records the result's first defined index in a '# base=' comment
     line and re-ingests as apply input unchanged.
     """
-    if op != "nabla":
-        if nu is None:
-            raise click.UsageError(f"--nu is required for --op {op}")
-        if not math.isfinite(nu) or nu <= 0:
-            raise click.UsageError(f"--nu must be positive and finite for apply, got {nu}")
-        if op == "diff-direct" and float(nu).is_integer():
-            raise click.UsageError(
-                f"--op diff-direct needs a non-integer order, got {nu}; "
-                "use diff-composed or nabla"
-            )
-    with open(input_path, "r") as stream:
-        try:
-            grid = read_grid_csv(stream)
-        except ValueError as exc:
-            raise click.UsageError(f"{input_path}: {exc}") from None
+    if op != "nabla" and nu is None:
+        raise click.UsageError(f"--nu is required for --op {op}")
+    grid = _read_grid(input_path)
     with _library_errors():
         if op == "sum":
             result = nabla_sum(grid, nu)
@@ -191,16 +169,9 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
             result = nabla_diff(grid)
     with click.open_file(output, "w") as stream:
         if fmt == "json":
-            doc = {
-                "kind": "operator_result",
-                "op": op,
-                "nu": nu,
-                "base": result.base,
-                "index": [result.base + i for i in range(len(result))],
-                "value": [float(v) for v in result.values],
-            }
-            json.dump(doc, stream, indent=2)
-            stream.write("\n")
+            index = list(range(result.base, result.last + 1))
+            fields = dict(op=op, nu=nu, base=result.base, index=index, value=result.values)
+            write_document(stream, "operator_result", **fields)
         else:
             write_grid_csv(result, stream, record_base=True)
 
@@ -243,9 +214,7 @@ def solve_cmd(
     Rows are n,t,u,residual,envelope where the residual re-applies the
     operator to the computed solution.
     """
-    if n_max < 1:
-        raise click.UsageError(f"--n-max must be >= 1, got {n_max}")
-    coeff = _resolve_coefficients(c_spec, n_max, base)
+    coeff = _resolve_coefficients(c_spec, base)
     with _library_errors():
         if order == "1":
             trace = solve_first_order(coeff, form, u0, n_max, base)
@@ -296,19 +265,15 @@ def compare_cmd(
     """
     if n_max < 20:
         raise click.UsageError(f"--n-max must be >= 20 for classification, got {n_max}")
-    coeff = _resolve_coefficients(c_spec, n_max, base)
+    coeff = _resolve_coefficients(c_spec, base)
     with _library_errors():
         comparison = compare_orders(coeff, nu, form, u0, n_max, base)
     with click.open_file(output, "w") as stream:
-        stream.write("n,t,u_first_order,u_fractional\n")
-        for n in range(n_max + 1):
-            stream.write(
-                f"{n},{base + n},{comparison.first_order.values[n]:.17g},"
-                f"{comparison.fractional.values[n]:.17g}\n"
-            )
+        n, t = range(n_max + 1), range(base, base + n_max + 1)
+        first, frac = comparison.first_order.values, comparison.fractional.values
+        write_table(stream, "n,t,u_first_order,u_fractional", n, t, first, frac)
     with click.open_file(verdict_path, "w") as stream:
-        json.dump(comparison.verdict(), stream, indent=2)
-        stream.write("\n")
+        write_document(stream, **comparison.verdict())
 
 
 @main.command("scan")

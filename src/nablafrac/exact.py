@@ -12,7 +12,6 @@ denominators grow quickly, so ``oracle_solve`` enforces a cost guard.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -28,7 +27,6 @@ __all__ = [
     "oracle_mittag_leffler",
     "oracle_solve",
     "oracle_first_order",
-    "dumps_fractions",
 ]
 
 RationalLike = Fraction | int
@@ -206,18 +204,3 @@ def oracle_first_order(
         else:
             raise ValueError(f"unknown form {form!r}")
     return u
-
-
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def dumps_fractions(obj) -> str:
-    """Serialize nested fixtures with Fractions as "p/q" strings (cross-language reuse)."""
-    return json.dumps(_jsonable(obj), indent=2, sort_keys=True)

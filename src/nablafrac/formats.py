@@ -1,0 +1,161 @@
+"""Readers and writers for every nablafrac document.
+
+:func:`write_table` writes every CSV document: array columns print with 17
+significant digits, so identical results give byte-identical files that parse
+back losslessly, and other columns print with ``str`` (the scan passes its
+axes as ``repr`` strings, so a requested nu of 0.3 reads back as ``0.3``).
+:func:`write_document` writes every JSON document: ``kind`` first, arrays as
+lists, indent 2 and a trailing newline.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from typing import IO, Iterable, Sequence
+
+import numpy as np
+
+from .grid import GridFunction
+from .solver import SolutionTrace
+from .stability import ScanCell, StabilityReport, _none_if_nan
+
+__all__ = [
+    "GridCsvError",
+    "dumps_fractions",
+    "read_grid_csv",
+    "write_document",
+    "write_grid_csv",
+    "write_report_json",
+    "write_scan_csv",
+    "write_table",
+    "write_trace_csv",
+    "write_trace_json",
+]
+
+
+class GridCsvError(ValueError):
+    """A grid CSV stream is malformed; the message names the offending line."""
+
+
+def write_table(stream: IO[str], header: str, *columns: Iterable) -> None:
+    """Write a CSV document: the header line, then one row per column entry."""
+    # rows are formatted as they are written, so no copy of the document is held
+    cells = [
+        (format(v, ".17g") for v in col.tolist()) if isinstance(col, np.ndarray) else map(str, col)
+        for col in columns
+    ]
+    stream.write(header + "\n")
+    stream.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def write_document(stream: IO[str], kind: str, **fields) -> None:
+    """Write a JSON document: ``kind`` first, then the fields in order."""
+    lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+    json.dump({"kind": kind, **lists}, stream, indent=2)
+    stream.write("\n")
+
+
+def write_grid_csv(obj: GridFunction, stream: IO[str], *, record_base: bool = False) -> None:
+    """Write ``index,value`` rows; optionally record the base in a comment line."""
+    header = f"# base={obj.base}\nindex,value" if record_base else "index,value"
+    write_table(stream, header, range(obj.base, obj.last + 1), obj.values)
+
+
+def read_grid_csv(stream: IO[str]) -> GridFunction:
+    """Parse ``index,value`` rows into a GridFunction.
+
+    Comment lines starting with ``#`` and blank lines are skipped, so output
+    of :func:`write_grid_csv` round-trips.  Indices must be consecutive and
+    ascending; errors name the offending line number.
+    """
+    base: int | None = None
+    expected: int | None = None
+    values: list[float] = []
+    saw_header = False
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not saw_header:
+            if line.lower() != "index,value":
+                raise GridCsvError(f"line {lineno}: expected header 'index,value', got {line!r}")
+            saw_header = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise GridCsvError(f"line {lineno}: expected 'index,value', got {line!r}")
+        try:
+            index = int(parts[0])
+        except ValueError:
+            raise GridCsvError(f"line {lineno}: index {parts[0]!r} is not an integer") from None
+        try:
+            value = float(parts[1])
+        except ValueError:
+            raise GridCsvError(f"line {lineno}: value {parts[1]!r} is not a number") from None
+        if not math.isfinite(value):
+            raise GridCsvError(f"line {lineno}: value {parts[1]!r} is not finite")
+        if base is None:
+            base = index
+        elif index != expected:
+            raise GridCsvError(
+                f"line {lineno}: index {index} breaks the consecutive run (expected {expected})"
+            )
+        expected = index + 1
+        values.append(value)
+    if not saw_header:
+        raise GridCsvError("line 1: missing 'index,value' header")
+    if base is None:
+        raise GridCsvError("no data rows after the header")
+    return GridFunction(base, values)
+
+
+def write_trace_csv(trace: SolutionTrace, stream: IO[str]) -> None:
+    """Write ``n,t,u,residual,envelope`` rows; first-order traces read ``nan`` as envelope."""
+    n, t = range(len(trace)), range(trace.base, trace.base + len(trace))
+    envelope = np.full(len(trace), np.nan) if trace.envelope is None else trace.envelope
+    write_table(stream, "n,t,u,residual,envelope", n, t, trace.values, trace.residuals, envelope)
+
+
+def write_trace_json(trace: SolutionTrace, stream: IO[str], **metadata) -> None:
+    """Write the trace plus problem metadata as a JSON document."""
+    n = np.arange(len(trace))
+    fields = {
+        "base": trace.base,
+        "nu": trace.nu,
+        "n": n,
+        "t": trace.base + n,
+        "u": trace.values,
+        "residual": trace.residuals,
+        "envelope": trace.envelope,
+    }
+    write_document(stream, "solution_trace", **{**fields, **metadata})
+
+
+def write_scan_csv(cells: Sequence[ScanCell], stream: IO[str]) -> None:
+    """Write ``nu,c,decay_class,tail_stat`` rows, axes in ``repr`` form."""
+    nus, cs = [repr(cell.nu) for cell in cells], [repr(cell.c) for cell in cells]
+    classes = [cell.decay_class.value for cell in cells]
+    tails = np.array([cell.tail_stat for cell in cells], dtype=float)
+    write_table(stream, "nu,c,decay_class,tail_stat", nus, cs, classes, tails)
+
+
+def write_report_json(report: StabilityReport, stream: IO[str]) -> None:
+    """Write criterion, bound, and classification arrays as a JSON document."""
+    fields = {
+        "nu": report.nu,
+        "base": report.base,
+        "criterion_holds": report.criterion_holds,
+        "bound_ok": report.bound_ok,
+        "decay_class": report.decay_class.value,
+        "tail_stat": _none_if_nan(report.tail_stat),
+        "values": report.values,
+        "envelope": report.envelope,
+    }
+    write_document(stream, "stability_report", **fields)
+
+
+def dumps_fractions(obj) -> str:
+    """Serialize nested fixtures with Fractions as "p/q" strings (cross-language reuse)."""
+    as_text = "{0.numerator}/{0.denominator}".format
+    return json.dumps(obj, indent=2, sort_keys=True, default=as_text)

@@ -26,14 +26,14 @@ nabla.  Each operator output is therefore one whole convolution, computed by
 a single ``np.convolve`` in ``np.longdouble``: products and running sums
 carry the extended precision and only the final values are rounded to
 float64.  Where ``np.longdouble`` is itself 64-bit, this is a plain float64
-convolution.
+convolution.  An output that overflows float64 raises
+:class:`DivergentSolutionError` at its first non-finite point, not a warning.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -44,8 +44,8 @@ from .monomial import (
 )
 
 __all__ = [
+    "DivergentSolutionError",
     "DomainTooShortError",
-    "GridCsvError",
     "GridFunction",
     "OperatorResult",
     "nabla_diff",
@@ -54,8 +54,6 @@ __all__ = [
     "nabla_frac_diff_direct",
     "nabla_frac_diff_composed",
     "power_rule_check",
-    "read_grid_csv",
-    "write_grid_csv",
 ]
 
 
@@ -63,8 +61,19 @@ class DomainTooShortError(ValueError):
     """The input grid function has too few points for the requested operator."""
 
 
-class GridCsvError(ValueError):
-    """A grid CSV stream is malformed; the message names the offending line."""
+class DivergentSolutionError(RuntimeError):
+    """A result's values overflowed; ``t`` is the first non-finite grid point."""
+
+    def __init__(self, t: int, value: float):
+        super().__init__(f"result diverged at t = {t}: value {value} is not finite")
+        self.t = t
+        self.value = value
+
+
+def _require_finite(values: np.ndarray, base: int) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DivergentSolutionError(base + int(bad[0]), float(values[bad[0]]))
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -123,23 +132,28 @@ def _check_positive_order(nu: float) -> None:
         raise ValueError(f"order must be positive and finite, got {nu}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _convolve_head(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
     """First ``v.size`` terms of the convolution kernel * v, in long double.
 
     Entry m is sum_{j<=m} kernel[m - j] v[j].  An entry beyond the float64
-    range rounds to inf, which the caller's finiteness check reports.
+    range rounds to inf, which the caller's ``_require_finite`` reports.
     """
     full = np.convolve(kernel.astype(np.longdouble), v.astype(np.longdouble))
     return full[: v.size].astype(float)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def nabla_diff(u: GridFunction) -> GridFunction:
     """Backward difference u(t) - u(t-1), defined on {base+1, ...}."""
     if len(u) < 2:
         raise DomainTooShortError("nabla difference needs at least 2 points")
-    return GridFunction(u.base + 1, np.diff(u.values))
+    values = np.diff(u.values)
+    _require_finite(values, u.base + 1)
+    return GridFunction(u.base + 1, values)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def nabla_diff_n(u: GridFunction, order: int) -> GridFunction:
     """N-fold backward difference, defined on {base+N, ...}."""
     if order < 1:
@@ -151,6 +165,7 @@ def nabla_diff_n(u: GridFunction, order: int) -> GridFunction:
     values = u.values
     for _ in range(order):
         values = np.diff(values)
+    _require_finite(values, u.base + order)
     return GridFunction(u.base + order, values)
 
 
@@ -166,6 +181,7 @@ def nabla_sum(u: GridFunction, nu: float) -> GridFunction:
     # integer for nu > 0, so no convention branch is live here
     kernel = monomial_sequence(nu - 1.0, len(u))[1:]
     out = np.concatenate(([0.0], _convolve_head(kernel, u.values)))
+    _require_finite(out, u.base - 1)
     return GridFunction(u.base - 1, out)
 
 
@@ -183,8 +199,9 @@ def nabla_frac_diff_direct(u: GridFunction, nu: float) -> GridFunction:
             f"direct form is undefined at integer order {nu}; "
             "use nabla_frac_diff_composed or nabla_diff_n"
         )
-    weights = convolution_weights(nu, len(u))
-    return GridFunction(u.base, _convolve_head(weights, u.values))
+    out = _convolve_head(convolution_weights(nu, len(u)), u.values)
+    _require_finite(out, u.base)
+    return GridFunction(u.base, out)
 
 
 def nabla_frac_diff_composed(u: GridFunction, nu: float) -> GridFunction:
@@ -213,9 +230,6 @@ def power_rule_check(mu: float, nu: float, n_max: int) -> float:
     limiting lag-1 value when mu - nu is a negative integer (the zero
     convention only holds from offset 2 there).
     """
-    _check_positive_order(nu)
-    if float(nu).is_integer():
-        raise ValueError(f"power-rule check needs a non-integer order, got nu = {nu}")
     if not math.isfinite(mu) or (mu < 0 and float(mu).is_integer()):
         raise ValueError(f"sampled order must not be a negative integer, got mu = {mu}")
     if n_max < 1:
@@ -225,65 +239,3 @@ def power_rule_check(mu: float, nu: float, n_max: int) -> float:
     reference = monomial_limit_sequence(mu - nu, n_max)[1:]
     return float(np.max(np.abs(applied.values - reference)))
 
-
-def write_grid_csv(
-    obj: GridFunction, stream: IO[str], *, record_base: bool = False
-) -> None:
-    """Write ``index,value`` rows; optionally record the base in a comment line.
-
-    Values are written with 17 significant digits so identical inputs produce
-    byte-identical files and parsing back is lossless.
-    """
-    if record_base:
-        stream.write(f"# base={obj.base}\n")
-    stream.write("index,value\n")
-    for offset, value in enumerate(obj.values):
-        stream.write(f"{obj.base + offset},{value:.17g}\n")
-
-
-def read_grid_csv(stream: IO[str]) -> GridFunction:
-    """Parse ``index,value`` rows into a GridFunction.
-
-    Comment lines starting with ``#`` and blank lines are skipped, so output
-    of :func:`write_grid_csv` round-trips.  Indices must be consecutive and
-    ascending; errors name the offending line number.
-    """
-    base: int | None = None
-    expected: int | None = None
-    values: list[float] = []
-    saw_header = False
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not saw_header:
-            if line.lower() != "index,value":
-                raise GridCsvError(f"line {lineno}: expected header 'index,value', got {line!r}")
-            saw_header = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise GridCsvError(f"line {lineno}: expected 'index,value', got {line!r}")
-        try:
-            index = int(parts[0])
-        except ValueError:
-            raise GridCsvError(f"line {lineno}: index {parts[0]!r} is not an integer") from None
-        try:
-            value = float(parts[1])
-        except ValueError:
-            raise GridCsvError(f"line {lineno}: value {parts[1]!r} is not a number") from None
-        if not math.isfinite(value):
-            raise GridCsvError(f"line {lineno}: value {parts[1]!r} is not finite")
-        if base is None:
-            base = index
-        elif index != expected:
-            raise GridCsvError(
-                f"line {lineno}: index {index} breaks the consecutive run (expected {expected})"
-            )
-        expected = index + 1
-        values.append(value)
-    if not saw_header:
-        raise GridCsvError("line 1: missing 'index,value' header")
-    if base is None:
-        raise GridCsvError("no data rows after the header")
-    return GridFunction(base, values)

@@ -62,9 +62,8 @@ def _recurrence_tail(mu: float, n_max: int) -> np.ndarray:
         return np.empty(0, dtype=float)
     out = np.empty(n_max, dtype=np.longdouble)
     out[0] = 1.0
-    if n_max > 1:
-        k = np.arange(1, n_max, dtype=np.longdouble)
-        np.cumprod((k + np.longdouble(mu)) / k, out=out[1:])
+    k = np.arange(1, n_max, dtype=np.longdouble)
+    np.cumprod((k + np.longdouble(mu)) / k, out=out[1:])
     return out.astype(float)
 
 
@@ -84,14 +83,9 @@ class MonomialParams:
 def monomial_value(params: MonomialParams) -> float:
     """Evaluate H_mu(a + n, a) under the standard conventions.
 
-    Offset 0 gives 0 for every order, and a negative integer order
-    short-circuits to 0 before any arithmetic.
+    Offset 0 gives 0 for every order, and a negative integer order gives 0.
     """
-    if params.n == 0:
-        return 0.0
-    if _is_negative_integer(params.mu):
-        return 0.0
-    return float(_recurrence_tail(params.mu, params.n)[-1])
+    return float(monomial_sequence(params.mu, params.n)[-1])
 
 
 def monomial_at(mu: float, t: int, a: int) -> float:
@@ -110,22 +104,14 @@ def monomial_limit_value(mu: float, n: int) -> float:
     This is the reference the power rule holds against at every offset; the
     zero convention only matches it from offset 2 on.
     """
-    _check_order(mu)
-    if n < 0:
-        raise ValueError(f"offset must be nonnegative, got {n}")
-    if n == 0:
-        return 0.0
-    return float(_recurrence_tail(mu, n)[-1])
+    return float(monomial_limit_sequence(mu, n)[-1])
 
 
 def monomial_sequence(mu: float, n_max: int) -> np.ndarray:
     """Values H_mu(a + n, a) for n = 0..n_max under the standard conventions."""
-    _check_order(mu)
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    out = np.zeros(n_max + 1, dtype=float)
-    if n_max >= 1 and not _is_negative_integer(mu):
-        out[1:] = _recurrence_tail(mu, n_max)
+    out = monomial_limit_sequence(mu, n_max)
+    if _is_negative_integer(mu):
+        out[:] = 0.0
     return out
 
 
@@ -134,10 +120,7 @@ def monomial_limit_sequence(mu: float, n_max: int) -> np.ndarray:
     _check_order(mu)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    out = np.zeros(n_max + 1, dtype=float)
-    if n_max >= 1:
-        out[1:] = _recurrence_tail(mu, n_max)
-    return out
+    return np.concatenate(([0.0], _recurrence_tail(mu, n_max)))
 
 
 def convolution_weight(nu: float, lag: int) -> float:
@@ -148,14 +131,7 @@ def convolution_weight(nu: float, lag: int) -> float:
     negative.  The order -nu-1 is formed in extended precision so the lag-2
     identity holds to the last bit even when nu itself is not dyadic.
     """
-    if lag < 1:
-        raise ValueError(f"lag must be >= 1, got {lag}")
-    _check_order(nu)
-    if nu <= 0:
-        raise ValueError(f"order must be positive, got {nu}")
-    if float(nu).is_integer():
-        return 0.0
-    return float(_recurrence_tail(-np.longdouble(nu) - 1.0, lag)[-1])
+    return float(convolution_weights(nu, lag)[-1])
 
 
 def convolution_weights(nu: float, max_lag: int) -> np.ndarray:

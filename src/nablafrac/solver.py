@@ -39,19 +39,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import IO, Sequence, Union
+from typing import Sequence, Union
 
-import json
 import math
 
 import numpy as np
 
-from .grid import GridFunction, nabla_diff, nabla_frac_diff_direct
+from .grid import GridFunction, _require_finite, nabla_diff, nabla_frac_diff_direct
 from .monomial import convolution_weights, monomial_sequence
 
 __all__ = [
     "SINGULAR_PIVOT_TOL",
-    "DivergentSolutionError",
     "FirstOrderForm",
     "LinearProblem",
     "SingularStepError",
@@ -62,8 +60,6 @@ __all__ = [
     "solve_lagged",
     "solve_general",
     "solve_first_order",
-    "write_trace_csv",
-    "write_trace_json",
 ]
 
 SINGULAR_PIVOT_TOL = 1e-13
@@ -81,21 +77,6 @@ class SingularStepError(RuntimeError):
         )
         self.t = t
         self.pivot = pivot
-
-
-class DivergentSolutionError(RuntimeError):
-    """A solve's values overflowed; ``t`` is the first non-finite grid point."""
-
-    def __init__(self, t: int, value: float):
-        super().__init__(f"solution diverged at t = {t}: u(t) = {value} is not finite")
-        self.t = t
-        self.value = value
-
-
-def _require_finite(u: np.ndarray, base: int) -> None:
-    bad = np.flatnonzero(~np.isfinite(u))
-    if bad.size:
-        raise DivergentSolutionError(base + int(bad[0]), float(u[bad[0]]))
 
 
 class FirstOrderForm(str, enum.Enum):
@@ -321,33 +302,3 @@ def solve_first_order(
     residuals[1:] = np.abs(nabla_diff(GridFunction(base, u)).values - rhs)
     return SolutionTrace(base=base, values=u, residuals=residuals, envelope=None, nu=None)
 
-
-def write_trace_csv(trace: SolutionTrace, stream: IO[str]) -> None:
-    """Write ``n,t,u,residual,envelope`` rows with 17 significant digits.
-
-    First-order traces have no envelope; the column reads ``nan`` there.
-    """
-    stream.write("n,t,u,residual,envelope\n")
-    for n in range(len(trace)):
-        env = float("nan") if trace.envelope is None else trace.envelope[n]
-        stream.write(
-            f"{n},{trace.base + n},{trace.values[n]:.17g},"
-            f"{trace.residuals[n]:.17g},{env:.17g}\n"
-        )
-
-
-def write_trace_json(trace: SolutionTrace, stream: IO[str], **metadata) -> None:
-    """Write the trace plus problem metadata as a JSON document."""
-    doc = {
-        "kind": "solution_trace",
-        "base": trace.base,
-        "nu": trace.nu,
-        "n": list(range(len(trace))),
-        "t": [trace.base + n for n in range(len(trace))],
-        "u": [float(v) for v in trace.values],
-        "residual": [float(r) for r in trace.residuals],
-        "envelope": None if trace.envelope is None else [float(e) for e in trace.envelope],
-    }
-    doc.update(metadata)
-    json.dump(doc, stream, indent=2)
-    stream.write("\n")

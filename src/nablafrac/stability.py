@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
-import json
 import math
 
 import numpy as np
@@ -64,8 +63,6 @@ __all__ = [
     "default_window",
     "stability_scan",
     "tail_exponent",
-    "write_report_json",
-    "write_scan_csv",
 ]
 
 BOUND_SLACK = 1e-12
@@ -172,7 +169,6 @@ def bound_check(
     When criterion_holds is all true, bound_ok must be all true; the converse
     does not hold (the criterion is sufficient, not necessary).
     """
-    _check_unit_order(nu)
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     carr = coefficient_array(c, n_max)
@@ -295,36 +291,6 @@ def stability_scan(
     return [cell for nu in nus for cell in _scan_order(nu, cs, n_max, win)]
 
 
-def write_scan_csv(cells: Sequence[ScanCell], stream: IO[str]) -> None:
-    """Write ``nu,c,decay_class,tail_stat`` rows.
-
-    The grid axes print in shortest round-trip form (so a requested nu of 0.3
-    reads back as ``0.3``); the tail statistic keeps 17 significant digits.
-    Output is deterministic either way.
-    """
-    stream.write("nu,c,decay_class,tail_stat\n")
-    for cell in cells:
-        stream.write(
-            f"{cell.nu!r},{cell.c!r},{cell.decay_class.value},{cell.tail_stat:.17g}\n"
-        )
-
-
 def _none_if_nan(x: float) -> float | None:
     return None if math.isnan(x) else float(x)
 
-
-def write_report_json(report: StabilityReport, stream: IO[str]) -> None:
-    """Write criterion, bound, and classification arrays as a JSON document."""
-    doc = {
-        "kind": "stability_report",
-        "nu": report.nu,
-        "base": report.base,
-        "criterion_holds": [bool(b) for b in report.criterion_holds],
-        "bound_ok": [bool(b) for b in report.bound_ok],
-        "decay_class": report.decay_class.value,
-        "tail_stat": _none_if_nan(report.tail_stat),
-        "values": [float(v) for v in report.values],
-        "envelope": [float(e) for e in report.envelope],
-    }
-    json.dump(doc, stream, indent=2)
-    stream.write("\n")

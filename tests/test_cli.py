@@ -1,13 +1,15 @@
 """Command-line interface: happy paths, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nablafrac import GridFunction, read_grid_csv, write_grid_csv
+from nablafrac import GridFunction
 from nablafrac.cli import COEFFICIENT_PRESETS, main
+from nablafrac.formats import read_grid_csv, write_grid_csv
 
 
 @pytest.fixture()
@@ -155,6 +157,27 @@ def test_apply_malformed_csv_exits_2_with_line(runner, tmp_path):
     assert "line 3" in result.output
 
 
+@pytest.mark.parametrize(
+    "op, rows, t",
+    [
+        (["--op", "nabla"], [1.0, 1e308, -1e308], 3),
+        (["--op", "diff-direct", "--nu", "1.5"], [1.0, 1e308, -1e308], 3),
+        (["--op", "diff-composed", "--nu", "1.5"], [1.0, 1e308, -1e308], 3),
+        (["--op", "sum", "--nu", "1.5"], [1e308, 1e308], 2),
+    ],
+    ids=["nabla", "diff-direct", "diff-composed", "sum"],
+)
+def test_apply_overflow_exits_5_with_the_point(runner, tmp_path, op, rows, t):
+    path = tmp_path / "big.csv"
+    _write_grid(path, 1, rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["apply", *op, "--input", str(path)])
+    assert [str(w.message) for w in caught] == []
+    assert result.exit_code == 5
+    assert f"diverged at t = {t}:" in result.output
+
+
 # --- solve --------------------------------------------------------------
 
 
@@ -202,6 +225,15 @@ def test_solve_coefficient_csv_alignment_errors(runner, tmp_path):
     _write_grid(short, 1, np.full(5, -0.3))
     result = runner.invoke(main, ["solve", "--nu", "0.5", "--c", str(short), "--n-max", "40"])
     assert result.exit_code == 2
+
+
+def test_malformed_coefficient_csv_exits_2_with_line(runner, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("index,value\n1,0.1\nx,2\n")
+    for command in ("solve", "compare"):
+        result = runner.invoke(main, [command, "--nu", "0.5", "--c", str(path)])
+        assert result.exit_code == 2, (command, result.output)
+        assert f"{path}: line 3" in result.output
 
 
 def test_solve_unknown_coefficient_spec(runner, tmp_path):
@@ -350,6 +382,181 @@ def test_scan_parameter_errors(runner):
     assert runner.invoke(main, ["scan", "--c-grid", "0:1:-0.5"]).exit_code == 2
     assert runner.invoke(main, ["scan", "--c-grid", "a,b"]).exit_code == 2
     assert runner.invoke(main, ["scan", "--n-max", "5"]).exit_code == 2
+
+
+# --- exact bytes ----------------------------------------------------------
+
+# exact output text, so that any change to a CSV or JSON layout shows here;
+# compare and scan need n-max >= 20 for classification
+_PINNED_OUTPUTS = [
+    (
+        ["monomial", "--mu", "0.5", "--n-max", "3", "--format", "json"],
+        """\
+{
+  "kind": "monomial_sequence",
+  "mu": 0.5,
+  "n": [
+    0,
+    1,
+    2,
+    3
+  ],
+  "value": [
+    0.0,
+    1.0,
+    1.5,
+    1.875
+  ]
+}
+""",
+    ),
+    (
+        ["apply", "--op", "diff-direct", "--nu", "0.5", "--input", "INPUT", "--format", "json"],
+        """\
+{
+  "kind": "operator_result",
+  "op": "diff-direct",
+  "nu": 0.5,
+  "base": 1,
+  "index": [
+    1,
+    2,
+    3
+  ],
+  "value": [
+    1.0,
+    1.5,
+    1.875
+  ]
+}
+""",
+    ),
+    (
+        ["apply", "--op", "sum", "--nu", "0.5", "--input", "INPUT"],
+        """\
+# base=0
+index,value
+0,0
+1,1
+2,2.5
+3,4.375
+""",
+    ),
+    (
+        ["solve", "--nu", "0.5", "--c", "0", "--n-max", "3", "--format", "json"],
+        """\
+{
+  "kind": "solution_trace",
+  "base": 0,
+  "nu": 0.5,
+  "n": [
+    0,
+    1,
+    2,
+    3
+  ],
+  "t": [
+    0,
+    1,
+    2,
+    3
+  ],
+  "u": [
+    1.0,
+    0.5,
+    0.375,
+    0.3125
+  ],
+  "residual": [
+    0.0,
+    0.0,
+    0.0,
+    0.0
+  ],
+  "envelope": [
+    1.0,
+    0.5,
+    0.375,
+    0.3125
+  ],
+  "u0": 1.0,
+  "coefficients": "0",
+  "form": "on_u_lag",
+  "order": "frac"
+}
+""",
+    ),
+    (
+        ["solve", "--c", "-0.5", "--order", "1", "--n-max", "3"],
+        """\
+n,t,u,residual,envelope
+0,0,1,0,nan
+1,1,0.5,0,nan
+2,2,0.25,0,nan
+3,3,0.125,0,nan
+""",
+    ),
+    (
+        ["compare", "--nu", "0.5", "--c", "demo-constant", "--n-max", "20"],
+        """\
+n,t,u_first_order,u_fractional
+0,0,1,1
+1,1,1,0.5
+2,2,1,0.375
+3,3,1,0.3125
+4,4,1,0.2734375
+5,5,1,0.24609375
+6,6,1,0.2255859375
+7,7,1,0.20947265625
+8,8,1,0.196380615234375
+9,9,1,0.1854705810546875
+10,10,1,0.17619705200195312
+11,11,1,0.16818809509277344
+12,12,1,0.16118025779724121
+13,13,1,0.15498101711273193
+14,14,1,0.14944598078727722
+15,15,1,0.14446444809436798
+16,16,1,0.13994993409141898
+17,17,1,0.13583375955931842
+18,18,1,0.13206059957155958
+19,19,1,0.12858532063546591
+20,20,1,0.12537068761957926
+{
+  "kind": "comparison_verdict",
+  "nu": 0.5,
+  "form": "on_u_lag",
+  "first_order": "bounded_nonvanishing",
+  "fractional": "bounded_nonvanishing",
+  "first_order_tail": 0.0,
+  "fractional_tail": -0.49358904095727435
+}
+""",
+    ),
+    (
+        ["scan", "--nu-grid", "0.3,0.6", "--c-grid", "-0.5,0.1", "--n-max", "20"],
+        """\
+nu,c,decay_class,tail_stat
+0.3,-0.5,tends_to_zero,-1.0121797910390122
+0.3,0.1,tends_to_zero,-0.52069084316272118
+0.6,-0.5,tends_to_zero,-1.4325773272870497
+0.6,0.1,bounded_nonvanishing,0.29979734477627329
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    _PINNED_OUTPUTS,
+    ids=["monomial-json", "apply-json", "apply-csv", "solve-json", "solve-first-order-csv",
+         "compare", "scan"],
+)
+def test_outputs_are_pinned_byte_for_byte(runner, tmp_path, argv, expected):
+    path = tmp_path / "u.csv"
+    _write_grid(path, 1, [1.0, 2.0, 3.0])
+    result = runner.invoke(main, [str(path) if arg == "INPUT" else arg for arg in argv])
+    assert result.exit_code == 0
+    assert result.output == expected
 
 
 def test_version_flag(runner):

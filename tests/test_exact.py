@@ -7,7 +7,6 @@ import pytest
 
 from nablafrac.exact import (
     SOLVE_COST_GUARD,
-    dumps_fractions,
     oracle_first_order,
     oracle_frac_diff_composed,
     oracle_frac_diff_direct,
@@ -19,6 +18,7 @@ from nablafrac.exact import (
     oracle_weight,
     oracle_weight_row,
 )
+from nablafrac.formats import dumps_fractions
 
 # deterministic little grid function with awkward denominators
 VALUES = [F(k * k - 3, k + 2) for k in range(1, 21)]

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nablafrac
 from nablafrac import (
+    DivergentSolutionError,
     DomainTooShortError,
-    GridCsvError,
     GridFunction,
     convolution_weight,
     convolution_weights,
@@ -21,14 +22,14 @@ from nablafrac import (
     nabla_frac_diff_direct,
     nabla_sum,
     power_rule_check,
-    read_grid_csv,
-    write_grid_csv,
 )
+from nablafrac import formats
 from nablafrac.exact import (
     oracle_frac_diff_composed,
     oracle_frac_diff_direct,
     oracle_nabla_sum,
 )
+from nablafrac.formats import GridCsvError, read_grid_csv, write_grid_csv
 
 
 def _common_domain_gap(direct, composed):
@@ -342,7 +343,32 @@ def test_fractional_memory_is_full_classical_is_local():
     assert np.array_equal(np.nonzero(n0 != n1)[0], [5, 6])
 
 
+@pytest.mark.parametrize(
+    "operator, values, t",
+    [
+        (nabla_diff, [1.0, 1e308, -1e308], 3),
+        (lambda u: nabla_diff_n(u, 2), [1.0, -1e308, 1e308], 3),
+        (lambda u: nabla_frac_diff_direct(u, 1.5), [1.0, 1e308, -1e308], 3),
+        (lambda u: nabla_frac_diff_composed(u, 1.5), [1.0, 1e308, -1e308], 3),
+        (lambda u: nabla_sum(u, 1.5), [1e308, 1e308], 2),
+    ],
+    ids=["nabla", "nabla_2", "direct", "composed", "sum"],
+)
+def test_overflowing_output_raises_at_its_first_point(operator, values, t):
+    # finite input, overflowing output: the named point, and no NumPy warning
+    # (tier-1 turns a leaked RuntimeWarning into a failure)
+    with pytest.raises(DivergentSolutionError) as info:
+        operator(GridFunction(1, values))
+    assert info.value.t == t
+    assert not np.isfinite(info.value.value)
+
+
 # --- CSV ----------------------------------------------------------------
+
+
+def test_package_reexports_the_formats_module():
+    for name in formats.__all__:
+        assert getattr(nablafrac, name) is getattr(formats, name)
 
 
 def test_csv_round_trip_is_lossless():

@@ -23,14 +23,13 @@ from nablafrac import (
     solve_first_order,
     solve_general,
     solve_lagged,
-    write_trace_csv,
-    write_trace_json,
 )
 from nablafrac.exact import (
     oracle_first_order,
     oracle_mittag_leffler,
     oracle_solve,
 )
+from nablafrac.formats import write_trace_csv, write_trace_json
 
 
 def _rel_gap(got: np.ndarray, want: np.ndarray, floor: float = 1.0) -> float:

@@ -20,9 +20,8 @@ from nablafrac import (
     monomial_sequence,
     stability_scan,
     tail_exponent,
-    write_report_json,
-    write_scan_csv,
 )
+from nablafrac.formats import write_report_json, write_scan_csv
 
 # classification fixtures: algebraic decay, oscillation, monomial growth
 _DECAYING = envelope_sequence(0.5, 399)
