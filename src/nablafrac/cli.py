@@ -39,7 +39,6 @@ from .solver import (
     SingularStepError,
     solve_first_order,
     solve_general,
-    solve_lagged,
 )
 from .stability import compare_orders, stability_scan
 
@@ -221,10 +220,8 @@ def solve_cmd(
         else:
             if nu is None:
                 raise click.UsageError("--nu is required for the fractional solve")
-            if form == FirstOrderForm.ON_U_LAG.value:
-                trace = solve_lagged(coeff, nu, u0, n_max, base)
-            else:
-                trace = solve_general(LinearProblem(nu, base, p=coeff, q=0.0, g=0.0, u0=u0), n_max)
+            p, q = FirstOrderForm(form).split(coeff)
+            trace = solve_general(LinearProblem(nu, base, p=p, q=q, g=0.0, u0=u0), n_max)
     with click.open_file(output, "w") as stream:
         if fmt == "json":
             write_trace_json(

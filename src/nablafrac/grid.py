@@ -197,7 +197,7 @@ def nabla_frac_diff_direct(u: GridFunction, nu: float) -> GridFunction:
     if float(nu).is_integer():
         raise ValueError(
             f"direct form is undefined at integer order {nu}; "
-            "use nabla_frac_diff_composed or nabla_diff_n"
+            "use the composed form or the classical difference"
         )
     out = _convolve_head(convolution_weights(nu, len(u)), u.values)
     _require_finite(out, u.base)

@@ -27,6 +27,11 @@ First-order comparison equations come in two right-hand-side forms that are
 deliberately kept separate, since they produce different solutions:
 ``on_u_lag`` is (nabla u)(t) = c(t) u(t-1) with step factor 1 + c(t), and
 ``on_u_t`` is (nabla u)(t) = c(t) u(t) with step factor 1/(1 - c(t)).
+:meth:`FirstOrderForm.split` maps c onto (p, q), so both forms are the
+general equation with the classical nabla on the left.  Its weight row
+(1, -1) is the nu = 1 member of the direct weights, the coefficients of
+(1 - z)^nu: the lag-2 weight -1 folds into q and no history term remains.
+One stepping core serves both orders.
 
 Every returned :class:`SolutionTrace` carries per-step residuals obtained by
 re-applying the appropriate difference operator to the computed solution (for
@@ -85,6 +90,10 @@ class FirstOrderForm(str, enum.Enum):
     ON_U_LAG = "on_u_lag"
     ON_U_T = "on_u_t"
 
+    def split(self, c: CoefficientLike) -> tuple[CoefficientLike, CoefficientLike]:
+        """The (p, q) of the right-hand side p(t) u(t) + q(t) u(t-1) for c."""
+        return (0.0, c) if self is FirstOrderForm.ON_U_LAG else (c, 0.0)
+
 
 def _check_unit_order(nu: float) -> None:
     if not math.isfinite(nu) or not 0.0 < nu < 1.0:
@@ -123,32 +132,39 @@ def _solve_steps(
     p: np.ndarray,
     q: np.ndarray,
     g: np.ndarray,
-    nu: float,
+    nu: float | None,
     u0: float,
-    n_max: int,
     base: int,
 ) -> np.ndarray:
-    """Shared stepping core, time-major: ``u[n]`` is the solution at offset n.
+    """The stepping core, time-major: ``u[n]`` is the solution at offset n.
 
     Coefficients have shape (n_max,) or, to step k independent problems at
-    once, (n_max, k); ``u`` then has shape (n_max + 1, k).  The history sum is
-    one BLAS dot product per step (a vector-matrix product for k columns).
+    once, (n_max, k); ``u`` then has shape (n_max + 1, k).  ``nu=None`` steps
+    the classical nabla, whose lag-2 weight -1 is folded into q.  For
+    fractional orders the history sum is one BLAS dot product per step (a
+    vector-matrix product for k columns).
     """
     pivots = 1.0 - p
     singular = np.argwhere(np.abs(pivots) < SINGULAR_PIVOT_TOL)
     if singular.size:
         first = tuple(singular[0])
         raise SingularStepError(base + 1 + int(first[0]), float(pivots[first]))
-    weights = convolution_weights(nu, n_max + 1)
+    n_max = len(q)
+    if nu is None:
+        q = q + 1.0
+    else:
+        weights = convolution_weights(nu, n_max + 1)
     u = np.empty((n_max + 1,) + np.shape(q)[1:], dtype=float)
     u[0] = u0
     # an overflowing trace is reported by its callers (DivergentSolutionError,
     # or the scan's unbounded class), not by NumPy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_max + 1):
-            # history term sum_{s=a}^{t-1} w(t - s + 1) u(s); lags n+1 down to 2
-            inner = np.dot(weights[n:0:-1], u[:n])
-            u[n] = (q[n - 1] * u[n - 1] + g[n - 1] - inner) / pivots[n - 1]
+            step = q[n - 1] * u[n - 1] + g[n - 1]
+            if nu is not None:
+                # history term sum_{s=a}^{t-1} w(t - s + 1) u(s); lags n+1 down to 2
+                step = step - np.dot(weights[n:0:-1], u[:n])
+            u[n] = step / pivots[n - 1]
     return u
 
 
@@ -166,11 +182,9 @@ def mittag_leffler_seq(
     aligned.  Returns the values at offsets 0..n_max.
     """
     _check_unit_order(nu)
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     carr = coefficient_array(c, n_max)
     zeros = np.zeros(n_max)
-    return _solve_steps(zeros, carr, zeros, nu, 1.0, n_max, base)
+    return _solve_steps(zeros, carr, zeros, nu, 1.0, base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,13 +236,30 @@ class LinearProblem:
         _check_unit_order(self.nu)
 
 
-def _fractional_trace(u: np.ndarray, nu: float, base: int, rhs: np.ndarray) -> SolutionTrace:
-    # independent re-application: the direct operator based at rho(base)
-    # consumes the solution mounted on N_base = N_{rho(base)+1}
-    applied = nabla_frac_diff_direct(GridFunction(base, u), nu)
+def _solve(
+    p: CoefficientLike,
+    q: CoefficientLike,
+    g: CoefficientLike,
+    nu: float | None,
+    u0: float,
+    n_max: int,
+    base: int,
+) -> SolutionTrace:
+    """Solve (nabla^nu u)(t) = p(t)u(t) + q(t)u(t-1) + g(t); nu=None is the classical nabla."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    p, q, g = (coefficient_array(x, n_max) for x in (p, q, g))
+    u = _solve_steps(p, q, g, nu, u0, base)
+    _require_finite(u, base)
+    # independent re-application; the direct operator based at rho(base)
+    # consumes the solution mounted on N_base = N_{rho(base)+1}, and only its
+    # last n_max values (t = base+1, ...) are equations, as with nabla_diff
+    grid = GridFunction(base, u)
+    applied = nabla_diff(grid) if nu is None else nabla_frac_diff_direct(grid, nu)
     residuals = np.zeros(u.size)
-    residuals[1:] = np.abs(applied.values[1:] - rhs)
-    return SolutionTrace(base, u, residuals, envelope_sequence(nu, u.size - 1), nu)
+    residuals[1:] = np.abs(applied.values[-n_max:] - (p * u[1:] + q * u[:-1] + g))
+    envelope = None if nu is None else envelope_sequence(nu, n_max)
+    return SolutionTrace(base, u, residuals, envelope, nu)
 
 
 def solve_lagged(
@@ -236,14 +267,7 @@ def solve_lagged(
 ) -> SolutionTrace:
     """Solve (nabla^nu_{rho(a)} u)(t) = c(t) u(t-1), u(a) = u0, a = base."""
     _check_unit_order(nu)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    carr = coefficient_array(c, n_max)
-    zeros = np.zeros(n_max)
-    u = _solve_steps(zeros, carr, zeros, nu, u0, n_max, base)
-    _require_finite(u, base)
-    rhs = carr * u[:-1]
-    return _fractional_trace(u, nu, base, rhs)
+    return _solve(0.0, c, 0.0, nu, u0, n_max, base)
 
 
 def solve_general(problem: LinearProblem, n_max: int) -> SolutionTrace:
@@ -254,15 +278,7 @@ def solve_general(problem: LinearProblem, n_max: int) -> SolutionTrace:
     :class:`DivergentSolutionError` when the solution overflows.  With
     p = 0, g = 0 this reduces exactly (bit for bit) to :func:`solve_lagged`.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    parr = coefficient_array(problem.p, n_max)
-    qarr = coefficient_array(problem.q, n_max)
-    garr = coefficient_array(problem.g, n_max)
-    u = _solve_steps(parr, qarr, garr, problem.nu, problem.u0, n_max, problem.base)
-    _require_finite(u, problem.base)
-    rhs = parr * u[1:] + qarr * u[:-1] + garr
-    return _fractional_trace(u, problem.nu, problem.base, rhs)
+    return _solve(problem.p, problem.q, problem.g, problem.nu, problem.u0, n_max, problem.base)
 
 
 def solve_first_order(
@@ -280,25 +296,5 @@ def solve_first_order(
     1 - c(t) is numerically zero.  The classical nabla sees only the previous
     point: memory 2, against the fractional operators' full memory.
     """
-    form = FirstOrderForm(form)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    carr = coefficient_array(c, n_max)
-    garr = coefficient_array(0.0 if g is None else g, n_max)
-    u = np.empty(n_max + 1, dtype=float)
-    u[0] = float(u0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_max + 1):
-            if form is FirstOrderForm.ON_U_LAG:
-                u[n] = (1.0 + carr[n - 1]) * u[n - 1] + garr[n - 1]
-            else:
-                pivot = 1.0 - carr[n - 1]
-                if abs(pivot) < SINGULAR_PIVOT_TOL:
-                    raise SingularStepError(base + n, pivot)
-                u[n] = (u[n - 1] + garr[n - 1]) / pivot
-    _require_finite(u, base)
-    rhs = carr * (u[:-1] if form is FirstOrderForm.ON_U_LAG else u[1:]) + garr
-    residuals = np.zeros(n_max + 1)
-    residuals[1:] = np.abs(nabla_diff(GridFunction(base, u)).values - rhs)
-    return SolutionTrace(base=base, values=u, residuals=residuals, envelope=None, nu=None)
-
+    p, q = FirstOrderForm(form).split(c)
+    return _solve(p, q, 0.0 if g is None else g, None, u0, n_max, base)

@@ -47,7 +47,6 @@ from .solver import (
     mittag_leffler_seq,
     solve_first_order,
     solve_general,
-    solve_lagged,
 )
 
 __all__ = [
@@ -228,13 +227,11 @@ def compare_orders(
     the lagged fractional equation, ``on_u_t`` with the undelayed one
     (p = c).  Decay classes are computed with a shared window.
     """
-    _check_unit_order(nu)
     form = FirstOrderForm(form)
+    p, q = form.split(c)
+    problem = LinearProblem(nu, base, p=p, q=q, g=0.0, u0=u0)
     first = solve_first_order(c, form, u0, n_max, base)
-    if form is FirstOrderForm.ON_U_LAG:
-        frac = solve_lagged(c, nu, u0, n_max, base)
-    else:
-        frac = solve_general(LinearProblem(nu, base, p=c, q=0.0, g=0.0, u0=u0), n_max)
+    frac = solve_general(problem, n_max)
     win = default_window(len(first)) if window is None else window
     return OrderComparison(
         nu=nu,
@@ -262,7 +259,7 @@ def _scan_order(nu: float, cs: list[float], n_max: int, win: int) -> list[ScanCe
     """Step every coefficient of one order together, then classify each column."""
     zeros = np.zeros(n_max)
     coeffs = np.broadcast_to(np.asarray(cs), (n_max, len(cs)))
-    traces = _solve_steps(zeros, coeffs, zeros, nu, 1.0, n_max, 0)
+    traces = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
     return [
         ScanCell(nu, c, decay_classify(trace, win), tail_exponent(trace, win))
         for c, trace in zip(cs, traces.T)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import nablafrac
 from nablafrac import GridFunction
 from nablafrac.cli import COEFFICIENT_PRESETS, main
 from nablafrac.formats import read_grid_csv, write_grid_csv
@@ -138,6 +139,22 @@ def test_apply_parameter_errors(runner, tmp_path):
         ).exit_code
         == 2
     )
+
+
+def test_apply_integer_direct_order_names_the_forms(runner, tmp_path):
+    path = tmp_path / "u.csv"
+    _write_grid(path, 1, [1.0, 2.0, 3.0])
+    result = runner.invoke(
+        main, ["apply", "--op", "diff-direct", "--nu", "2", "--input", str(path)]
+    )
+    assert result.exit_code == 2
+    assert "composed form or the classical difference" in result.output
+    library_names = [
+        name
+        for name in dir(nablafrac)
+        if not name.startswith("_") and callable(getattr(nablafrac, name))
+    ]
+    assert [name for name in library_names if name in result.output] == []
 
 
 def test_apply_short_input_exits_3(runner, tmp_path):
@@ -341,6 +358,14 @@ def test_compare_oscillation_preset(runner, tmp_path):
     assert doc["first_order"] == "bounded_nonvanishing"
     assert doc["fractional"] == "tends_to_zero"
     assert doc["form"] == "on_u_t"
+
+
+def test_compare_rejects_a_bad_order_before_solving(runner):
+    # c = 1 makes the on_u_t first-order step singular (exit 4); the order
+    # is checked first
+    result = runner.invoke(main, ["compare", "--nu", "1.5", "--c", "1", "--form", "on_u_t"])
+    assert result.exit_code == 2
+    assert "order must lie strictly in (0, 1)" in result.output
 
 
 def test_compare_rejects_tiny_horizons(runner):

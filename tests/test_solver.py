@@ -283,6 +283,60 @@ def test_first_order_forced_growth_family():
     assert trace.values[-1] > 10.0 * abs(u0)
 
 
+def _first_order_loop(c, form, u0, n_max, base=0, g=None):
+    """Both first-order forms stepped directly, an oracle apart from the shared core.
+
+    Returns (values, residuals); residuals are None for a non-finite trace.
+    """
+    carr = coefficient_array(c, n_max)
+    garr = coefficient_array(0.0 if g is None else g, n_max)
+    u = np.empty(n_max + 1)
+    u[0] = u0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max + 1):
+            if form == "on_u_lag":
+                u[n] = (1.0 + carr[n - 1]) * u[n - 1] + garr[n - 1]
+            else:
+                pivot = 1.0 - carr[n - 1]
+                if abs(pivot) < SINGULAR_PIVOT_TOL:
+                    raise SingularStepError(base + n, pivot)
+                u[n] = (u[n - 1] + garr[n - 1]) / pivot
+    if not np.all(np.isfinite(u)):
+        return u, None
+    rhs = carr * (u[:-1] if form == "on_u_lag" else u[1:]) + garr
+    return u, np.concatenate(([0.0], np.abs(np.diff(u) - rhs)))
+
+
+@pytest.mark.parametrize("form", [f.value for f in FirstOrderForm])
+def test_first_order_matches_its_stepping_loop_bit_for_bit(form):
+    rng = np.random.default_rng(43)
+    n = 500
+    c_steps = rng.uniform(-1.8, 0.8, size=n)
+    g_steps = rng.normal(size=n)
+    cases = [(c, g) for c in (-0.3, 0.4, 2.0, c_steps) for g in (None, 0.25, g_steps)]
+    for c, g in cases:
+        trace = solve_first_order(c, form, 1.3, n, base=2, g=g)
+        values, residuals = _first_order_loop(c, form, 1.3, n, base=2, g=g)
+        assert np.array_equal(trace.values, values)
+        assert np.array_equal(trace.residuals, residuals)
+        assert trace.envelope is None and trace.nu is None
+
+
+def test_first_order_failures_match_its_stepping_loop():
+    c = np.array([0.5, -0.5, 1.0 - 5e-14, 2.0])
+    with pytest.raises(SingularStepError) as info:
+        solve_first_order(c, "on_u_t", 1.0, 4, base=3)
+    with pytest.raises(SingularStepError) as want:
+        _first_order_loop(c, "on_u_t", 1.0, 4, base=3)
+    assert (info.value.t, info.value.pivot) == (want.value.t, want.value.pivot)
+
+    values, _ = _first_order_loop(1e200, "on_u_lag", 1.0, 5, base=3)
+    first = int(np.flatnonzero(~np.isfinite(values))[0])
+    with pytest.raises(DivergentSolutionError) as info:
+        solve_first_order(1e200, "on_u_lag", 1.0, 5, base=3)
+    assert info.value.t == 3 + first
+
+
 # --- oracle agreement ---------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nablafrac import (
     BOUND_SLACK,
     DecayClass,
+    LinearProblem,
     bound_check,
     compare_orders,
     criterion_check,
@@ -18,6 +19,8 @@ from nablafrac import (
     envelope_sequence,
     mittag_leffler_seq,
     monomial_sequence,
+    solve_general,
+    solve_lagged,
     stability_scan,
     tail_exponent,
 )
@@ -182,6 +185,25 @@ def test_compare_where_both_orders_decay():
     cmp = compare_orders(-0.5, 0.5, "on_u_lag", 1.0, 2000)
     assert cmp.first_order_class is DecayClass.TENDS_TO_ZERO
     assert cmp.fractional_class is DecayClass.TENDS_TO_ZERO
+
+
+def _same_trace(got, want):
+    return (
+        np.array_equal(got.values, want.values)
+        and np.array_equal(got.residuals, want.residuals)
+        and np.array_equal(got.envelope, want.envelope)
+    )
+
+
+@pytest.mark.parametrize("c", [-0.3, 2.0, np.linspace(-1.5, 0.4, 300)], ids=["-0.3", "2", "ramp"])
+def test_compare_splits_the_coefficient_by_form(c):
+    nu, base, u0, n = 0.6, 2, 1.5, 300
+    lag = compare_orders(c, nu, "on_u_lag", u0, n, base).fractional
+    assert _same_trace(lag, solve_lagged(c, nu, u0, n, base))
+    undelayed = compare_orders(c, nu, "on_u_t", u0, n, base).fractional
+    problem = LinearProblem(nu, base, p=c, q=0.0, g=0.0, u0=u0)
+    assert _same_trace(undelayed, solve_general(problem, n))
+    assert not np.array_equal(lag.values, undelayed.values)
 
 
 # --- scans --------------------------------------------------------------
