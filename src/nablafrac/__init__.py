@@ -16,7 +16,6 @@ from .exact import (
     oracle_nabla_diff_n,
     oracle_nabla_sum,
     oracle_solve,
-    oracle_weight,
     oracle_weight_row,
 )
 from .formats import (
@@ -35,7 +34,6 @@ from .grid import (
     DivergentSolutionError,
     DomainTooShortError,
     GridFunction,
-    OperatorResult,
     nabla_diff,
     nabla_diff_n,
     nabla_frac_diff_composed,
@@ -44,15 +42,9 @@ from .grid import (
     power_rule_check,
 )
 from .monomial import (
-    MonomialParams,
-    convolution_weight,
     convolution_weights,
-    monomial_at,
     monomial_limit_sequence,
-    monomial_limit_value,
     monomial_sequence,
-    monomial_tail,
-    monomial_value,
 )
 from .solver import (
     SINGULAR_PIVOT_TOL,
@@ -82,4 +74,4 @@ from .stability import (
     tail_exponent,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

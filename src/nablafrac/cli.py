@@ -37,6 +37,7 @@ from .solver import (
     FirstOrderForm,
     LinearProblem,
     SingularStepError,
+    _check_unit_order,
     solve_first_order,
     solve_general,
 )
@@ -122,7 +123,9 @@ def main() -> None:
 
 @main.command("monomial")
 @click.option("--mu", type=float, required=True, help="Monomial order.")
-@click.option("--n-max", type=int, required=True, help="Largest offset to emit.")
+@click.option(
+    "--n-max", type=click.IntRange(min=0), required=True, help="Largest offset to emit."
+)
 @click.option("--output", "-o", default="-", help="Output path ('-' for stdout).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def monomial_cmd(mu: float, n_max: int, output: str, fmt: str) -> None:
@@ -179,7 +182,9 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
 @click.option("--nu", type=float, default=None, help="Fractional order in (0, 1).")
 @click.option("--c", "c_spec", required=True, help="Coefficient: constant, preset, or CSV path.")
 @click.option("--u0", type=float, default=1.0, show_default=True, help="Initial value u(base).")
-@click.option("--n-max", type=int, default=100, show_default=True, help="Number of steps.")
+@click.option(
+    "--n-max", type=click.IntRange(min=1), default=100, show_default=True, help="Number of steps."
+)
 @click.option("--base", type=int, default=0, show_default=True, help="Initial grid point a.")
 @click.option(
     "--form",
@@ -215,6 +220,8 @@ def solve_cmd(
     """
     coeff = _resolve_coefficients(c_spec, base)
     with _library_errors():
+        if nu is not None:
+            _check_unit_order(nu)
         if order == "1":
             trace = solve_first_order(coeff, form, u0, n_max, base)
         else:
@@ -235,7 +242,7 @@ def solve_cmd(
 @click.option("--nu", type=float, required=True, help="Fractional order in (0, 1).")
 @click.option("--c", "c_spec", required=True, help="Coefficient: constant, preset, or CSV path.")
 @click.option("--u0", type=float, default=1.0, show_default=True)
-@click.option("--n-max", type=int, default=5000, show_default=True)
+@click.option("--n-max", type=click.IntRange(min=20), default=5000, show_default=True)
 @click.option("--base", type=int, default=0, show_default=True)
 @click.option(
     "--form",
@@ -260,8 +267,6 @@ def compare_cmd(
     Writes an n,t,u_first_order,u_fractional CSV and a JSON verdict with both
     decay classifications.
     """
-    if n_max < 20:
-        raise click.UsageError(f"--n-max must be >= 20 for classification, got {n_max}")
     coeff = _resolve_coefficients(c_spec, base)
     with _library_errors():
         comparison = compare_orders(coeff, nu, form, u0, n_max, base)
@@ -286,7 +291,7 @@ def compare_cmd(
     show_default=True,
     help="Constant coefficients: comma list or start:stop:step.",
 )
-@click.option("--n-max", type=int, default=2000, show_default=True)
+@click.option("--n-max", type=click.IntRange(min=20), default=2000, show_default=True)
 @click.option("--output", "-o", default="-", help="Output path ('-' for stdout).")
 def scan_cmd(nu_grid: str, c_grid: str, n_max: int, output: str) -> None:
     """Classify decay over a (nu, c) grid; emits nu,c,decay_class,tail_stat.
@@ -295,8 +300,6 @@ def scan_cmd(nu_grid: str, c_grid: str, n_max: int, output: str) -> None:
     """
     nus = _parse_axis(nu_grid, "--nu-grid")
     cs = _parse_axis(c_grid, "--c-grid")
-    if n_max < 20:
-        raise click.UsageError(f"--n-max must be >= 20 for classification, got {n_max}")
     with _library_errors():
         cells = stability_scan(nus, cs, n_max)
     with click.open_file(output, "w") as stream:

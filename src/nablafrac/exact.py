@@ -18,7 +18,6 @@ from typing import Sequence
 
 __all__ = [
     "oracle_monomial",
-    "oracle_weight",
     "oracle_weight_row",
     "oracle_nabla_diff_n",
     "oracle_nabla_sum",
@@ -53,13 +52,6 @@ def oracle_monomial(mu: RationalLike, n: int) -> Fraction:
     for k in range(1, n):
         value = value * (k + mu) / k
     return value
-
-
-def oracle_weight(nu: RationalLike, lag: int) -> Fraction:
-    """Exact convolution weight of the direct difference at the given lag."""
-    if lag < 1:
-        raise ValueError(f"lag must be >= 1, got {lag}")
-    return oracle_monomial(-_as_fraction(nu) - 1, lag)
 
 
 def oracle_weight_row(nu: RationalLike, max_lag: int) -> list[Fraction]:

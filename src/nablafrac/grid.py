@@ -2,9 +2,8 @@
 
 A :class:`GridFunction` stores samples u(base), u(base+1), ... together with
 the explicit ``base`` index; nothing is ever zero-filled implicitly.  Every
-operator returns a GridFunction based at its first defined point
-(``OperatorResult`` is an alias kept for older imports).  The fractional
-operators follow the usual convention that the input lives on
+operator returns a GridFunction based at its first defined point.  The
+fractional operators follow the usual convention that the input lives on
 N_{a+1} = {a+1, a+2, ...} where ``a = u.base - 1`` is the operator's base
 point:
 
@@ -47,7 +46,6 @@ __all__ = [
     "DivergentSolutionError",
     "DomainTooShortError",
     "GridFunction",
-    "OperatorResult",
     "nabla_diff",
     "nabla_diff_n",
     "nabla_sum",
@@ -117,14 +115,6 @@ class GridFunction:
                 "grid functions are never zero-extended"
             )
         return float(self.values[t - self.base])
-
-    def to_grid(self) -> GridFunction:
-        """The same immutable samples; kept for code written against OperatorResult."""
-        return self
-
-
-# the public name of operator outputs; imports of it keep working
-OperatorResult = GridFunction
 
 
 def _check_positive_order(nu: float) -> None:

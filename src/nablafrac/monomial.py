@@ -22,27 +22,19 @@ values stay correctly rounded even when the sequence grows like n^mu.
 
 The convolution weights of the direct Riemann-Liouville difference of order
 ``nu`` are the monomials of order -nu - 1: weight(lag) = H_{-nu-1} at offset
-``lag``.  For 0 < nu < 1 the lag-1 weight is exactly 1, the lag-2 weight is
-exactly -nu, and every weight at lag >= 2 is strictly negative, which is what
-makes the stability bound in :mod:`nablafrac.stability` work.
+``lag``; their signs (see :func:`convolution_weights`) are what makes the
+stability bound in :mod:`nablafrac.stability` work.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "MonomialParams",
-    "monomial_value",
-    "monomial_at",
-    "monomial_limit_value",
     "monomial_sequence",
     "monomial_limit_sequence",
-    "monomial_tail",
-    "convolution_weight",
     "convolution_weights",
 ]
 
@@ -67,48 +59,12 @@ def _recurrence_tail(mu: float, n_max: int) -> np.ndarray:
     return out.astype(float)
 
 
-@dataclass(frozen=True)
-class MonomialParams:
-    """Order/offset pair identifying the value H_mu(a + n, a)."""
-
-    mu: float
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_order(self.mu)
-        if self.n < 0:
-            raise ValueError(f"offset must be nonnegative, got {self.n}")
-
-
-def monomial_value(params: MonomialParams) -> float:
-    """Evaluate H_mu(a + n, a) under the standard conventions.
-
-    Offset 0 gives 0 for every order, and a negative integer order gives 0.
-    """
-    return float(monomial_sequence(params.mu, params.n)[-1])
-
-
-def monomial_at(mu: float, t: int, a: int) -> float:
-    """Evaluate H_mu(t, a) for t >= a; values depend only on t - a."""
-    if t < a:
-        raise ValueError(f"t = {t} lies before the base point {a}")
-    return monomial_value(MonomialParams(mu, t - a))
-
-
-def monomial_limit_value(mu: float, n: int) -> float:
-    """The recurrence continuation of the monomial at order mu.
-
-    Identical to :func:`monomial_value` except at negative integer orders,
-    where the blanket zero convention is replaced by the limiting values of
-    the recurrence: order -1 gives 1, 0, 0, ...; order -2 gives 1, -1, 0, ...
-    This is the reference the power rule holds against at every offset; the
-    zero convention only matches it from offset 2 on.
-    """
-    return float(monomial_limit_sequence(mu, n)[-1])
-
-
 def monomial_sequence(mu: float, n_max: int) -> np.ndarray:
-    """Values H_mu(a + n, a) for n = 0..n_max under the standard conventions."""
+    """Values H_mu(a + n, a) for n = 0..n_max under the standard conventions.
+
+    Offset 0 gives 0 for every order, and a negative integer order gives 0 at
+    every offset.
+    """
     out = monomial_limit_sequence(mu, n_max)
     if _is_negative_integer(mu):
         out[:] = 0.0
@@ -116,26 +72,28 @@ def monomial_sequence(mu: float, n_max: int) -> np.ndarray:
 
 
 def monomial_limit_sequence(mu: float, n_max: int) -> np.ndarray:
-    """Recurrence-continuation values for n = 0..n_max (see monomial_limit_value)."""
+    """The recurrence continuation of the monomial for n = 0..n_max.
+
+    Identical to :func:`monomial_sequence` except at negative integer orders,
+    where the blanket zero convention is replaced by the limiting values of
+    the recurrence: order -1 gives 0, 1, 0, 0, ...; order -2 gives
+    0, 1, -1, 0, ...  This is the reference the power rule holds against at
+    every offset; the zero convention only matches it from offset 2 on.
+    """
     _check_order(mu)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     return np.concatenate(([0.0], _recurrence_tail(mu, n_max)))
 
 
-def convolution_weight(nu: float, lag: int) -> float:
-    """Weight of the direct order-nu difference at the given lag (H_{-nu-1}).
+def convolution_weights(nu: float, max_lag: int) -> np.ndarray:
+    """Weights at lags 1..max_lag of the direct order-nu difference (H_{-nu-1}).
 
     For non-integer nu the lag-1 weight is exactly 1, the lag-2 weight is
     exactly -nu, and when 0 < nu < 1 every weight at lag >= 2 is strictly
     negative.  The order -nu-1 is formed in extended precision so the lag-2
     identity holds to the last bit even when nu itself is not dyadic.
     """
-    return float(convolution_weights(nu, lag)[-1])
-
-
-def convolution_weights(nu: float, max_lag: int) -> np.ndarray:
-    """Weights at lags 1..max_lag of the direct order-nu difference."""
     _check_order(nu)
     if nu <= 0:
         raise ValueError(f"order must be positive, got {nu}")
@@ -144,17 +102,3 @@ def convolution_weights(nu: float, max_lag: int) -> np.ndarray:
     if float(nu).is_integer():
         return np.zeros(max_lag, dtype=float)
     return _recurrence_tail(-np.longdouble(nu) - 1.0, max_lag)
-
-
-def monomial_tail(mu: float, n_max: int) -> np.ndarray:
-    """The sequence H_{mu-1}(a + n, a), n = 1..n_max, for 0 < mu < 1.
-
-    In that order range the tail is positive, nonincreasing, and tends to 0
-    like n^(mu-1); the boundary orders 0 and 1 are excluded because the decay
-    statement fails there (the order-1 tail is constant).
-    """
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"tail order must lie strictly in (0, 1), got {mu}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return _recurrence_tail(mu - 1.0, n_max)

@@ -123,8 +123,14 @@ def coefficient_array(c: CoefficientLike, n_max: int) -> np.ndarray:
 
 
 def envelope_sequence(nu: float, n_max: int) -> np.ndarray:
-    """Decay envelope H_{nu-1}(a + n, rho(a)) for n = 0..n_max (offset n + 1)."""
+    """Decay envelope H_{nu-1}(a + n, rho(a)) for n = 0..n_max (offset n + 1).
+
+    For 0 < nu < 1 it is positive, strictly decreasing and tends to 0 like
+    n^(nu-1).
+    """
     _check_unit_order(nu)
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     return monomial_sequence(nu - 1.0, n_max + 1)[1:]
 
 

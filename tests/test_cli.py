@@ -312,6 +312,28 @@ def test_solve_parameter_errors(runner):
     assert runner.invoke(main, ["solve", "--nu", "0.5", "--c", "inf"]).exit_code == 2
 
 
+def test_solve_first_order_checks_nu(runner):
+    args = ["solve", "--c", "-0.5", "--order", "1", "--n-max", "3"]
+    result = runner.invoke(main, args + ["--nu", "7"])
+    assert result.exit_code == 2
+    assert "order must lie strictly in (0, 1), got 7.0" in result.output
+    # an in-range --nu is checked and otherwise unused by the first-order solve
+    assert runner.invoke(main, args + ["--nu", "0.5"]).output == runner.invoke(main, args).output
+
+
+def test_n_max_errors_name_the_option(runner):
+    cases = [
+        (["monomial", "--mu", "0.5", "--n-max", "-1"], "-1 is not in the range x>=0"),
+        (["solve", "--nu", "0.5", "--c", "0", "--n-max", "0"], "0 is not in the range x>=1"),
+        (["compare", "--nu", "0.5", "--c", "0", "--n-max", "19"], "19 is not in the range x>=20"),
+        (["scan", "--n-max", "5"], "5 is not in the range x>=20"),
+    ]
+    for args, message in cases:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"Invalid value for '--n-max': {message}" in result.output
+
+
 # --- compare ------------------------------------------------------------
 
 

@@ -15,7 +15,6 @@ from nablafrac.exact import (
     oracle_nabla_diff_n,
     oracle_nabla_sum,
     oracle_solve,
-    oracle_weight,
     oracle_weight_row,
 )
 from nablafrac.formats import dumps_fractions
@@ -46,10 +45,10 @@ def test_monomial_rejects_bad_input():
 def test_weight_row_consistency_and_frozen_value():
     nu = F(3, 10)
     row = oracle_weight_row(nu, 8)
-    assert row == [oracle_weight(nu, lag) for lag in range(1, 9)]
+    assert row == [oracle_monomial(-nu - 1, lag) for lag in range(1, 9)]
     assert row[0] == 1
     assert row[1] == -nu
-    assert oracle_weight(nu, 5) == F(-3213, 80000)
+    assert oracle_weight_row(nu, 5)[-1] == F(-3213, 80000)
     assert all(w < 0 for w in row[1:])
 
 

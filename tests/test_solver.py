@@ -19,7 +19,6 @@ from nablafrac import (
     envelope_sequence,
     mittag_leffler_seq,
     monomial_sequence,
-    monomial_tail,
     solve_first_order,
     solve_general,
     solve_lagged,
@@ -60,10 +59,11 @@ def test_coefficient_array_validation():
 # --- Mittag-Leffler sequence --------------------------------------------
 
 
-def test_envelope_matches_monomial_tail():
-    env = envelope_sequence(0.5, 3)
-    assert np.array_equal(env, monomial_tail(0.5, 4))
-    assert env == pytest.approx([1.0, 0.5, 0.375, 0.3125], abs=1e-15)
+def test_envelope_rejects_negative_n_max():
+    assert envelope_sequence(0.5, 0).size == 1
+    for n_max in (-1, -2):
+        with pytest.raises(ValueError, match=f"got {n_max}$"):
+            envelope_sequence(0.5, n_max)
 
 
 def test_zero_coefficient_sequence_equals_envelope():
