@@ -275,8 +275,12 @@ def stability_scan(
     """Classify the constant-coefficient lagged equation over a (nu, c) grid.
 
     All coefficients of one order are stepped as one batch, the same
-    recursion as :func:`mittag_leffler_seq` per cell.  Cells are returned in
-    row-major order (nu outer, c inner).
+    recursion as :func:`mittag_leffler_seq` per cell: each column gets the
+    values that solve would give it.  The batch shares the stepping core's
+    divide-and-conquer history, one FFT convolution along the step axis per
+    merge for all columns, so the cost per order is O(n_max log^2 n_max) for
+    n_max >= 2048; below that the batch is one leaf of direct dot products.
+    Cells are returned in row-major order (nu outer, c inner).
     """
     nus = [float(nu) for nu in nu_grid]
     for nu in nus:

@@ -1,7 +1,9 @@
 """Method-of-steps solvers: representation, defects, forms, serialization."""
 
+import gc
 import io
 import json
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,19 +11,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nablafrac import (
+    DecayClass,
     DivergentSolutionError,
     FirstOrderForm,
     LinearProblem,
     SINGULAR_PIVOT_TOL,
     SingularStepError,
+    bound_check,
     coefficient_array,
     convolution_weights,
+    decay_classify,
+    default_window,
     envelope_sequence,
     mittag_leffler_seq,
     monomial_sequence,
     solve_first_order,
     solve_general,
     solve_lagged,
+    stability_scan,
 )
 from nablafrac.exact import (
     oracle_first_order,
@@ -29,6 +36,7 @@ from nablafrac.exact import (
     oracle_solve,
 )
 from nablafrac.formats import write_trace_csv, write_trace_json
+from nablafrac.solver import _LEAF, _solve_steps
 
 
 def _rel_gap(got: np.ndarray, want: np.ndarray, floor: float = 1.0) -> float:
@@ -307,19 +315,30 @@ def _first_order_loop(c, form, u0, n_max, base=0, g=None):
     return u, np.concatenate(([0.0], np.abs(np.diff(u) - rhs)))
 
 
+def _first_nonfinite(values):
+    bad = np.flatnonzero(~np.isfinite(values))
+    return int(bad[0]) if bad.size else None
+
+
 @pytest.mark.parametrize("form", [f.value for f in FirstOrderForm])
 def test_first_order_matches_its_stepping_loop_bit_for_bit(form):
     rng = np.random.default_rng(43)
-    n = 500
-    c_steps = rng.uniform(-1.8, 0.8, size=n)
-    g_steps = rng.normal(size=n)
-    cases = [(c, g) for c in (-0.3, 0.4, 2.0, c_steps) for g in (None, 0.25, g_steps)]
-    for c, g in cases:
-        trace = solve_first_order(c, form, 1.3, n, base=2, g=g)
-        values, residuals = _first_order_loop(c, form, 1.3, n, base=2, g=g)
-        assert np.array_equal(trace.values, values)
-        assert np.array_equal(trace.residuals, residuals)
-        assert trace.envelope is None and trace.nu is None
+    # the longer horizon crosses leaf boundaries of the stepping core
+    for n in (500, 2 * _LEAF + 300):
+        c_steps = rng.uniform(-1.8, 0.8, size=n)
+        g_steps = rng.normal(size=n)
+        cases = [(c, g) for c in (-0.3, 0.4, 2.0, c_steps) for g in (None, 0.25, g_steps)]
+        for c, g in cases:
+            values, residuals = _first_order_loop(c, form, 1.3, n, base=2, g=g)
+            if residuals is None:
+                with pytest.raises(DivergentSolutionError) as info:
+                    solve_first_order(c, form, 1.3, n, base=2, g=g)
+                assert info.value.t == 2 + _first_nonfinite(values)
+                continue
+            trace = solve_first_order(c, form, 1.3, n, base=2, g=g)
+            assert np.array_equal(trace.values, values)
+            assert np.array_equal(trace.residuals, residuals)
+            assert trace.envelope is None and trace.nu is None
 
 
 def test_first_order_failures_match_its_stepping_loop():
@@ -335,6 +354,107 @@ def test_first_order_failures_match_its_stepping_loop():
     with pytest.raises(DivergentSolutionError) as info:
         solve_first_order(1e200, "on_u_lag", 1.0, 5, base=3)
     assert info.value.t == 3 + first
+
+
+# --- divide-and-conquer history ----------------------------------------
+
+
+def _history_loop(p, q, g, nu, u0):
+    """The plain stepping loop, one full-history dot product per step: O(n^2).
+
+    The reference for the divide-and-conquer history of ``_solve_steps``;
+    coefficients have shape (n_max,) or (n_max, k) as there.
+    """
+    n_max = len(q)
+    weights = convolution_weights(nu, n_max + 1)
+    pivots = 1.0 - p
+    u = np.empty((n_max + 1,) + np.shape(q)[1:])
+    u[0] = u0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max + 1):
+            step = q[n - 1] * u[n - 1] + g[n - 1]
+            step = step - np.dot(weights[n:0:-1], u[:n])
+            u[n] = step / pivots[n - 1]
+    return u
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nu=st.floats(0.01, 0.99),
+    n_max=st.one_of(st.integers(1, _LEAF - 1), st.integers(_LEAF, 3 * _LEAF)),
+    columns=st.sampled_from([None, 3]),
+    per_step=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fast_history_matches_the_plain_loop(nu, n_max, columns, per_step, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n_max,) if columns is None else (n_max, columns)
+    # decaying inputs: a damping p <= 0, the criterion |q + nu| <= nu and a
+    # bounded forcing; a scalar coefficient is constant over the steps
+    ranges = ((-1.0, 0.0), (-2.0 * nu, 0.0), (-1.0, 1.0))
+    p, q, g = (
+        rng.uniform(lo, hi, size=shape if steps else shape[1:]) * np.ones(shape)
+        for (lo, hi), steps in zip(ranges, per_step)
+    )
+    u0 = rng.uniform(-2.0, 2.0)
+    fast = _solve_steps(p, q, g, nu, u0, 0)
+    loop = _history_loop(p, q, g, nu, u0)
+    if n_max < _LEAF:
+        assert np.array_equal(fast, loop)
+    else:
+        assert np.max(np.abs(fast - loop)) <= 1e-14 * np.max(np.abs(loop))
+
+
+def test_long_solves_keep_the_envelope_near_order_one():
+    # c = 0 makes E the envelope exactly, the tight case of the bound.  Near
+    # order 1 the memory decays slowly, so rounding in the merged history
+    # accumulates over the whole horizon; the plain loop stays within 2e-14
+    for nu in (0.9, 0.99):
+        report = bound_check(0.0, nu, 40000)
+        assert report.bound_all
+        assert np.max(np.abs(report.values - report.envelope)) <= 5e-14
+
+
+def test_fast_history_keeps_the_first_nonfinite_step_across_merges():
+    # at nu 0.1, c = -2 overflows inside the first leaf, c = -1.25 after the
+    # merge at offset 2 * _LEAF and c = -1.2638 five steps after it, when the
+    # merged block already nears overflow; c = -0.5 decays.  Each column's
+    # transform input is scaled on its own, so neither the large block nor
+    # the overflowed column moves a first non-finite step.
+    nu, n_max = 0.1, 5000
+    cs = np.array([-2.0, -1.25, -1.2638, -0.5])
+    zeros = np.zeros(n_max)
+    coeffs = np.broadcast_to(cs, (n_max, cs.size))
+    fast = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
+    loop = _history_loop(zeros, coeffs, zeros, nu, 1.0)
+    firsts = [_first_nonfinite(column) for column in loop.T]
+    assert [_first_nonfinite(column) for column in fast.T] == firsts
+    assert firsts[0] < _LEAF < 2 * _LEAF < firsts[2] < 2 * _LEAF + 10 < firsts[1]
+    assert firsts[3] is None
+    for c, first in zip(cs[:3], firsts):
+        with pytest.raises(DivergentSolutionError) as info:
+            solve_lagged(c, nu, 1.0, n_max, base=3)
+        assert info.value.t == 3 + first
+    assert np.all(np.isfinite(solve_lagged(cs[3], nu, 1.0, n_max).values))
+    window = default_window(n_max + 1)
+    want = [decay_classify(column, window) for column in loop.T]
+    assert want == [DecayClass.UNBOUNDED] * 3 + [DecayClass.TENDS_TO_ZERO]
+    assert [cell.decay_class for cell in stability_scan([nu], cs, n_max)] == want
+
+
+def test_long_solves_free_their_buffers_without_the_cycle_collector():
+    # a reference cycle through the stepping core would keep each solve's
+    # solution, history and spectra alive until the cyclic collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        solutions = [weakref.ref(mittag_leffler_seq(-0.5, 0.8, 20000)) for _ in range(10)]
+        freed = [ref() is None for ref in solutions]
+        cyclic = gc.collect()
+    finally:
+        gc.enable()
+    assert all(freed)
+    assert cyclic == 0
 
 
 # --- oracle agreement ---------------------------------------------------
