@@ -159,6 +159,8 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
     """
     if op != "nabla" and nu is None:
         raise click.UsageError(f"--nu is required for --op {op}")
+    if op == "nabla" and nu is not None:
+        raise click.UsageError("--nu does not apply to --op nabla, which has order 1")
     grid = _read_grid(input_path)
     with _library_errors():
         if op == "sum":

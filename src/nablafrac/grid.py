@@ -21,12 +21,18 @@ in floating point and in exact rational arithmetic.
 Because the direct weight row is nonzero at every lag for non-integer nu,
 the value (nabla^nu u)(t) depends on every sample u(a+1), ..., u(t): the
 operator has full memory t - a, in contrast to the two-point classical
-nabla.  Each operator output is therefore one whole convolution, computed by
-a single ``np.convolve`` in ``np.longdouble``: products and running sums
-carry the extended precision and only the final values are rounded to
-float64.  Where ``np.longdouble`` is itself 64-bit, this is a plain float64
-convolution.  An output that overflows float64 raises
-:class:`DivergentSolutionError` at its first non-finite point, not a warning.
+nabla.  Each operator output is therefore one whole convolution, of which
+only the first n terms are needed.  It is computed in ``np.longdouble`` in
+blocks of ``_BLOCK`` (512) outputs: each block convolves its own inputs and,
+by one "valid" ``np.convolve`` each, every earlier block of inputs, so no
+term past the head is formed.  Products and running sums carry the
+extended precision and only the final values are rounded to float64.  An
+input of at most ``_BLOCK`` points is a single ``np.convolve`` and
+bit-identical to the unblocked head; longer ones differ from it only in
+the order of the long-double sums.  Where ``np.longdouble`` is itself
+64-bit, this is a plain float64 convolution.  An output that overflows
+float64 raises :class:`DivergentSolutionError` at its first non-finite
+point, not a warning.
 """
 
 from __future__ import annotations
@@ -53,6 +59,10 @@ __all__ = [
     "nabla_frac_diff_composed",
     "power_rule_check",
 ]
+
+# output block of _convolve_head; inputs of at most this many points are
+# summed in the order of one unblocked np.convolve, so bit for bit as it
+_BLOCK = 512
 
 
 class DomainTooShortError(ValueError):
@@ -126,11 +136,24 @@ def _check_positive_order(nu: float) -> None:
 def _convolve_head(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
     """First ``v.size`` terms of the convolution kernel * v, in long double.
 
-    Entry m is sum_{j<=m} kernel[m - j] v[j].  An entry beyond the float64
-    range rounds to inf, which the caller's ``_require_finite`` reports.
+    Entry m is sum_{j<=m} kernel[m - j] v[j].  The outputs are computed in
+    blocks of ``_BLOCK``: each block adds its own triangular head and one
+    "valid" convolution per earlier input block, so no term beyond the
+    head is formed.  At most ``_BLOCK`` points are one block, the plain
+    head of one ``np.convolve``.  An entry beyond the float64 range rounds
+    to inf, which the caller's ``_require_finite`` reports.
     """
-    full = np.convolve(kernel.astype(np.longdouble), v.astype(np.longdouble))
-    return full[: v.size].astype(float)
+    n = v.size
+    k = kernel.astype(np.longdouble)
+    x = v.astype(np.longdouble)
+    out = np.empty(n, dtype=np.longdouble)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        head = np.convolve(k[: hi - lo], x[lo:hi])[: hi - lo]
+        for a in range(0, lo, _BLOCK):
+            head += np.convolve(k[lo - a - _BLOCK + 1 : hi - a], x[a : a + _BLOCK], "valid")
+        out[lo:hi] = head
+    return out.astype(float)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -75,6 +75,21 @@ def test_apply_nabla_needs_no_order(runner, tmp_path):
     assert "1,2\n2,3\n" in result.output
 
 
+def test_apply_nabla_rejects_an_order(runner, tmp_path):
+    # the classical nabla has order 1; a given --nu would be written into
+    # the JSON document as if it had been used
+    path = tmp_path / "g.csv"
+    _write_grid(path, 0, [1.0, 3.0, 6.0])
+    args = ["apply", "--op", "nabla", "--input", str(path), "--format", "json"]
+    result = runner.invoke(main, args + ["--nu", "7"])
+    assert result.exit_code == 2
+    assert "--nu" in result.output
+    assert "operator_result" not in result.output
+    plain = runner.invoke(main, args)
+    assert plain.exit_code == 0
+    assert json.loads(plain.output)["nu"] is None
+
+
 def test_apply_output_reingests(runner, tmp_path):
     src = tmp_path / "src.csv"
     mid = tmp_path / "mid.csv"

@@ -29,6 +29,7 @@ from nablafrac.exact import (
     oracle_nabla_sum,
 )
 from nablafrac.formats import GridCsvError, read_grid_csv, write_grid_csv
+from nablafrac.grid import _BLOCK, _convolve_head
 
 
 def _common_domain_gap(direct, composed):
@@ -251,6 +252,50 @@ def test_operators_are_translation_invariant():
         a, b = op(lo, **kwargs), op(hi, **kwargs)
         assert b.base - a.base == 10
         assert np.array_equal(a.values, b.values)
+
+
+# --- blocked convolution head --------------------------------------------
+
+
+def _full_head(kernel, v):
+    """The unblocked head: one long-double np.convolve of all 2n - 1 terms, first n kept."""
+    full = np.convolve(kernel.astype(np.longdouble), v.astype(np.longdouble))
+    return full[: v.size].astype(float)
+
+
+def _kernel(nu, n):
+    # the direct weights below order 1, the growing sum kernel above it
+    return convolution_weights(nu, n) if nu < 1 else monomial_sequence(nu - 1.0, n)[1:]
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.75, 1.5, 1.9])
+def test_one_block_heads_are_bit_identical_to_the_full_convolution(nu):
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 17, _BLOCK - 1, _BLOCK):
+        v = rng.uniform(-1.0, 1.0, size=n)
+        kernel = _kernel(nu, n)
+        assert np.array_equal(_convolve_head(kernel, v), _full_head(kernel, v)), n
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.75, 1.5, 1.9])
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 17])
+def test_blocked_heads_match_the_full_convolution(nu, n):
+    v = np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
+    kernel = _kernel(nu, n)
+    assert _max_rel(_convolve_head(kernel, v), _full_head(kernel, v)) <= 1e-12
+
+
+def test_memory_crosses_block_edges():
+    # a bump in block 1 reaches every later output, in later blocks too,
+    # and no earlier one: the causal full memory beyond one block
+    n, bump = 3 * _BLOCK, _BLOCK + 100
+    vals = np.random.default_rng(37).uniform(-1.0, 1.0, size=n)
+    bumped = vals.copy()
+    bumped[bump] += 1.0
+    d0 = nabla_frac_diff_direct(GridFunction(1, vals), 0.5).values
+    d1 = nabla_frac_diff_direct(GridFunction(1, bumped), 0.5).values
+    assert np.array_equal(d0[:bump], d1[:bump])
+    assert np.all(d0[bump:] != d1[bump:])
 
 
 # --- references ---------------------------------------------------------

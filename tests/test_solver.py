@@ -14,6 +14,7 @@ from nablafrac import (
     DecayClass,
     DivergentSolutionError,
     FirstOrderForm,
+    GridFunction,
     LinearProblem,
     SINGULAR_PIVOT_TOL,
     SingularStepError,
@@ -25,11 +26,13 @@ from nablafrac import (
     envelope_sequence,
     mittag_leffler_seq,
     monomial_sequence,
+    nabla_frac_diff_direct,
     solve_first_order,
     solve_general,
     solve_lagged,
     stability_scan,
 )
+from nablafrac import solver
 from nablafrac.exact import (
     oracle_first_order,
     oracle_mittag_leffler,
@@ -144,6 +147,59 @@ def test_defect_residuals_stay_tiny_at_the_cli_horizon():
     trace = solve_lagged(-0.3, 0.5, 1.0, 5000)
     assert abs(trace.values[-1]) < 1e-2
     assert trace.max_residual <= 1e-9
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.9])
+@pytest.mark.parametrize("n_max", [300, 5000])
+def test_residuals_match_the_long_double_operator(nu, n_max):
+    # the residual column against re-application by the grid operator (a
+    # long-double convolution), on decaying solves with per-step p, q, g
+    rng = np.random.default_rng(n_max)
+    p = rng.uniform(-1.0, 0.0, size=n_max)
+    q = rng.uniform(-2.0 * nu, 0.0, size=n_max)
+    g = rng.uniform(-1.0, 1.0, size=n_max)
+    trace = solve_general(LinearProblem(nu, 2, p=p, q=q, g=g, u0=1.5), n_max)
+    u = trace.values
+    applied = nabla_frac_diff_direct(GridFunction(2, u), nu).values
+    want = np.abs(applied[1:] - (p * u[1:] + q * u[:-1] + g))
+    assert trace.residuals[0] == 0.0
+    assert np.max(np.abs(trace.residuals[1:] - want)) <= 1e-14 * np.max(np.abs(u))
+
+
+def test_residuals_see_a_corrupted_step(monkeypatch):
+    # the residual re-applies the operator independently of the stepping
+    # core: a solution off by delta at one step shows a defect of delta there
+    nu, c, n_max, step, delta = 0.5, -0.3, 3000, 1234, 1e-6
+    clean = solve_lagged(c, nu, 1.0, n_max)
+    core = solver._solve_steps
+
+    def corrupted(*args):
+        u = core(*args)
+        u[step] += delta
+        return u
+
+    monkeypatch.setattr(solver, "_solve_steps", corrupted)
+    trace = solve_lagged(c, nu, 1.0, n_max)
+    assert np.max(clean.residuals) <= 1e-14
+    assert np.max(trace.residuals[:step]) <= 1e-14
+    assert trace.residuals[step] == pytest.approx(delta, rel=1e-6)
+    assert trace.residuals[step + 1] == pytest.approx((nu + c) * delta, rel=1e-6)
+
+
+def test_residuals_stay_finite_near_overflow():
+    # a finite trace near the float64 limit keeps finite residuals of its own
+    # relative size (a solve that overflows is covered by the divergence
+    # tests below)
+    for u0 in (1e300, 1.7e308):
+        trace = solve_lagged(-0.3, 0.5, u0, 5000)
+        assert np.all(np.isfinite(trace.residuals))
+        assert trace.max_residual <= 1e-14 * np.max(np.abs(trace.values))
+    # u = (-1.5e308, 0.51e308) is finite, but the operator's value at the
+    # step, u(1) + 0.9 * 1.5e308 = p u(1) + q u(0), is not
+    problem = LinearProblem(0.9, 4, p=0.5, q=-1.07, g=0.0, u0=-1.5e308)
+    with pytest.raises(DivergentSolutionError) as info:
+        solve_general(problem, 1)
+    assert info.value.t == 5
 
 
 @settings(max_examples=30, deadline=None)
