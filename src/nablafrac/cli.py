@@ -1,9 +1,10 @@
 """Command-line front end: thin, deterministic wrappers over the library.
 
-Exit codes: 0 success, 2 invalid parameters or malformed input, 3 input too
-short for the requested operator, 4 singular step while solving, 5 result
-overflowed.  Output is written by :mod:`nablafrac.formats` with 17 significant
-digits, so identical invocations produce byte-identical files.
+Exit codes: 0 success, 2 invalid parameters (a non-finite initial value or
+scan range among them), malformed input or an unwritable output path, 3
+input too short for the requested operator, 4 singular step while solving,
+5 result overflowed.  Output is written by :mod:`nablafrac.formats` with 17
+significant digits, so identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -77,6 +78,17 @@ def _read_grid(path: str) -> GridFunction:
             raise click.UsageError(f"{path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _open_output(path: str):
+    """Open an output path for writing ('-' is stdout); an unwritable path exits 2."""
+    try:
+        stream = click.open_file(path, "w")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+    with stream:
+        yield stream
+
+
 def _resolve_coefficients(spec: str, base: int):
     """A coefficient spec is a constant, a preset name, or a grid CSV path."""
     if spec in COEFFICIENT_PRESETS:
@@ -106,7 +118,10 @@ def _parse_axis(spec: str, name: str) -> list[float]:
             start, stop, step = parts
             if step <= 0:
                 raise ValueError("step must be positive")
-            count = int(math.floor((stop - start) / step + 1e-9))
+            span = (stop - start) / step
+            if not all(map(math.isfinite, (start, stop, step, span))):
+                raise ValueError("start, stop, step and the step count must be finite")
+            count = int(math.floor(span + 1e-9))
             if count < 0:
                 raise ValueError("stop lies before start")
             return [round(start + i * step, 12) for i in range(count + 1)]
@@ -132,7 +147,7 @@ def monomial_cmd(mu: float, n_max: int, output: str, fmt: str) -> None:
     """Emit the Taylor monomial values at offsets 0..N-MAX as n,value rows."""
     with _library_errors():
         values = monomial_sequence(mu, n_max)
-    with click.open_file(output, "w") as stream:
+    with _open_output(output) as stream:
         if fmt == "json":
             n = list(range(n_max + 1))
             write_document(stream, "monomial_sequence", mu=mu, n=n, value=values)
@@ -171,7 +186,7 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
             result = nabla_frac_diff_composed(grid, nu)
         else:
             result = nabla_diff(grid)
-    with click.open_file(output, "w") as stream:
+    with _open_output(output) as stream:
         if fmt == "json":
             index = list(range(result.base, result.last + 1))
             fields = dict(op=op, nu=nu, base=result.base, index=index, value=result.values)
@@ -231,7 +246,7 @@ def solve_cmd(
                 raise click.UsageError("--nu is required for the fractional solve")
             p, q = FirstOrderForm(form).split(coeff)
             trace = solve_general(LinearProblem(nu, base, p=p, q=q, g=0.0, u0=u0), n_max)
-    with click.open_file(output, "w") as stream:
+    with _open_output(output) as stream:
         if fmt == "json":
             write_trace_json(
                 trace, stream, u0=u0, coefficients=c_spec, form=form, order=order
@@ -272,11 +287,11 @@ def compare_cmd(
     coeff = _resolve_coefficients(c_spec, base)
     with _library_errors():
         comparison = compare_orders(coeff, nu, form, u0, n_max, base)
-    with click.open_file(output, "w") as stream:
+    with _open_output(output) as stream:
         n, t = range(n_max + 1), range(base, base + n_max + 1)
         first, frac = comparison.first_order.values, comparison.fractional.values
         write_table(stream, "n,t,u_first_order,u_fractional", n, t, first, frac)
-    with click.open_file(verdict_path, "w") as stream:
+    with _open_output(verdict_path) as stream:
         write_document(stream, **comparison.verdict())
 
 
@@ -304,7 +319,7 @@ def scan_cmd(nu_grid: str, c_grid: str, n_max: int, output: str) -> None:
     cs = _parse_axis(c_grid, "--c-grid")
     with _library_errors():
         cells = stability_scan(nus, cs, n_max)
-    with click.open_file(output, "w") as stream:
+    with _open_output(output) as stream:
         write_scan_csv(cells, stream)
 
 

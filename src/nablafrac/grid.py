@@ -133,27 +133,28 @@ def _check_positive_order(nu: float) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _convolve_head(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """First ``v.size`` terms of the convolution kernel * v, in long double.
+def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=np.longdouble) -> np.ndarray:
+    """First ``v.size`` terms of the convolution kernel * v, summed in ``dtype``.
 
     Entry m is sum_{j<=m} kernel[m - j] v[j].  The outputs are computed in
     blocks of ``_BLOCK``: each block adds its own triangular head and one
     "valid" convolution per earlier input block, so no term beyond the
     head is formed.  At most ``_BLOCK`` points are one block, the plain
-    head of one ``np.convolve``.  An entry beyond the float64 range rounds
-    to inf, which the caller's ``_require_finite`` reports.
+    head of one ``np.convolve``.  The result is rounded to float64; an
+    entry beyond its range rounds to inf, which the caller's
+    ``_require_finite`` reports.
     """
     n = v.size
-    k = kernel.astype(np.longdouble)
-    x = v.astype(np.longdouble)
-    out = np.empty(n, dtype=np.longdouble)
+    k = kernel.astype(dtype, copy=False)
+    x = v.astype(dtype, copy=False)
+    out = np.empty(n, dtype=dtype)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         head = np.convolve(k[: hi - lo], x[lo:hi])[: hi - lo]
         for a in range(0, lo, _BLOCK):
             head += np.convolve(k[lo - a - _BLOCK + 1 : hi - a], x[a : a + _BLOCK], "valid")
         out[lo:hi] = head
-    return out.astype(float)
+    return out.astype(float, copy=False)
 
 
 @np.errstate(over="ignore", invalid="ignore")

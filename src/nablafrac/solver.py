@@ -16,7 +16,9 @@ with one full-history sum per step costs O(n^2).  The stepping core instead
 splits the history by divide and conquer: leaves of ``_LEAF`` (2048) points
 sum their own history, and the nearest lags, directly, and each finished
 block adds the rest of its history to the following block by one FFT
-convolution, O(n log^2 n) in all.  Solves with n_max < 2048 are a single
+convolution, O(n log^2 n) in all.  Past the first leaf the steps advance
+in micro-blocks of ``_MICRO`` (16): one matrix product per micro-block,
+then forward substitution inside it.  Solves with n_max < 2048 are a single
 leaf and bit-identical to the plain loop; longer ones agree with it to
 within 1e-14 max|u| on decaying solutions.
 
@@ -28,9 +30,10 @@ general form adds an undelayed term and a forcing,
     (nabla^nu_{rho(a)} u)(t) = p(t) u(t) + q(t) u(t - 1) + g(t),
 
 and each step divides by the pivot 1 - p(t); a pivot within 1e-13 of zero
-raises :class:`SingularStepError`.  A solve that overflows raises
-:class:`DivergentSolutionError` at the first non-finite step, while
-:func:`mittag_leffler_seq` returns such traces as they are.
+raises :class:`SingularStepError` and a non-finite u0 a ``ValueError``.  A
+solve that overflows raises :class:`DivergentSolutionError` at the first
+non-finite step, while :func:`mittag_leffler_seq` returns such traces as
+they are.
 
 First-order comparison equations come in two right-hand-side forms that are
 deliberately kept separate, since they produce different solutions:
@@ -47,8 +50,9 @@ re-applying the difference operator to the computed solution, independently
 of the stepping core, plus the decay envelope H_{nu-1}(t, rho(a)) for
 fractional solves.  A first-order solve re-applies :func:`nabla_diff`.  A
 fractional solve convolves the direct weight row with the solution mounted
-at index a, i.e. on N_{rho(a)+1}, as one float64 ``np.convolve`` (BLAS dot
-products): a defect needs no long double, unlike the grid operators.  The
+at index a, i.e. on N_{rho(a)+1}, in float64 by the grid operators'
+head-only blocked convolution (BLAS dot products): a defect needs no long
+double, unlike the grid operators, and no term past the head is formed.  The
 solution is scaled by a power of two first and the result back after it,
 both exact, so a finite trace near overflow keeps finite residuals; a
 re-application that still overflows raises :class:`DivergentSolutionError`.
@@ -63,10 +67,12 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import math
+from operator import mul
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import GridFunction, _require_finite, nabla_diff
+from .grid import GridFunction, _convolve_head, _require_finite, nabla_diff
 from .monomial import convolution_weights, monomial_sequence
 
 __all__ = [
@@ -85,10 +91,12 @@ __all__ = [
 
 SINGULAR_PIVOT_TOL = 1e-13
 
-# the divide-and-conquer history of _solve_steps: points per leaf, and the
-# lags that every step sums directly, also across a leaf boundary
+# the divide-and-conquer history of _solve_steps: points per leaf, the lags
+# that every step sums directly, also across a leaf boundary, and the steps
+# that share one matrix product past the first leaf
 _LEAF = 2048
 _NEAR = 64
+_MICRO = 16
 
 CoefficientLike = Union[float, Sequence[float], np.ndarray]
 
@@ -205,19 +213,31 @@ def _solve_steps(
 
     For fractional orders the history sum_{j<n} w[n - j] u[j] is split by
     divide and conquer (Hairer, Lubich and Schlichte, 1985).  The offsets
-    0..n_max fall into leaves of ``_LEAF`` points.  Each step sums its
-    in-leaf history, and its last ``_NEAR`` lags where they reach into the
-    previous leaf, as one BLAS dot product (a vector-matrix product for k
-    columns), exactly as a plain loop would.  When a leaf ends at offset e,
-    the block of the last ``_LEAF * 2^i`` points before e, with 2^i the
-    largest power of two dividing e / ``_LEAF``, adds the rest of its
-    history to the next as many points by one FFT convolution
-    (:func:`_add_history`): the left-half-into-right-half step of a
-    recursive halving, in loop form.  The cost is O(n_max log^2 n_max) in
-    place of O(n_max^2).  A solve of at most ``_LEAF`` points
-    (n_max < ``_LEAF``) is one leaf and bit-identical to the plain loop;
-    longer ones differ from it only by the rounding of the FFTs, within
-    1e-14 * max|u| on decaying solutions.
+    0..n_max fall into leaves of ``_LEAF`` points.  When a leaf ends at
+    offset e, the block of the last ``_LEAF * 2^i`` points before e, with
+    2^i the largest power of two dividing e / ``_LEAF``, adds the history
+    at lags beyond ``_NEAR`` to the next as many points by one FFT
+    convolution (:func:`_add_history`): the left-half-into-right-half step
+    of a recursive halving, in loop form.  Every other lag is summed
+    directly:
+
+    * in the first leaf, each step takes one BLAS dot product over its
+      whole history (a vector-matrix product for k columns), exactly as a
+      plain loop would;
+    * each later leaf starts with one dense product that adds the lags of
+      at most ``_NEAR`` crossing its edge, then advances ``_MICRO`` steps
+      at a time: one matrix product adds the in-leaf history before the
+      micro-block to all of its steps, and forward substitution sums the
+      lags inside it, in Python floats for one problem or by a small
+      vector-matrix product over a batch's rows.
+
+    The cost is O(n_max log^2 n_max) in place of O(n_max^2), and past the
+    first leaf the interpreter pays one BLAS call per micro-block, not one
+    per step.  A solve of at most ``_LEAF`` points (n_max < ``_LEAF``) is
+    one leaf and bit-identical to the plain loop; longer ones differ from it
+    only by the order of their sums and the rounding of the FFTs, within
+    1e-14 * max|u| on decaying solutions, and overflow at the same step.
+    ``nu=None`` steps the same float recurrence with no history.
     """
     pivots = 1.0 - p
     singular = np.argwhere(np.abs(pivots) < SINGULAR_PIVOT_TOL)
@@ -225,32 +245,66 @@ def _solve_steps(
         first = tuple(singular[0])
         raise SingularStepError(base + 1 + int(first[0]), float(pivots[first]))
     n_max = len(q)
-    if nu is None:
-        q = q + 1.0
-    else:
-        weights = convolution_weights(nu, n_max + 1)
-        # contiguous, so the in-leaf dot products take the BLAS path
-        reversed_weights = weights[::-1].copy()
-        history = np.zeros((n_max + 1,) + np.shape(q)[1:])
-        spectra: dict = {}
     u = np.empty((n_max + 1,) + np.shape(q)[1:], dtype=float)
     u[0] = u0
+    # one problem steps in Python floats, a batch in rows (views) of its arrays
+    batch = u.ndim > 1
+    split = iter if batch else np.ndarray.tolist
+    (prev,) = split(u[:1])
     # an overflowing trace is reported by its callers (DivergentSolutionError,
     # or the scan's unbounded class), not by NumPy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n_max + 1, _LEAF):
+        if nu is None:
+            for n, qn, gn, pn in zip(range(1, n_max + 1), split(q + 1.0), split(g), split(pivots)):
+                prev = (qn * prev + gn) / pn
+                u[n] = prev
+            return u
+        weights = convolution_weights(nu, max(n_max + 1, _LEAF + _MICRO))
+        # strip[i, t] = weights[_LEAF + i - t] takes u[s - _LEAF + t] to step
+        # s + i; a solve of one leaf needs only row 0, the weights at lags
+        # _LEAF, ..., 1
+        rows = _MICRO if n_max >= _LEAF else 1
+        lags = weights[_LEAF + rows - 1 : 0 : -1]
+        strip = sliding_window_view(lags, _LEAF)[::-1].copy()
+        reach = strip[0]
+        # crossing[i, t] takes u[lo - _NEAR + t] to step lo + i where the lag
+        # _NEAR + i - t is at most _NEAR
+        crossing = np.triu(weights[_NEAR + np.arange(_NEAR)[:, None] - np.arange(_NEAR)])
+        # tails[i] holds the weights at lags i, ..., 1
+        tails = [reach[_LEAF - i :] for i in range(_MICRO)]
+        if not batch:
+            tails = [tail.tolist() for tail in tails]
+        history = np.zeros(u.shape)
+        spectra: dict = {}
+        hi = min(_LEAF, n_max + 1)
+        for n, qn, gn, pn in zip(range(1, hi), split(q[: hi - 1]), split(g[: hi - 1]), split(pivots[: hi - 1])):
+            prev = (qn * prev + gn - reach[_LEAF - n :].dot(u[:n])) / pn
+            u[n] = prev
+        for lo in range(_LEAF, n_max + 1, _LEAF):
+            leaves = lo // _LEAF
+            _add_history(history, u, weights[: n_max + 1], lo, _LEAF * (leaves & -leaves), spectra)
             hi = min(lo + _LEAF, n_max + 1)
-            for n in range(max(lo, 1), hi):
-                step = q[n - 1] * u[n - 1] + g[n - 1]
-                if nu is not None:
-                    # lags n - start down to 1
-                    start = n - _NEAR if lo and n - lo < _NEAR else lo
-                    near = np.dot(reversed_weights[n_max - n + start : n_max], u[start:n])
-                    step = step - history[n] - near
-                u[n] = step / pivots[n - 1]
-            if nu is not None and hi <= n_max:
-                leaves = hi // _LEAF
-                _add_history(history, u, weights, hi, _LEAF * (leaves & -leaves), spectra)
+            # the first leaf's dot products leave a NumPy scalar
+            (prev,) = split(u[lo - 1 : lo])
+            history[lo : lo + _NEAR] += crossing[: hi - lo].dot(u[lo - _NEAR : lo])
+            for s in range(lo, hi, _MICRO):
+                e = min(s + _MICRO, hi)
+                # every lag but those inside the micro-block
+                behind = history[s:e] + strip[: e - s, _LEAF - (s - lo) :].dot(u[lo:s])
+                # the in-block lags: a plain sum over the block's Python
+                # floats, or one vector-matrix product over a batch's rows
+                done = []
+                for n, qn, gn, pn, hn, tail in zip(
+                    range(s, e), split(q[s - 1 : e - 1]), split(g[s - 1 : e - 1]),
+                    split(pivots[s - 1 : e - 1]), split(behind), tails,
+                ):
+                    near = tail.dot(u[s:n]) if batch else sum(map(mul, tail, done))
+                    # the history parts are added first: near overflow, q u
+                    # less one part alone can overflow where the whole
+                    # history keeps the step finite
+                    prev = (qn * prev + gn - (hn + near)) / pn
+                    done.append(prev)
+                    u[n] = prev
     return u
 
 
@@ -334,6 +388,8 @@ def _solve(
     """Solve (nabla^nu u)(t) = p(t)u(t) + q(t)u(t-1) + g(t); nu=None is the classical nabla."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not math.isfinite(u0):
+        raise ValueError(f"u0 must be finite, got {u0}")
     p, q, g = (coefficient_array(x, n_max) for x in (p, q, g))
     u = _solve_steps(p, q, g, nu, u0, base)
     _require_finite(u, base)
@@ -343,11 +399,11 @@ def _solve(
     if nu is None:
         applied = nabla_diff(GridFunction(base, u)).values
     else:
-        # a float64 BLAS convolution: a defect needs no long double.  u is
-        # scaled by a power of two (exact) so a trace near overflow stays finite
+        # a float64 BLAS convolution head: a defect needs no long double.  u
+        # is scaled by a power of two (exact) so a trace near overflow stays finite
         _, exponent = np.frexp(np.max(np.abs(u)))
         weights = convolution_weights(nu, n_max + 1)
-        head = np.convolve(weights, np.ldexp(u, -exponent))[: n_max + 1]
+        head = _convolve_head(weights, np.ldexp(u, -exponent), float)
         with np.errstate(over="ignore"):
             applied = np.ldexp(head, exponent)
         _require_finite(applied, base)

@@ -446,6 +446,65 @@ def test_scan_parameter_errors(runner):
     assert runner.invoke(main, ["scan", "--n-max", "5"]).exit_code == 2
 
 
+def test_scan_rejects_infinite_range_parts(runner):
+    # a range part or step count that is not finite once ended in an
+    # OverflowError traceback from the step count
+    for spec in ["0:inf:1", "-inf:0:1", "0:1:inf", "0:1:nan", "-1e308:1e308:1e-300"]:
+        result = runner.invoke(main, ["scan", "--c-grid", spec, "--nu-grid", "0.5", "--n-max", "20"])
+        assert result.exit_code == 2, spec
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"--c-grid spec '{spec}'" in result.output
+        assert "must be finite" in result.output
+    result = runner.invoke(main, ["scan", "--nu-grid", "0.1:inf:0.1", "--n-max", "20"])
+    assert result.exit_code == 2
+    assert "--nu-grid spec" in result.output
+
+
+def test_non_finite_initial_values_are_invalid(runner):
+    # they used to step into a non-finite u(0) and exit 5 as a divergence
+    cases = [
+        ["solve", "--nu", "0.5", "--c", "-0.3", "--u0", "nan"],
+        ["solve", "--nu", "0.5", "--c", "-0.3", "--u0", "inf"],
+        ["solve", "--c", "-0.3", "--order", "1", "--u0", "-inf"],
+        ["compare", "--nu", "0.5", "--c", "-0.3", "--u0", "nan"],
+    ]
+    for args in cases:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "u0 must be finite" in result.output
+    for nan in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="u0 must be finite"):
+            nablafrac.solve_lagged(-0.3, 0.5, nan, 10)
+        with pytest.raises(ValueError, match="u0 must be finite"):
+            nablafrac.solve_first_order(-0.3, "on_u_lag", nan, 10)
+
+
+def test_unwritable_output_paths_exit_2_naming_the_path(runner, tmp_path):
+    grid = tmp_path / "g.csv"
+    _write_grid(grid, 1, [1.0, 2.0, 3.0])
+    missing = str(tmp_path / "missing" / "x.csv")
+    ok = str(tmp_path / "ok.csv")
+    cases = [
+        ["monomial", "--mu", "0.5", "--n-max", "3", "-o", missing],
+        ["apply", "--op", "sum", "--nu", "0.5", "--input", str(grid), "-o", missing],
+        ["solve", "--nu", "0.5", "--c", "-0.3", "--n-max", "30", "-o", missing],
+        ["compare", "--nu", "0.5", "--c", "-0.3", "--n-max", "30", "-o", missing],
+        ["compare", "--nu", "0.5", "--c", "-0.3", "--n-max", "30", "-o", ok, "-v", missing],
+        ["scan", "--nu-grid", "0.5", "--c-grid", "-0.5", "--n-max", "20", "-o", missing],
+    ]
+    for args in cases:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"cannot write {missing}" in result.output
+    # a command that fails before its output still creates no file
+    out = tmp_path / "never.csv"
+    result = runner.invoke(main, ["solve", "--nu", "0.1", "--c", "-2", "--n-max", "2000", "-o", str(out)])
+    assert result.exit_code == 5
+    assert not out.exists()
+
+
 # --- exact bytes ----------------------------------------------------------
 
 # exact output text, so that any change to a CSV or JSON layout shows here;

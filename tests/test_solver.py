@@ -39,7 +39,8 @@ from nablafrac.exact import (
     oracle_solve,
 )
 from nablafrac.formats import write_trace_csv, write_trace_json
-from nablafrac.solver import _LEAF, _solve_steps
+from nablafrac.grid import _BLOCK
+from nablafrac.solver import _LEAF, _MICRO, _NEAR, _solve_steps
 
 
 def _rel_gap(got: np.ndarray, want: np.ndarray, floor: float = 1.0) -> float:
@@ -184,6 +185,30 @@ def test_residuals_see_a_corrupted_step(monkeypatch):
     assert np.max(trace.residuals[:step]) <= 1e-14
     assert trace.residuals[step] == pytest.approx(delta, rel=1e-6)
     assert trace.residuals[step + 1] == pytest.approx((nu + c) * delta, rel=1e-6)
+
+
+@pytest.mark.parametrize("n_max", [_BLOCK - 1, _BLOCK, 3 * _BLOCK + 17])
+def test_residual_head_is_one_convolution_up_to_a_block(n_max):
+    # the residual re-applies the operator to the first n_max + 1 points in
+    # float64 blocks of _BLOCK outputs: up to one block it is the head of one
+    # full np.convolve, bit for bit; beyond it only the order of the sums
+    # changes, so it stays at the long-double operator's defect
+    nu = 0.6
+    rng = np.random.default_rng(n_max)
+    p = rng.uniform(-1.0, 0.0, size=n_max)
+    q = rng.uniform(-2.0 * nu, 0.0, size=n_max)
+    g = rng.uniform(-1.0, 1.0, size=n_max)
+    trace = solve_general(LinearProblem(nu, 2, p=p, q=q, g=g, u0=1.5), n_max)
+    u = trace.values
+    _, exponent = np.frexp(np.max(np.abs(u)))
+    full = np.convolve(convolution_weights(nu, n_max + 1), np.ldexp(u, -exponent))
+    rhs = p * u[1:] + q * u[:-1] + g
+    unblocked = np.abs(np.ldexp(full[1 : n_max + 1], exponent) - rhs)
+    if n_max + 1 <= _BLOCK:
+        assert np.array_equal(trace.residuals[1:], unblocked)
+    applied = nabla_frac_diff_direct(GridFunction(2, u), nu).values
+    want = np.abs(applied[1:] - rhs)
+    assert np.max(np.abs(trace.residuals[1:] - want)) <= 1e-14 * np.max(np.abs(u))
 
 
 def test_residuals_stay_finite_near_overflow():
@@ -459,6 +484,44 @@ def test_fast_history_matches_the_plain_loop(nu, n_max, columns, per_step, seed)
         assert np.array_equal(fast, loop)
     else:
         assert np.max(np.abs(fast - loop)) <= 1e-14 * np.max(np.abs(loop))
+
+
+@pytest.mark.parametrize("n_max", [_LEAF + 1, _LEAF + _MICRO - 1, _LEAF + _NEAR + 1, 2 * _LEAF + 3])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_micro_blocks_match_the_plain_loop_at_their_edges(n_max, columns):
+    # past the first leaf the steps advance _MICRO at a time; these horizons
+    # end one step into a leaf, inside the first micro-block, just past the
+    # lags that cross the leaf edge, and a few steps after a merge
+    rng = np.random.default_rng(n_max)
+    shape = (n_max,) if columns is None else (n_max, columns)
+    nu = 0.7
+    p = rng.uniform(-1.0, 0.0, size=shape)
+    q = rng.uniform(-2.0 * nu, 0.0, size=shape)
+    g = rng.uniform(-1.0, 1.0, size=shape)
+    fast = _solve_steps(p, q, g, nu, 1.5, 0)
+    loop = _history_loop(p, q, g, nu, 1.5)
+    assert np.array_equal(fast[:_LEAF], loop[:_LEAF])
+    assert np.max(np.abs(fast - loop)) <= 1e-14 * np.max(np.abs(loop))
+
+
+def test_micro_blocks_keep_the_first_nonfinite_step():
+    # at nu 0.1, c = -1.198 alternates in sign and overflows two steps into a
+    # micro-block of the third leaf.  The step before it reads 1.48e308 and
+    # the history that pulls the next value back below the float64 limit is
+    # split between the block's earlier lags and its in-block lags, so the
+    # two must be added before they are subtracted from q u(t-1)
+    nu, c, n_max = 0.1, -1.198, 6100
+    zeros = np.zeros(n_max)
+    loop = _history_loop(zeros, np.full(n_max, c), zeros, nu, 1.0)
+    first = _first_nonfinite(loop)
+    assert first > 2 * _LEAF and first % _LEAF % _MICRO != 0
+    assert _first_nonfinite(_solve_steps(zeros, np.full(n_max, c), zeros, nu, 1.0, 0)) == first
+    coeffs = np.broadcast_to([c, -0.5], (n_max, 2))
+    batch = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
+    assert [_first_nonfinite(column) for column in batch.T] == [first, None]
+    with pytest.raises(DivergentSolutionError) as info:
+        solve_lagged(c, nu, 1.0, n_max, base=3)
+    assert info.value.t == 3 + first
 
 
 def test_long_solves_keep_the_envelope_near_order_one():
