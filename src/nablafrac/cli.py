@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 
 import click
 
@@ -79,14 +80,30 @@ def _read_grid(path: str) -> GridFunction:
 
 
 @contextlib.contextmanager
-def _open_output(path: str):
-    """Open an output path for writing ('-' is stdout); an unwritable path exits 2."""
-    try:
-        stream = click.open_file(path, "w")
-    except OSError as exc:
-        raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
-    with stream:
-        yield stream
+def _open_outputs(*paths: str):
+    """Open every output path ('-' is stdout) before any is written; an unwritable one exits 2.
+
+    Files open without truncation and are emptied once all of them opened,
+    so a failed open neither leaves a new file behind nor empties an old one.
+    """
+    with contextlib.ExitStack() as stack:
+        streams, created = [], []
+        for path in paths:
+            new = path != "-" and not os.path.lexists(path)
+            try:
+                streams.append(stack.enter_context(click.open_file(path, "a")))
+            except OSError as exc:
+                stack.close()
+                for done in created:
+                    os.remove(done)
+                raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+            if new:
+                created.append(path)
+        for path, stream in zip(paths, streams):
+            if path != "-" and os.path.isfile(path):
+                stream.seek(0)
+                stream.truncate()
+        yield streams
 
 
 def _resolve_coefficients(spec: str, base: int):
@@ -147,7 +164,7 @@ def monomial_cmd(mu: float, n_max: int, output: str, fmt: str) -> None:
     """Emit the Taylor monomial values at offsets 0..N-MAX as n,value rows."""
     with _library_errors():
         values = monomial_sequence(mu, n_max)
-    with _open_output(output) as stream:
+    with _open_outputs(output) as (stream,):
         if fmt == "json":
             n = list(range(n_max + 1))
             write_document(stream, "monomial_sequence", mu=mu, n=n, value=values)
@@ -186,7 +203,7 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
             result = nabla_frac_diff_composed(grid, nu)
         else:
             result = nabla_diff(grid)
-    with _open_output(output) as stream:
+    with _open_outputs(output) as (stream,):
         if fmt == "json":
             index = list(range(result.base, result.last + 1))
             fields = dict(op=op, nu=nu, base=result.base, index=index, value=result.values)
@@ -246,7 +263,7 @@ def solve_cmd(
                 raise click.UsageError("--nu is required for the fractional solve")
             p, q = FirstOrderForm(form).split(coeff)
             trace = solve_general(LinearProblem(nu, base, p=p, q=q, g=0.0, u0=u0), n_max)
-    with _open_output(output) as stream:
+    with _open_outputs(output) as (stream,):
         if fmt == "json":
             write_trace_json(
                 trace, stream, u0=u0, coefficients=c_spec, form=form, order=order
@@ -287,12 +304,13 @@ def compare_cmd(
     coeff = _resolve_coefficients(c_spec, base)
     with _library_errors():
         comparison = compare_orders(coeff, nu, form, u0, n_max, base)
-    with _open_output(output) as stream:
+    with _open_outputs(output, verdict_path) as (table, verdict):
         n, t = range(n_max + 1), range(base, base + n_max + 1)
         first, frac = comparison.first_order.values, comparison.fractional.values
-        write_table(stream, "n,t,u_first_order,u_fractional", n, t, first, frac)
-    with _open_output(verdict_path) as stream:
-        write_document(stream, **comparison.verdict())
+        write_table(table, "n,t,u_first_order,u_fractional", n, t, first, frac)
+        # one path for both gets the table, then the verdict, as stdout does
+        table.flush()
+        write_document(verdict, **comparison.verdict())
 
 
 @main.command("scan")
@@ -319,7 +337,7 @@ def scan_cmd(nu_grid: str, c_grid: str, n_max: int, output: str) -> None:
     cs = _parse_axis(c_grid, "--c-grid")
     with _library_errors():
         cells = stability_scan(nus, cs, n_max)
-    with _open_output(output) as stream:
+    with _open_outputs(output) as (stream,):
         write_scan_csv(cells, stream)
 
 

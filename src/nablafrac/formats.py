@@ -5,13 +5,19 @@ significant digits, so identical results give byte-identical files that parse
 back losslessly, and other columns print with ``str`` (the scan passes its
 axes as ``repr`` strings, so a requested nu of 0.3 reads back as ``0.3``).
 :func:`write_document` writes every JSON document: ``kind`` first, arrays as
-lists, indent 2 and a trailing newline.
+lists, indent 2 and a trailing newline, the layout of ``json.dump(indent=2)``.
+
+Both format in bulk, one chunk of ``_CHUNK`` rows or list items at a time: a
+CSV chunk is one ``%`` against a row template repeated per row (``'%.17g' % x``
+is ``format(x, ".17g")``), and a JSON list chunk is one call of the C encoder
+with the indented item separator.  Only one chunk's text is held at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain, islice
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -38,22 +44,55 @@ class GridCsvError(ValueError):
     """A grid CSV stream is malformed; the message names the offending line."""
 
 
+# rows of a CSV chunk, items of a JSON list chunk
+_CHUNK = 1024
+# the items of an indent-2 list one level down, as json.dump(indent=2) lays them out
+_LIST_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
 def write_table(stream: IO[str], header: str, *columns: Iterable) -> None:
     """Write a CSV document: the header line, then one row per column entry."""
-    # rows are formatted as they are written, so no copy of the document is held
-    cells = [
-        (format(v, ".17g") for v in col.tolist()) if isinstance(col, np.ndarray) else map(str, col)
-        for col in columns
-    ]
+    # rows stop at the shortest column; each chunk of rows is formatted by one
+    # % against the flattened chunk, then written
+    row = ",".join("%.17g" if isinstance(col, np.ndarray) else "%s" for col in columns) + "\n"
+    rows = zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in columns))
     stream.write(header + "\n")
-    stream.writelines(",".join(row) + "\n" for row in zip(*cells))
+    while chunk := tuple(chain.from_iterable(islice(rows, _CHUNK))):
+        stream.write(row * (len(chunk) // len(columns)) % chunk)
+
+
+def _write_list(stream: IO[str], items) -> None:
+    """Write a flat list, range or 1-D array as json.dump(indent=2) lays out a field's list."""
+    if isinstance(items, np.ndarray) and items.ndim != 1:
+        raise TypeError(f"write_document takes flat arrays, got shape {items.shape}")
+    opening = "[\n    "
+    for lo in range(0, len(items), _CHUNK):
+        chunk = items[lo : lo + _CHUNK]
+        chunk = chunk.tolist() if isinstance(chunk, np.ndarray) else list(chunk)
+        if any(issubclass(t, (list, tuple, dict)) for t in set(map(type, chunk))):
+            raise TypeError("write_document takes flat lists, got a nested value")
+        stream.write(opening + _LIST_ENCODER.encode(chunk)[1:-1])
+        opening = ",\n    "
+    stream.write("[]" if opening == "[\n    " else "\n  ]")
 
 
 def write_document(stream: IO[str], kind: str, **fields) -> None:
-    """Write a JSON document: ``kind`` first, then the fields in order."""
-    lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
-    json.dump({"kind": kind, **lists}, stream, indent=2)
-    stream.write("\n")
+    """Write a JSON document: ``kind`` first, then the fields in order.
+
+    Values are scalars, strings, None, or flat lists, ranges and 1-D arrays
+    of them; a nested list or a dict raises ``TypeError``.
+    """
+    opening = "{\n  "
+    for key, value in {"kind": kind, **fields}.items():
+        stream.write(opening + json.dumps(key) + ": ")
+        if isinstance(value, (list, range, np.ndarray)):
+            _write_list(stream, value)
+        elif isinstance(value, (tuple, dict)):
+            raise TypeError(f"write_document takes flat fields, got {type(value).__name__} for {key!r}")
+        else:
+            stream.write(json.dumps(value))
+        opening = ",\n  "
+    stream.write("\n}\n")
 
 
 def write_grid_csv(obj: GridFunction, stream: IO[str], *, record_base: bool = False) -> None:

@@ -23,16 +23,19 @@ the value (nabla^nu u)(t) depends on every sample u(a+1), ..., u(t): the
 operator has full memory t - a, in contrast to the two-point classical
 nabla.  Each operator output is therefore one whole convolution, of which
 only the first n terms are needed.  It is computed in ``np.longdouble`` in
-blocks of ``_BLOCK`` (512) outputs: each block convolves its own inputs and,
-by one "valid" ``np.convolve`` each, every earlier block of inputs, so no
-term past the head is formed.  Products and running sums carry the
-extended precision and only the final values are rounded to float64.  An
-input of at most ``_BLOCK`` points is a single ``np.convolve`` and
-bit-identical to the unblocked head; longer ones differ from it only in
-the order of the long-double sums.  Where ``np.longdouble`` is itself
-64-bit, this is a plain float64 convolution.  An output that overflows
-float64 raises :class:`DivergentSolutionError` at its first non-finite
-point, not a warning.
+blocks of ``_BLOCK`` (512) outputs: each block convolves its own inputs by
+one ``np.convolve``, and the lags across blocks come from a dyadic,
+block-causal FFT, in which the first half of every aligned node of 2s
+points adds to its second half (s = 512, 1024, ...), so the whole head
+costs O(n log n) beyond the blocks' own O(n * 512).  Products, sums and the
+FFTs carry the extended precision (NumPy >= 2.0 transforms long double
+natively) and only the final values are rounded to float64.  An input of at
+most ``_BLOCK`` points is a single ``np.convolve`` and bit-identical to the
+unblocked head; longer ones agree with it to the long-double FFT's rounding,
+far below float64's.  Where ``np.longdouble`` is itself 64-bit, this is a
+plain float64 convolution.  An output that overflows float64 raises
+:class:`DivergentSolutionError` at its first non-finite point, not a
+warning.
 """
 
 from __future__ import annotations
@@ -136,25 +139,38 @@ def _check_positive_order(nu: float) -> None:
 def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=np.longdouble) -> np.ndarray:
     """First ``v.size`` terms of the convolution kernel * v, summed in ``dtype``.
 
-    Entry m is sum_{j<=m} kernel[m - j] v[j].  The outputs are computed in
-    blocks of ``_BLOCK``: each block adds its own triangular head and one
-    "valid" convolution per earlier input block, so no term beyond the
-    head is formed.  At most ``_BLOCK`` points are one block, the plain
-    head of one ``np.convolve``.  The result is rounded to float64; an
-    entry beyond its range rounds to inf, which the caller's
-    ``_require_finite`` reports.
+    Entry m is sum_{j<=m} kernel[m - j] v[j].  At most ``_BLOCK`` points are
+    the plain head of one ``np.convolve``.  Longer inputs are cut into blocks
+    of ``_BLOCK``: each block adds its own triangular head by ``np.convolve``,
+    and every lag across blocks comes from a dyadic, block-causal FFT.  At
+    each level s = ``_BLOCK``, 2 ``_BLOCK``, ... the first half of every
+    2s-aligned node adds to its second half through one batched real FFT of
+    size 2s, in ``dtype``; each earlier input block meets each later output
+    block at exactly one level, and no output reads a later input.  The
+    result is rounded to float64; an entry beyond its range rounds to inf,
+    which the caller's ``_require_finite`` reports.
     """
     n = v.size
-    k = kernel.astype(dtype, copy=False)
-    x = v.astype(dtype, copy=False)
-    out = np.empty(n, dtype=dtype)
+    if n <= _BLOCK:
+        return np.convolve(kernel[:n].astype(dtype), v.astype(dtype))[:n].astype(float, copy=False)
+    # zero-padded to a power-of-two multiple of _BLOCK, so every level's nodes tile it
+    size = _BLOCK << math.ceil(math.log2(-(-n // _BLOCK)))
+    k, x, out = np.zeros((3, size), dtype=dtype)
+    k[:n], x[:n] = kernel[:n], v
     for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        head = np.convolve(k[: hi - lo], x[lo:hi])[: hi - lo]
-        for a in range(0, lo, _BLOCK):
-            head += np.convolve(k[lo - a - _BLOCK + 1 : hi - a], x[a : a + _BLOCK], "valid")
-        out[lo:hi] = head
-    return out.astype(float, copy=False)
+        out[lo : lo + _BLOCK] = np.convolve(k[:_BLOCK], x[lo : lo + _BLOCK])[:_BLOCK]
+    # lag 0 reaches only a node's first half, whose outputs are dropped;
+    # leaving it out of the transforms halves their rounding
+    k[0] = 0
+    s = _BLOCK
+    while s < n:
+        # the nodes whose second half starts before n; rfft pads each first half to 2s
+        span = -(-(n - s) // (2 * s)) * 2 * s
+        spectrum = np.fft.rfft(x[:span].reshape(-1, 2 * s)[:, :s], 2 * s)
+        spectrum *= np.fft.rfft(k[: 2 * s])
+        out[:span].reshape(-1, 2 * s)[:, s:] += np.fft.irfft(spectrum, 2 * s)[:, s:]
+        s *= 2
+    return out[:n].astype(float)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -51,7 +51,8 @@ of the stepping core, plus the decay envelope H_{nu-1}(t, rho(a)) for
 fractional solves.  A first-order solve re-applies :func:`nabla_diff`.  A
 fractional solve convolves the direct weight row with the solution mounted
 at index a, i.e. on N_{rho(a)+1}, in float64 by the grid operators'
-head-only blocked convolution (BLAS dot products): a defect needs no long
+head-only convolution (blocks of 512 by ``np.convolve``, the lags across
+them by block-causal FFTs, O(n log n) in all): a defect needs no long
 double, unlike the grid operators, and no term past the head is formed.  The
 solution is scaled by a power of two first and the result back after it,
 both exact, so a finite trace near overflow keeps finite residuals; a
@@ -399,7 +400,7 @@ def _solve(
     if nu is None:
         applied = nabla_diff(GridFunction(base, u)).values
     else:
-        # a float64 BLAS convolution head: a defect needs no long double.  u
+        # a float64 convolution head: a defect needs no long double.  u
         # is scaled by a power of two (exact) so a trace near overflow stays finite
         _, exponent = np.frexp(np.max(np.abs(u)))
         weights = convolution_weights(nu, n_max + 1)

@@ -505,6 +505,35 @@ def test_unwritable_output_paths_exit_2_naming_the_path(runner, tmp_path):
     assert not out.exists()
 
 
+def test_compare_opens_both_outputs_before_writing_either(runner, tmp_path):
+    # an unwritable verdict path once left the traces CSV behind: now neither
+    # output is written, an existing one keeps its bytes and a new one is
+    # not created
+    missing = str(tmp_path / "missing" / "v.json")
+    args = ["compare", "--nu", "0.5", "--c", "-0.3", "--n-max", "30", "-v", missing]
+    existing = tmp_path / "traces.csv"
+    existing.write_bytes(b"kept,bytes\n1,2\n")
+    result = runner.invoke(main, args + ["-o", str(existing)])
+    assert result.exit_code == 2
+    assert f"cannot write {missing}" in result.output
+    assert existing.read_bytes() == b"kept,bytes\n1,2\n"
+    new = tmp_path / "new.csv"
+    result = runner.invoke(main, args + ["-o", str(new)])
+    assert result.exit_code == 2
+    assert f"cannot write {missing}" in result.output
+    assert not new.exists()
+    # a good pair of paths overwrites the existing file in full
+    plain = args[:-2]
+    result = runner.invoke(main, plain + ["-o", str(existing), "-v", str(tmp_path / "v.json")])
+    assert result.exit_code == 0
+    assert existing.read_text().startswith("n,t,u_first_order,u_fractional\n0,0,1,1\n")
+    assert json.loads((tmp_path / "v.json").read_text())["kind"] == "comparison_verdict"
+    # one path for both holds the table, then the verdict, as stdout does
+    both = str(tmp_path / "both.txt")
+    assert runner.invoke(main, plain + ["-o", both, "-v", both]).exit_code == 0
+    assert open(both).read() == runner.invoke(main, plain).output
+
+
 # --- exact bytes ----------------------------------------------------------
 
 # exact output text, so that any change to a CSV or JSON layout shows here;

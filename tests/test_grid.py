@@ -278,7 +278,9 @@ def test_one_block_heads_are_bit_identical_to_the_full_convolution(nu):
 
 
 @pytest.mark.parametrize("nu", [0.3, 0.75, 1.5, 1.9])
-@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 17])
+@pytest.mark.parametrize(
+    "n", [_BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 17, 2 * _BLOCK, 4 * _BLOCK + 1, 5000]
+)
 def test_blocked_heads_match_the_full_convolution(nu, n):
     v = np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
     kernel = _kernel(nu, n)
@@ -290,6 +292,27 @@ def test_memory_crosses_block_edges():
     # and no earlier one: the causal full memory beyond one block
     n, bump = 3 * _BLOCK, _BLOCK + 100
     vals = np.random.default_rng(37).uniform(-1.0, 1.0, size=n)
+    bumped = vals.copy()
+    bumped[bump] += 1.0
+    d0 = nabla_frac_diff_direct(GridFunction(1, vals), 0.5).values
+    d1 = nabla_frac_diff_direct(GridFunction(1, bumped), 0.5).values
+    assert np.array_equal(d0[:bump], d1[:bump])
+    assert np.all(d0[bump:] != d1[bump:])
+
+
+@pytest.mark.parametrize(
+    "n, bump",
+    [
+        (5000, 4900),  # in the last, partial block
+        (5000, 2 * _BLOCK),  # offset 1024, right after the middle of a 4-block node
+        (5000, 2 * _BLOCK - 1),  # the last input of that node's first half
+        (4 * _BLOCK + 1, 4 * _BLOCK),  # the last point, alone in its block
+    ],
+)
+def test_memory_stays_causal_across_fft_levels(n, bump):
+    # the cross-block lags come from FFTs over 2s-aligned nodes: a bump
+    # changes every output from its own point on and none before it
+    vals = np.random.default_rng(41).uniform(-1.0, 1.0, size=n)
     bumped = vals.copy()
     bumped[bump] += 1.0
     d0 = nabla_frac_diff_direct(GridFunction(1, vals), 0.5).values

@@ -211,6 +211,17 @@ def test_residual_head_is_one_convolution_up_to_a_block(n_max):
     assert np.max(np.abs(trace.residuals[1:] - want)) <= 1e-14 * np.max(np.abs(u))
 
 
+def test_residuals_match_the_long_double_operator_far_past_a_block():
+    # at 20000 points the residual's cross-block lags come from float64 FFTs
+    # over six levels; it stays at the long-double re-application's defect
+    nu, n_max = 0.7, 20000
+    trace = solve_lagged(-0.4, nu, 1.0, n_max)
+    u = trace.values
+    applied = nabla_frac_diff_direct(GridFunction(0, u), nu).values
+    want = np.abs(applied[1:] - (-0.4) * u[:-1])
+    assert np.max(np.abs(trace.residuals[1:] - want)) <= 1e-14 * np.max(np.abs(u))
+
+
 def test_residuals_stay_finite_near_overflow():
     # a finite trace near the float64 limit keeps finite residuals of its own
     # relative size (a solve that overflows is covered by the divergence
