@@ -29,6 +29,7 @@ from .grid import (
     DivergentSolutionError,
     DomainTooShortError,
     GridFunction,
+    _require_finite,
     nabla_diff,
     nabla_frac_diff_composed,
     nabla_frac_diff_direct,
@@ -164,6 +165,7 @@ def monomial_cmd(mu: float, n_max: int, output: str, fmt: str) -> None:
     """Emit the Taylor monomial values at offsets 0..N-MAX as n,value rows."""
     with _library_errors():
         values = monomial_sequence(mu, n_max)
+        _require_finite(values, 0)
     with _open_outputs(output) as (stream,):
         if fmt == "json":
             n = list(range(n_max + 1))

@@ -158,12 +158,11 @@ def write_trace_csv(trace: SolutionTrace, stream: IO[str]) -> None:
 
 def write_trace_json(trace: SolutionTrace, stream: IO[str], **metadata) -> None:
     """Write the trace plus problem metadata as a JSON document."""
-    n = np.arange(len(trace))
     fields = {
         "base": trace.base,
         "nu": trace.nu,
-        "n": n,
-        "t": trace.base + n,
+        "n": list(range(len(trace))),
+        "t": list(range(trace.base, trace.base + len(trace))),
         "u": trace.values,
         "residual": trace.residuals,
         "envelope": trace.envelope,

@@ -56,7 +56,9 @@ def _recurrence_tail(mu: float, n_max: int) -> np.ndarray:
     out[0] = 1.0
     k = np.arange(1, n_max, dtype=np.longdouble)
     np.cumprod((k + np.longdouble(mu)) / k, out=out[1:])
-    return out.astype(float)
+    # a value past the float64 range becomes inf, which callers report
+    with np.errstate(over="ignore"):
+        return out.astype(float)
 
 
 def monomial_sequence(mu: float, n_max: int) -> np.ndarray:

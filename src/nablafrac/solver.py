@@ -16,11 +16,10 @@ with one full-history sum per step costs O(n^2).  The stepping core instead
 splits the history by divide and conquer: leaves of ``_LEAF`` (2048) points
 sum their own history, and the nearest lags, directly, and each finished
 block adds the rest of its history to the following block by one FFT
-convolution, O(n log^2 n) in all.  Past the first leaf the steps advance
-in micro-blocks of ``_MICRO`` (16): one matrix product per micro-block,
-then forward substitution inside it.  Solves with n_max < 2048 are a single
-leaf and bit-identical to the plain loop; longer ones agree with it to
-within 1e-14 max|u| on decaying solutions.
+convolution, O(n log^2 n) in all.  Every leaf advances in micro-blocks of
+``_MICRO`` (16) steps: one matrix product per micro-block, then forward
+substitution inside it.  Solves of every length agree with the plain loop
+to within 1e-14 max|u| on decaying solutions.
 
 The normalized solution (u0 = 1) is the discrete Mittag-Leffler-type
 sequence produced by :func:`mittag_leffler_seq`; by linearity every solution
@@ -94,7 +93,7 @@ SINGULAR_PIVOT_TOL = 1e-13
 
 # the divide-and-conquer history of _solve_steps: points per leaf, the lags
 # that every step sums directly, also across a leaf boundary, and the steps
-# that share one matrix product past the first leaf
+# that share one matrix product
 _LEAF = 2048
 _NEAR = 64
 _MICRO = 16
@@ -220,24 +219,19 @@ def _solve_steps(
     at lags beyond ``_NEAR`` to the next as many points by one FFT
     convolution (:func:`_add_history`): the left-half-into-right-half step
     of a recursive halving, in loop form.  Every other lag is summed
-    directly:
+    directly, the same way in every leaf: each leaf but the first starts
+    with one dense product that adds the lags of at most ``_NEAR`` crossing
+    its edge, then the leaf advances ``_MICRO`` steps at a time (the first
+    leaf from step 1, past u0).  One matrix product adds the in-leaf
+    history before the micro-block to all of its steps, and forward
+    substitution sums the lags inside it, in Python floats for one problem
+    or by a small vector-matrix product over a batch's rows.
 
-    * in the first leaf, each step takes one BLAS dot product over its
-      whole history (a vector-matrix product for k columns), exactly as a
-      plain loop would;
-    * each later leaf starts with one dense product that adds the lags of
-      at most ``_NEAR`` crossing its edge, then advances ``_MICRO`` steps
-      at a time: one matrix product adds the in-leaf history before the
-      micro-block to all of its steps, and forward substitution sums the
-      lags inside it, in Python floats for one problem or by a small
-      vector-matrix product over a batch's rows.
-
-    The cost is O(n_max log^2 n_max) in place of O(n_max^2), and past the
-    first leaf the interpreter pays one BLAS call per micro-block, not one
-    per step.  A solve of at most ``_LEAF`` points (n_max < ``_LEAF``) is
-    one leaf and bit-identical to the plain loop; longer ones differ from it
-    only by the order of their sums and the rounding of the FFTs, within
-    1e-14 * max|u| on decaying solutions, and overflow at the same step.
+    The cost is O(n_max log^2 n_max) in place of O(n_max^2), and the
+    interpreter pays one BLAS call per micro-block, not one per step.  The
+    values differ from the plain loop only by the order of their sums and
+    the rounding of the FFTs, within 1e-14 * max|u| on decaying solutions,
+    and overflow at the same step.
     ``nu=None`` steps the same float recurrence with no history.
     """
     pivots = 1.0 - p
@@ -261,34 +255,25 @@ def _solve_steps(
                 u[n] = prev
             return u
         weights = convolution_weights(nu, max(n_max + 1, _LEAF + _MICRO))
-        # strip[i, t] = weights[_LEAF + i - t] takes u[s - _LEAF + t] to step
-        # s + i; a solve of one leaf needs only row 0, the weights at lags
-        # _LEAF, ..., 1
-        rows = _MICRO if n_max >= _LEAF else 1
-        lags = weights[_LEAF + rows - 1 : 0 : -1]
-        strip = sliding_window_view(lags, _LEAF)[::-1].copy()
-        reach = strip[0]
+        # strip[i, t] = weights[_LEAF + i - t] takes u[s - _LEAF + t] to step s + i
+        strip = sliding_window_view(weights[_LEAF + _MICRO - 1 : 0 : -1], _LEAF)[::-1].copy()
         # crossing[i, t] takes u[lo - _NEAR + t] to step lo + i where the lag
         # _NEAR + i - t is at most _NEAR
         crossing = np.triu(weights[_NEAR + np.arange(_NEAR)[:, None] - np.arange(_NEAR)])
         # tails[i] holds the weights at lags i, ..., 1
-        tails = [reach[_LEAF - i :] for i in range(_MICRO)]
+        tails = [strip[0, _LEAF - i :] for i in range(_MICRO)]
         if not batch:
             tails = [tail.tolist() for tail in tails]
         history = np.zeros(u.shape)
         spectra: dict = {}
-        hi = min(_LEAF, n_max + 1)
-        for n, qn, gn, pn in zip(range(1, hi), split(q[: hi - 1]), split(g[: hi - 1]), split(pivots[: hi - 1])):
-            prev = (qn * prev + gn - reach[_LEAF - n :].dot(u[:n])) / pn
-            u[n] = prev
-        for lo in range(_LEAF, n_max + 1, _LEAF):
-            leaves = lo // _LEAF
-            _add_history(history, u, weights[: n_max + 1], lo, _LEAF * (leaves & -leaves), spectra)
+        for lo in range(0, n_max + 1, _LEAF):
             hi = min(lo + _LEAF, n_max + 1)
-            # the first leaf's dot products leave a NumPy scalar
-            (prev,) = split(u[lo - 1 : lo])
-            history[lo : lo + _NEAR] += crossing[: hi - lo].dot(u[lo - _NEAR : lo])
-            for s in range(lo, hi, _MICRO):
+            if lo:
+                leaves = lo // _LEAF
+                _add_history(history, u, weights[: n_max + 1], lo, _LEAF * (leaves & -leaves), spectra)
+                history[lo : lo + _NEAR] += crossing[: hi - lo].dot(u[lo - _NEAR : lo])
+            # the first leaf's first micro-block starts at step 1, past u0
+            for s in range(max(lo, 1), hi, _MICRO):
                 e = min(s + _MICRO, hi)
                 # every lag but those inside the micro-block
                 behind = history[s:e] + strip[: e - s, _LEAF - (s - lo) :].dot(u[lo:s])

@@ -276,10 +276,11 @@ def stability_scan(
 
     All coefficients of one order are stepped as one batch, the same
     recursion as :func:`mittag_leffler_seq` per cell: each column gets the
-    values that solve would give it.  The batch shares the stepping core's
-    divide-and-conquer history, one FFT convolution along the step axis per
-    merge for all columns, so the cost per order is O(n_max log^2 n_max) for
-    n_max >= 2048; below that the batch is one leaf of direct dot products.
+    values that solve would give it, up to the order of the sums.  The
+    batch shares the stepping core's divide-and-conquer history and its
+    micro-blocks, one matrix product per micro-block and one FFT
+    convolution along the step axis per merge for all columns, so the cost
+    per order is O(n_max log^2 n_max).
     Cells are returned in row-major order (nu outer, c inner).
     """
     nus = [float(nu) for nu in nu_grid]

@@ -54,6 +54,20 @@ def test_monomial_rejects_bad_parameters(runner):
     assert runner.invoke(main, ["monomial", "--mu", "inf", "--n-max", "3"]).exit_code == 2
 
 
+def test_monomial_overflow_exits_5_with_the_offset(runner, tmp_path):
+    # H_mu(3, 0) = mu (mu + 1) / 2 passes the float64 range at mu = 1e308
+    out = tmp_path / "m.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(
+            main, ["monomial", "--mu", "1e308", "--n-max", "3", "--format", "json", "-o", str(out)]
+        )
+    assert [str(w.message) for w in caught] == []
+    assert result.exit_code == 5
+    assert "diverged at t = 3:" in result.output
+    assert not out.exists()
+
+
 # --- apply --------------------------------------------------------------
 
 
@@ -304,6 +318,17 @@ def test_solve_json_metadata(runner):
         main, ["solve", "--c", "0", "--order", "1", "--n-max", "3", "--format", "json"]
     )
     assert json.loads(first.output)["envelope"] is None
+
+
+@pytest.mark.parametrize("base", [9223372036854775800, 10**20])
+def test_solve_json_axes_hold_any_base(runner, base):
+    # past the int64 range the axes neither wrap nor raise, as in the CSV
+    args = ["solve", "--nu", "0.5", "--c", "-0.3", "--n-max", "10", "--base", str(base)]
+    csv = runner.invoke(main, args)
+    doc = runner.invoke(main, args + ["--format", "json"])
+    assert csv.exit_code == doc.exit_code == 0
+    ts = [int(line.split(",")[1]) for line in csv.output.strip().split("\n")[1:]]
+    assert json.loads(doc.output)["t"] == ts == list(range(base, base + 11))
 
 
 def test_solve_singular_step_exits_4(runner):
@@ -686,10 +711,10 @@ n,t,u_first_order,u_fractional
         ["scan", "--nu-grid", "0.3,0.6", "--c-grid", "-0.5,0.1", "--n-max", "20"],
         """\
 nu,c,decay_class,tail_stat
-0.3,-0.5,tends_to_zero,-1.0121797910390122
-0.3,0.1,tends_to_zero,-0.52069084316272118
+0.3,-0.5,tends_to_zero,-1.0121797910390369
+0.3,0.1,tends_to_zero,-0.52069084316270087
 0.6,-0.5,tends_to_zero,-1.4325773272870497
-0.6,0.1,bounded_nonvanishing,0.29979734477627329
+0.6,0.1,bounded_nonvanishing,0.29979734477627173
 """,
     ),
 ]

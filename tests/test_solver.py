@@ -491,18 +491,21 @@ def test_fast_history_matches_the_plain_loop(nu, n_max, columns, per_step, seed)
     u0 = rng.uniform(-2.0, 2.0)
     fast = _solve_steps(p, q, g, nu, u0, 0)
     loop = _history_loop(p, q, g, nu, u0)
-    if n_max < _LEAF:
-        assert np.array_equal(fast, loop)
-    else:
-        assert np.max(np.abs(fast - loop)) <= 1e-14 * np.max(np.abs(loop))
+    assert np.max(np.abs(fast - loop)) <= 1e-14 * np.max(np.abs(loop))
 
 
-@pytest.mark.parametrize("n_max", [_LEAF + 1, _LEAF + _MICRO - 1, _LEAF + _NEAR + 1, 2 * _LEAF + 3])
+@pytest.mark.parametrize(
+    "n_max",
+    [1, _MICRO - 1, _MICRO, _MICRO + 1, _LEAF - 1]
+    + [_LEAF + 1, _LEAF + _MICRO - 1, _LEAF + _NEAR + 1, 2 * _LEAF + 3],
+)
 @pytest.mark.parametrize("columns", [None, 3])
 def test_micro_blocks_match_the_plain_loop_at_their_edges(n_max, columns):
-    # past the first leaf the steps advance _MICRO at a time; these horizons
-    # end one step into a leaf, inside the first micro-block, just past the
-    # lags that cross the leaf edge, and a few steps after a merge
+    # the steps advance _MICRO at a time, the first leaf's from step 1; these
+    # horizons end on the first step, inside, at the end of and one step past
+    # the first micro-block, at the first leaf's last step, one step into the
+    # next leaf, inside its first micro-block, just past the lags that cross
+    # the leaf edge, and a few steps after a merge
     rng = np.random.default_rng(n_max)
     shape = (n_max,) if columns is None else (n_max, columns)
     nu = 0.7
@@ -511,7 +514,6 @@ def test_micro_blocks_match_the_plain_loop_at_their_edges(n_max, columns):
     g = rng.uniform(-1.0, 1.0, size=shape)
     fast = _solve_steps(p, q, g, nu, 1.5, 0)
     loop = _history_loop(p, q, g, nu, 1.5)
-    assert np.array_equal(fast[:_LEAF], loop[:_LEAF])
     assert np.max(np.abs(fast - loop)) <= 1e-14 * np.max(np.abs(loop))
 
 
@@ -591,13 +593,23 @@ def test_long_solves_free_their_buffers_without_the_cycle_collector():
 
 
 def test_general_solve_matches_exact_oracle():
-    got = solve_general(
-        LinearProblem(0.75, 0, p=0.25, q=-0.5, g=0.125, u0=1.5), 40
-    ).values
-    want = np.array(
-        [float(v) for v in oracle_solve(F(3, 4), F(1, 4), F(-1, 2), F(1, 8), F(3, 2), 40)]
-    )
-    assert _rel_gap(got, want) <= 1e-12
+    # constant coefficients, then per-step dyadic ones (exact as floats); the
+    # horizons end on and around the edges of the first micro-blocks
+    for n_max in (1, _MICRO - 1, _MICRO, _MICRO + 1, 40):
+        steps = range(n_max)
+        cases = [
+            (F(1, 4), F(-1, 2), F(1, 8)),
+            (
+                [F(-(k % 5), 8) for k in steps],
+                [F(-1 - k % 3, 4) for k in steps],
+                [F((-1) ** k, 2 ** (1 + k % 4)) for k in steps],
+            ),
+        ]
+        for p, q, g in cases:
+            coeffs = (np.array(x, dtype=float) if isinstance(x, list) else float(x) for x in (p, q, g))
+            got = solve_general(LinearProblem(0.75, 0, *coeffs, u0=1.5), n_max).values
+            want = np.array([float(v) for v in oracle_solve(F(3, 4), p, q, g, F(3, 2), n_max)])
+            assert _rel_gap(got, want) <= 1e-12, (n_max, p)
 
 
 def test_first_order_matches_exact_oracle():
