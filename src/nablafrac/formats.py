@@ -16,8 +16,7 @@ with the indented item separator.  Only one chunk's text is held at a time.
 from __future__ import annotations
 
 import json
-import math
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -107,46 +106,68 @@ def read_grid_csv(stream: IO[str]) -> GridFunction:
     Comment lines starting with ``#`` and blank lines are skipped, so output
     of :func:`write_grid_csv` round-trips.  Indices must be consecutive and
     ascending; errors name the offending line number.
+
+    The rows are parsed in bulk: the body is split on commas once, indices
+    convert with ``int`` and values with one ``float`` array, and the checks
+    are array comparisons.  Only a malformed stream pays for finding its
+    first bad row, which gets the error the row-by-row checks would give:
+    two fields, an integer index, a finite value, the consecutive run.
     """
-    base: int | None = None
-    expected: int | None = None
-    values: list[float] = []
-    saw_header = False
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not saw_header:
-            if line.lower() != "index,value":
-                raise GridCsvError(f"line {lineno}: expected header 'index,value', got {line!r}")
-            saw_header = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise GridCsvError(f"line {lineno}: expected 'index,value', got {line!r}")
-        try:
-            index = int(parts[0])
-        except ValueError:
-            raise GridCsvError(f"line {lineno}: index {parts[0]!r} is not an integer") from None
-        try:
-            value = float(parts[1])
-        except ValueError:
-            raise GridCsvError(f"line {lineno}: value {parts[1]!r} is not a number") from None
-        if not math.isfinite(value):
-            raise GridCsvError(f"line {lineno}: value {parts[1]!r} is not finite")
-        if base is None:
-            base = index
-        elif index != expected:
-            raise GridCsvError(
-                f"line {lineno}: index {index} breaks the consecutive run (expected {expected})"
-            )
-        expected = index + 1
-        values.append(value)
-    if not saw_header:
+    lines = list(map(str.strip, stream.read().split("\n")))
+    data = [line for line in lines if line and line[0] != "#"]
+    if not data:
         raise GridCsvError("line 1: missing 'index,value' header")
-    if base is None:
+    header, rows = data[0], data[1:]
+    if header.lower() != "index,value":
+        number = _data_line_numbers(lines)[0]
+        raise GridCsvError(f"line {number}: expected header 'index,value', got {header!r}")
+    if not rows:
         raise GridCsvError("no data rows after the header")
-    return GridFunction(base, values)
+    # the rows before the first without exactly two fields pair up in the tokens
+    fields = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.intp, count=len(rows)) + 1
+    paired = int(np.argmax(fields != 2)) if np.any(fields != 2) else len(rows)
+    tokens = ",".join(rows[:paired]).split(",") if paired else []
+    # each failure as (row, check order, message); the first row wins, then the first check
+    failures = [] if paired == len(rows) else [(paired, 0, f"expected 'index,value', got {rows[paired]!r}")]
+    try:
+        indices = list(map(int, tokens[0::2]))
+    except ValueError:
+        bad = _first_rejected(int, tokens[0::2])
+        failures.append((bad, 1, f"index {tokens[2 * bad]!r} is not an integer"))
+        indices = list(map(int, tokens[: 2 * bad : 2]))
+    try:
+        values = np.array(tokens[1::2], dtype=float)
+    except ValueError:
+        bad = _first_rejected(float, tokens[1::2])
+        failures.append((bad, 2, f"value {tokens[2 * bad + 1]!r} is not a number"))
+        values = np.array(tokens[1 : 2 * bad : 2], dtype=float)
+    infinite = np.flatnonzero(~np.isfinite(values))
+    if infinite.size:
+        bad = int(infinite[0])
+        failures.append((bad, 3, f"value {tokens[2 * bad + 1]!r} is not finite"))
+    if indices and indices != list(range(indices[0], indices[0] + len(indices))):
+        bad = next(k for k, index in enumerate(indices) if index != indices[0] + k)
+        expected = indices[bad - 1] + 1
+        failures.append((bad, 4, f"index {indices[bad]} breaks the consecutive run (expected {expected})"))
+    if failures:
+        row, _, message = min(failures)
+        raise GridCsvError(f"line {_data_line_numbers(lines)[row + 1]}: {message}")
+    return GridFunction(indices[0], values)
+
+
+def _data_line_numbers(lines: list[str]) -> list[int]:
+    """The 1-based numbers of the header and data lines among stripped ``lines``."""
+    return [number for number, line in enumerate(lines, start=1) if line and line[0] != "#"]
+
+
+def _first_rejected(convert, tokens: list[str]) -> int:
+    """The position of the first token ``convert`` raises ValueError for, or len(tokens)."""
+    for position, token in enumerate(tokens):
+        try:
+            convert(token)
+        except ValueError:
+            return position
+    return len(tokens)
 
 
 def write_trace_csv(trace: SolutionTrace, stream: IO[str]) -> None:

@@ -17,9 +17,12 @@ splits the history by divide and conquer: leaves of ``_LEAF`` (2048) points
 sum their own history, and the nearest lags, directly, and each finished
 block adds the rest of its history to the following block by one FFT
 convolution, O(n log^2 n) in all.  Every leaf advances in micro-blocks of
-``_MICRO`` (16) steps: one matrix product per micro-block, then forward
-substitution inside it.  Solves of every length agree with the plain loop
-to within 1e-14 max|u| on decaying solutions.
+``_MICRO`` (32) steps: one matrix product adds the history before the
+micro-block, and its own steps are one lower-triangular system, solved by an
+inverse formed before stepping and one refinement step.  A block near
+overflow is redone by forward substitution, step by step.  Solves of every
+length agree with the plain loop to within 1e-14 max|u| on decaying
+solutions, and overflow at the same step.
 
 The normalized solution (u0 = 1) is the discrete Mittag-Leffler-type
 sequence produced by :func:`mittag_leffler_seq`; by linearity every solution
@@ -67,10 +70,8 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import math
-from operator import mul
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import GridFunction, _convolve_head, _require_finite, nabla_diff
 from .monomial import convolution_weights, monomial_sequence
@@ -96,7 +97,9 @@ SINGULAR_PIVOT_TOL = 1e-13
 # that share one matrix product
 _LEAF = 2048
 _NEAR = 64
-_MICRO = 16
+_MICRO = 32
+# a block-solved value this large is redone by substitution
+_SAFE = 2.0**1000
 
 CoefficientLike = Union[float, Sequence[float], np.ndarray]
 
@@ -196,6 +199,58 @@ def _add_history(
     history[end:stop] += np.ldexp(tail, exponent)
 
 
+def _block_inverses(pivots: np.ndarray, q: np.ndarray, toeplitz: np.ndarray) -> np.ndarray:
+    """Inverses of micro-block matrices, one per row of ``pivots`` and ``q``.
+
+    Row r of ``pivots`` and ``q`` (shape (..., m), m a power of two) defines
+    the lower-triangular m x m matrix ``toeplitz + diag(pivots[r]) - S
+    diag(q[r])``: m steps of the general equation, with ``toeplitz`` the
+    weights at lags 1..m-1 below the diagonal and S the shift one row down.
+    The inverses are built by recursive doubling,
+    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]], in place along
+    the diagonal: each level pairs the finished blocks of h rows into blocks
+    of 2h rows, where every C is the same Toeplitz block but for q at its
+    lag-1 corner, so a level is two batched products over all rows.
+    """
+    m = pivots.shape[-1]
+    inv = np.zeros(pivots.shape + (m,))
+    flat, qs = inv.reshape(-1, m, m), q.reshape(-1, m)
+    flat.reshape(-1, m * m)[:, :: m + 1] = 1.0 / pivots.reshape(-1, m)
+    negated = -toeplitz
+    stride, row, col = flat.strides
+    h = 1
+    while h < m:
+        # the diagonal blocks of 2h rows, as a view of the inverses
+        blocks = np.ndarray(
+            (len(flat), m // (2 * h), 2 * h, 2 * h), buffer=flat,
+            strides=(stride, 2 * h * (row + col), row, col),
+        )
+        a = blocks[..., :h, :h]
+        # -C A: C holds the lags h + i - j, less q at its lag-1 corner
+        ca = negated[h : 2 * h, :h] @ a
+        ca[..., 0, :] += qs[:, h :: 2 * h, None] * a[..., h - 1, :]
+        np.matmul(blocks[..., h:, h:], ca, out=blocks[..., h:, :h])
+        h *= 2
+    return inv
+
+
+def _leaf_inverses(coefficients: list[np.ndarray], starts: range, toeplitz: np.ndarray) -> np.ndarray:
+    """The inverses of the micro-blocks at ``starts``, from per-step (pivots, q)."""
+    first, rows = starts[0] - 1, len(starts) * _MICRO
+    blocks = []
+    for c, fill in zip(coefficients, (1.0, 0.0)):
+        chunk = c[first : first + rows]
+        # steps past n_max only fill the last micro-block's unused corner
+        chunk = np.concatenate((chunk, np.full((rows - len(chunk),) + chunk.shape[1:], fill)))
+        blocks.append(np.moveaxis(chunk.reshape((len(starts), _MICRO) + chunk.shape[1:]), 1, -1))
+    return _block_inverses(*blocks, toeplitz)
+
+
+def _solve_block(inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``inverse @ b`` for one problem, or column by column for a batch of inverses."""
+    return inverse.dot(b) if b.ndim == 1 else np.matmul(inverse, b.T[..., None])[..., 0].T
+
+
 def _solve_steps(
     p: np.ndarray,
     q: np.ndarray,
@@ -223,74 +278,125 @@ def _solve_steps(
     with one dense product that adds the lags of at most ``_NEAR`` crossing
     its edge, then the leaf advances ``_MICRO`` steps at a time (the first
     leaf from step 1, past u0).  One matrix product adds the in-leaf
-    history before the micro-block to all of its steps, and forward
-    substitution sums the lags inside it, in Python floats for one problem
-    or by a small vector-matrix product over a batch's rows.
+    history before the micro-block to all of its steps.
+
+    The micro-block's m steps are then one lower-triangular system L x = b:
+    the pivots 1 - p on the diagonal, w1 - q below it and the weight w_k k
+    places below, with b the forcing, q u(t - 1) for the first step and
+    every lag reaching before the block.  L depends on the coefficients
+    alone, so :func:`_block_inverses` inverts it before stepping: once per
+    column for constant coefficients, and a leaf's micro-blocks at a time
+    for per-step ones.  The block is x = L^-1 b followed by one refinement
+    step x -= L^-1 (L x - b), whose residual takes the in-block lags, the
+    pivots and q u(t - 1) each on its own, never the rounded entry w1 - q;
+    no Python runs per step.  On a growing trace the block products can
+    overflow, or give inf - inf, before the steps do, so a block whose
+    values come out non-finite or at least ``_SAFE`` (2^1000) is redone by
+    forward substitution; batch columns already non-finite at the block
+    start are left out of that test.
 
     The cost is O(n_max log^2 n_max) in place of O(n_max^2), and the
-    interpreter pays one BLAS call per micro-block, not one per step.  The
-    values differ from the plain loop only by the order of their sums and
-    the rounding of the FFTs, within 1e-14 * max|u| on decaying solutions,
-    and overflow at the same step.
+    interpreter pays a few array operations per micro-block, not per step.
+    The values differ from the plain loop only by the order of their sums
+    and the rounding of the block inverses and of the FFTs, within 1e-14 *
+    max|u| on decaying solutions, and overflow at the same step.
     ``nu=None`` steps the same float recurrence with no history.
     """
-    pivots = 1.0 - p
-    singular = np.argwhere(np.abs(pivots) < SINGULAR_PIVOT_TOL)
-    if singular.size:
-        first = tuple(singular[0])
-        raise SingularStepError(base + 1 + int(first[0]), float(pivots[first]))
     n_max = len(q)
-    u = np.empty((n_max + 1,) + np.shape(q)[1:], dtype=float)
+    columns = np.shape(q)[1:]
+    # p or g given as one column serves every column of a batch
+    p, g = (x.reshape(x.shape + (1,) * (q.ndim - x.ndim)) for x in (p, g))
+    pivots = 1.0 - p
+    singular = np.abs(pivots) < SINGULAR_PIVOT_TOL
+    if singular.any():
+        first = tuple(np.argwhere(singular)[0])
+        raise SingularStepError(base + 1 + int(first[0]), float(pivots[first]))
+    u = np.empty((n_max + 1,) + columns, dtype=float)
     u[0] = u0
-    # one problem steps in Python floats, a batch in rows (views) of its arrays
-    batch = u.ndim > 1
-    split = iter if batch else np.ndarray.tolist
-    (prev,) = split(u[:1])
     # an overflowing trace is reported by its callers (DivergentSolutionError,
     # or the scan's unbounded class), not by NumPy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if nu is None:
+            # one problem steps in Python floats, a batch in rows (views) of its arrays
+            split = iter if columns else np.ndarray.tolist
+            (prev,) = split(u[:1])
             for n, qn, gn, pn in zip(range(1, n_max + 1), split(q + 1.0), split(g), split(pivots)):
                 prev = (qn * prev + gn) / pn
                 u[n] = prev
             return u
-        weights = convolution_weights(nu, max(n_max + 1, _LEAF + _MICRO))
-        # strip[i, t] = weights[_LEAF + i - t] takes u[s - _LEAF + t] to step s + i
-        strip = sliding_window_view(weights[_LEAF + _MICRO - 1 : 0 : -1], _LEAF)[::-1].copy()
-        # crossing[i, t] takes u[lo - _NEAR + t] to step lo + i where the lag
-        # _NEAR + i - t is at most _NEAR
-        crossing = np.triu(weights[_NEAR + np.arange(_NEAR)[:, None] - np.arange(_NEAR)])
-        # tails[i] holds the weights at lags i, ..., 1
-        tails = [strip[0, _LEAF - i :] for i in range(_MICRO)]
-        if not batch:
-            tails = [tail.tolist() for tail in tails]
+        if not n_max:
+            return u
+        weights = convolution_weights(nu, n_max + 1)
+        # the longest leaf.  reach[_MICRO + k] is the weight at lag k, 0 at
+        # lags below 1 and past n_max
+        span = min(n_max + 1, _LEAF)
+        reach = np.zeros(span + 2 * _MICRO)
+        reach[_MICRO + 1 : _MICRO + 1 + n_max] = weights[1 : span + _MICRO]
+        # strip[i, t], the weight at lag span + i - t, takes u[s - span + t]
+        # to step s + i; its last _MICRO columns, the lags i - j below the
+        # diagonal, are the Toeplitz part of a micro-block's matrix
+        strip = np.ndarray(
+            (_MICRO, span + _MICRO), buffer=reach, offset=(span + _MICRO) * reach.itemsize,
+            strides=(reach.itemsize, -reach.itemsize),
+        ).copy()
+        toeplitz = strip[:, span:]
+        if n_max >= _LEAF:
+            # crossing[i, t] takes u[lo - _NEAR + t] to step lo + i where the
+            # lag _NEAR + i - t is at most _NEAR
+            crossing = np.triu(weights[_NEAR + np.subtract.outer(np.arange(_NEAR), np.arange(_NEAR))])
+        # the block matrices depend on the coefficients alone: one inverse per
+        # column serves every block of a constant-coefficient solve, per-step
+        # coefficients get one stack of inverses per leaf
+        constant = bool((p == p[0]).all() and (q == q[0]).all())
+        coefficients = np.broadcast_arrays(pivots, q)
+        if constant:
+            rows = (c[0][..., None].repeat(_MICRO, axis=-1) for c in coefficients)
+            shared = _block_inverses(*rows, toeplitz)
         history = np.zeros(u.shape)
         spectra: dict = {}
+        dead = np.zeros(columns, dtype=bool)
         for lo in range(0, n_max + 1, _LEAF):
             hi = min(lo + _LEAF, n_max + 1)
             if lo:
                 leaves = lo // _LEAF
-                _add_history(history, u, weights[: n_max + 1], lo, _LEAF * (leaves & -leaves), spectra)
+                _add_history(history, u, weights, lo, _LEAF * (leaves & -leaves), spectra)
                 history[lo : lo + _NEAR] += crossing[: hi - lo].dot(u[lo - _NEAR : lo])
             # the first leaf's first micro-block starts at step 1, past u0
-            for s in range(max(lo, 1), hi, _MICRO):
+            starts = range(max(lo, 1), hi, _MICRO)
+            inverses = [shared] * len(starts) if constant else _leaf_inverses(coefficients, starts, toeplitz)
+            for s, inverse in zip(starts, inverses):
                 e = min(s + _MICRO, hi)
-                # every lag but those inside the micro-block
-                behind = history[s:e] + strip[: e - s, _LEAF - (s - lo) :].dot(u[lo:s])
-                # the in-block lags: a plain sum over the block's Python
-                # floats, or one vector-matrix product over a batch's rows
-                done = []
-                for n, qn, gn, pn, hn, tail in zip(
-                    range(s, e), split(q[s - 1 : e - 1]), split(g[s - 1 : e - 1]),
-                    split(pivots[s - 1 : e - 1]), split(behind), tails,
-                ):
-                    near = tail.dot(u[s:n]) if batch else sum(map(mul, tail, done))
+                inverse = inverse[..., : e - s, : e - s]
+                # every lag reaching before the micro-block
+                behind = history[s:e] + strip[: e - s, span - (s - lo) : span].dot(u[lo:s])
+                b = g[s - 1 : e - 1] - behind
+                b[0] += q[s - 1] * u[s - 1]
+                x = _solve_block(inverse, b)
+                # one refinement step against the unfolded equations: the
+                # in-block lags, the pivots and q u(t - 1), each on its own
+                r = toeplitz[: e - s, : e - s].dot(x)
+                r += pivots[s - 1 : e - 1] * x
+                r[1:] -= q[s : e - 1] * x[:-1]
+                r -= b
+                x -= _solve_block(inverse, r)
+                u[s:e] = x
+                # one comparison, which NaN fails too; in a batch, columns
+                # that were already dead at the block start are let through
+                if np.abs(x).max() < _SAFE or (dead | (np.abs(x).max(axis=0) < _SAFE)).all():
+                    continue
+                # near overflow the block products can overflow, or give
+                # inf - inf, before the steps do: redo the block step by step
+                prev = u[s - 1]
+                steps = zip(range(s, e), q[s - 1 : e - 1], g[s - 1 : e - 1], pivots[s - 1 : e - 1], behind)
+                for n, qn, gn, pn, hn in steps:
+                    near = weights[n - s : 0 : -1].dot(u[s:n])
                     # the history parts are added first: near overflow, q u
                     # less one part alone can overflow where the whole
                     # history keeps the step finite
-                    prev = (qn * prev + gn - (hn + near)) / pn
-                    done.append(prev)
-                    u[n] = prev
+                    prev = u[n] = (qn * prev + gn - (hn + near)) / pn
+                dead = ~np.isfinite(u[e - 1])
+            # free this leaf's inverses before the next leaf builds its own
+            del inverses, inverse
     return u
 
 

@@ -279,8 +279,9 @@ def stability_scan(
     values that solve would give it, up to the order of the sums.  The
     batch shares the stepping core's divide-and-conquer history and its
     micro-blocks, one matrix product per micro-block and one FFT
-    convolution along the step axis per merge for all columns, so the cost
-    per order is O(n_max log^2 n_max).
+    convolution along the step axis per merge for all columns, and each
+    column solves its micro-blocks with its own block inverse, formed once
+    per order, so the cost per order is O(n_max log^2 n_max).
     Cells are returned in row-major order (nu outer, c inner).
     """
     nus = [float(nu) for nu in nu_grid]

@@ -712,9 +712,9 @@ n,t,u_first_order,u_fractional
         """\
 nu,c,decay_class,tail_stat
 0.3,-0.5,tends_to_zero,-1.0121797910390369
-0.3,0.1,tends_to_zero,-0.52069084316270087
+0.3,0.1,tends_to_zero,-0.52069084316271308
 0.6,-0.5,tends_to_zero,-1.4325773272870497
-0.6,0.1,bounded_nonvanishing,0.29979734477627173
+0.6,0.1,bounded_nonvanishing,0.29979734477627229
 """,
     ),
 ]

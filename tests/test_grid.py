@@ -491,3 +491,36 @@ def test_csv_reader_errors_name_the_line():
         read_grid_csv(io.StringIO(""))
     with pytest.raises(GridCsvError, match="no data"):
         read_grid_csv(io.StringIO("index,value\n"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# c\n\nwrong,header\n1,2\n", "line 3: expected header 'index,value', got 'wrong,header'"),
+        ("index,value\n1,2\n 2 ,3\n1,2,3\n", "line 4: expected 'index,value', got '1,2,3'"),
+        ("index,value\n1,2\n\n2.5,x\n", "line 4: index '2.5' is not an integer"),
+        ("index,value\n1,2\n2, x\n3,4\n", "line 3: value ' x' is not a number"),
+        ("index,value\n1,2\n2,-inf\n3,y\n", "line 3: value '-inf' is not finite"),
+        ("index,value\n1,2\n# c\n5,3\nz,4\n", "line 4: index 5 breaks the consecutive run (expected 2)"),
+        # rows of three and one fields whose tokens would pair up consecutively
+        ("index,value\n1,5\n2,6,3\n7\n", "line 3: expected 'index,value', got '2,6,3'"),
+        # within one row the checks run in order: index before value
+        ("index,value\n1,2\nq,nan\n", "line 3: index 'q' is not an integer"),
+    ],
+)
+def test_csv_reader_reports_the_first_bad_row(text, message):
+    # the bulk parse reports the first malformed row, with the message of
+    # the first check it fails, as a row-by-row parse would
+    with pytest.raises(GridCsvError) as info:
+        read_grid_csv(io.StringIO(text))
+    assert str(info.value) == message
+
+
+def test_csv_reader_parses_like_int_and_float():
+    # tokens convert exactly as int() and float() read them: surrounding
+    # blanks, signs, underscores, and indices past the int64 range
+    big = 2**63
+    text = f"index,value\n {big} , 1_0.5 \n+{big + 1},-0.1\n{big + 2},1e-320\n"
+    g = read_grid_csv(io.StringIO(text))
+    assert g.base == big
+    assert g.values.tobytes() == np.array([10.5, -0.1, 1e-320]).tobytes()

@@ -32,7 +32,7 @@ from nablafrac import (
     solve_lagged,
     stability_scan,
 )
-from nablafrac import solver
+from nablafrac import cli, solver
 from nablafrac.exact import (
     oracle_first_order,
     oracle_mittag_leffler,
@@ -572,6 +572,49 @@ def test_fast_history_keeps_the_first_nonfinite_step_across_merges():
     want = [decay_classify(column, window) for column in loop.T]
     assert want == [DecayClass.UNBOUNDED] * 3 + [DecayClass.TENDS_TO_ZERO]
     assert [cell.decay_class for cell in stability_scan([nu], cs, n_max)] == want
+
+
+def test_every_finite_default_scan_column_matches_the_plain_loop():
+    # the scan steps each order's 51 coefficients as one batch of constant
+    # columns, so each micro-block is solved with one inverse per column.
+    # Geometric growth piles up any bias of the block solve step after step;
+    # refining against the unfolded equations keeps every column that stays
+    # finite close to the loop
+    nus = cli._parse_axis("0.1:0.9:0.1", "--nu-grid")
+    cs = cli._parse_axis("-2:0.5:0.05", "--c-grid")
+    n_max = 2000
+    zeros = np.zeros(n_max)
+    coeffs = np.broadcast_to(cs, (n_max, len(cs)))
+    checked = 0
+    for nu in nus:
+        fast = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
+        loop = _history_loop(zeros, coeffs, zeros, nu, 1.0)
+        finite = np.all(np.isfinite(loop), axis=0)
+        assert np.array_equal(np.all(np.isfinite(fast), axis=0), finite)
+        scale = np.max(np.abs(loop[:, finite]), axis=0)
+        assert np.all(np.max(np.abs(fast[:, finite] - loop[:, finite]), axis=0) <= 5e-14 * scale)
+        checked += int(finite.sum())
+    assert checked > 400
+
+
+@pytest.mark.parametrize("nu, c, n_max", [(0.5, -50.0, 300), (0.9, -1000.0, 200)])
+def test_block_solves_near_overflow_fall_back_to_substitution(nu, c, n_max):
+    # a fast-growing trace: the block inverse's entries grow like |c|^31, so
+    # block products overflow steps before the values do.  Such a block is
+    # redone step by step, for one problem and in a batch whose first
+    # column dies before the second, next to a decaying column
+    zeros = np.zeros(n_max)
+    single = np.full(n_max, c)
+    batch = np.broadcast_to([c, c / 2, -0.3], (n_max, 3))
+    for coeffs in (single, batch):
+        fast = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0).reshape(n_max + 1, -1)
+        loop = _history_loop(zeros, coeffs, zeros, nu, 1.0).reshape(n_max + 1, -1)
+        for got, want in zip(fast.T[:2], loop.T[:2]):
+            first = _first_nonfinite(want)
+            assert first is not None and _first_nonfinite(got) == first
+            assert np.all(np.abs(got[:first] - want[:first]) <= 1e-14 * np.abs(want[:first]))
+    assert _first_nonfinite(fast[:, 0]) < _first_nonfinite(fast[:, 1])
+    assert np.max(np.abs(fast[:, 2] - loop[:, 2])) <= 1e-14 * np.max(np.abs(loop[:, 2]))
 
 
 def test_long_solves_free_their_buffers_without_the_cycle_collector():
