@@ -16,7 +16,7 @@ with the indented item separator.  Only one chunk's text is held at a time.
 from __future__ import annotations
 
 import json
-from itertools import chain, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -114,18 +114,20 @@ def read_grid_csv(stream: IO[str]) -> GridFunction:
     two fields, an integer index, a finite value, the consecutive run.
     """
     lines = list(map(str.strip, stream.read().split("\n")))
-    data = [line for line in lines if line and line[0] != "#"]
+    kept = [line != "" and line[0] != "#" for line in lines]
+    data = list(compress(lines, kept))
     if not data:
         raise GridCsvError("line 1: missing 'index,value' header")
     header, rows = data[0], data[1:]
     if header.lower() != "index,value":
-        number = _data_line_numbers(lines)[0]
+        number = next(compress(count(1), kept))
         raise GridCsvError(f"line {number}: expected header 'index,value', got {header!r}")
     if not rows:
         raise GridCsvError("no data rows after the header")
-    # the rows before the first without exactly two fields pair up in the tokens
-    fields = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.intp, count=len(rows)) + 1
-    paired = int(np.argmax(fields != 2)) if np.any(fields != 2) else len(rows)
+    # the rows before the first without exactly one comma pair up in the tokens
+    commas = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.intp, count=len(rows))
+    unpaired = np.flatnonzero(commas != 1)
+    paired = int(unpaired[0]) if unpaired.size else len(rows)
     tokens = ",".join(rows[:paired]).split(",") if paired else []
     # each failure as (row, check order, message); the first row wins, then the first check
     failures = [] if paired == len(rows) else [(paired, 0, f"expected 'index,value', got {rows[paired]!r}")]
@@ -151,13 +153,10 @@ def read_grid_csv(stream: IO[str]) -> GridFunction:
         failures.append((bad, 4, f"index {indices[bad]} breaks the consecutive run (expected {expected})"))
     if failures:
         row, _, message = min(failures)
-        raise GridCsvError(f"line {_data_line_numbers(lines)[row + 1]}: {message}")
+        # the data rows follow the header among the kept lines
+        number = list(compress(count(1), kept))[row + 1]
+        raise GridCsvError(f"line {number}: {message}")
     return GridFunction(indices[0], values)
-
-
-def _data_line_numbers(lines: list[str]) -> list[int]:
-    """The 1-based numbers of the header and data lines among stripped ``lines``."""
-    return [number for number, line in enumerate(lines, start=1) if line and line[0] != "#"]
 
 
 def _first_rejected(convert, tokens: list[str]) -> int:

@@ -234,7 +234,9 @@ def _block_inverses(pivots: np.ndarray, q: np.ndarray, toeplitz: np.ndarray) -> 
     return inv
 
 
-def _leaf_inverses(coefficients: list[np.ndarray], starts: range, toeplitz: np.ndarray) -> np.ndarray:
+def _leaf_inverses(
+    coefficients: Sequence[np.ndarray], starts: range, toeplitz: np.ndarray
+) -> np.ndarray:
     """The inverses of the micro-blocks at ``starts``, from per-step (pivots, q)."""
     first, rows = starts[0] - 1, len(starts) * _MICRO
     blocks = []
