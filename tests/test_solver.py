@@ -496,16 +496,19 @@ def test_fast_history_matches_the_plain_loop(nu, n_max, columns, per_step, seed)
 
 @pytest.mark.parametrize(
     "n_max",
-    [1, _MICRO - 1, _MICRO, _MICRO + 1, _LEAF - 1]
-    + [_LEAF + 1, _LEAF + _MICRO - 1, _LEAF + _NEAR + 1, 2 * _LEAF + 3],
+    [1, _MICRO // 2 - 1, _MICRO // 2, _MICRO // 2 + 1, _MICRO - 1, _MICRO, _MICRO + 1]
+    + [_LEAF - 1, _LEAF + 1, _LEAF + _MICRO // 2 - 1, _LEAF + _MICRO - 1, _LEAF + _NEAR + 1]
+    + [2 * _LEAF + 3],
 )
 @pytest.mark.parametrize("columns", [None, 3])
 def test_micro_blocks_match_the_plain_loop_at_their_edges(n_max, columns):
     # the steps advance _MICRO at a time, the first leaf's from step 1; these
-    # horizons end on the first step, inside, at the end of and one step past
-    # the first micro-block, at the first leaf's last step, one step into the
-    # next leaf, inside its first micro-block, just past the lags that cross
-    # the leaf edge, and a few steps after a merge
+    # horizons end on the first step, around the middle of, inside, at the
+    # end of and one step past the first micro-block, at the first leaf's
+    # last step, one step into the next leaf, in the middle of and inside
+    # its first micro-block, just past the lags that cross the leaf edge,
+    # and a few steps after a merge.  A horizon inside a micro-block leaves
+    # a short last block, solved by the leading corner of its inverse
     rng = np.random.default_rng(n_max)
     shape = (n_max,) if columns is None else (n_max, columns)
     nu = 0.7
