@@ -13,14 +13,16 @@ is exactly 1), into the explicit step equation
 
 Every step reads all earlier samples (the memory property), so stepping
 with one full-history sum per step costs O(n^2).  The stepping core instead
-splits the history by divide and conquer: leaves of ``_LEAF`` (2048) points
+splits the history by divide and conquer: leaves of ``_LEAF`` (512) points
 sum their own history, and the nearest lags, directly, and each finished
 block adds the rest of its history to the following block by one FFT
 convolution, O(n log^2 n) in all.  Every leaf advances in micro-blocks of
 ``_MICRO`` (32) steps: one matrix product adds the history before the
 micro-block, and its own steps are one lower-triangular system, solved by an
 inverse formed before stepping and one refinement step.  A block near
-overflow is redone by forward substitution, step by step.  Solves of every
+overflow is solved once more with its right-hand side scaled by a power of
+two per column; only a block that still trips, or overflows, is redone by
+forward substitution, step by step.  Solves of every
 length agree with the plain loop to within 1e-14 max|u| on decaying
 solutions, and overflow at the same step.
 
@@ -95,10 +97,11 @@ SINGULAR_PIVOT_TOL = 1e-13
 # the divide-and-conquer history of _solve_steps: points per leaf, the lags
 # that every step sums directly, also across a leaf boundary, and the steps
 # that share one matrix product
-_LEAF = 2048
+_LEAF = 512
 _NEAR = 64
 _MICRO = 32
-# a block-solved value this large is redone by substitution
+# a block-solved value this large is solved again from a scaled right-hand
+# side, and redone by substitution if it still reaches it
 _SAFE = 2.0**1000
 
 CoefficientLike = Union[float, Sequence[float], np.ndarray]
@@ -253,6 +256,24 @@ def _solve_block(inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inverse.dot(b) if b.ndim == 1 else np.matmul(inverse, b.T[..., None])[..., 0].T
 
 
+def _refined_solve(
+    inverse: np.ndarray, toeplitz: np.ndarray, pivots: np.ndarray, q: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """One micro-block: x = L^-1 b and one refinement step x -= L^-1 (L x - b).
+
+    The residual takes the in-block lags ``toeplitz``, the ``pivots`` and
+    q u(t - 1) (``q`` for the steps after the first) each on its own, never
+    the rounded entry w1 - q.
+    """
+    x = _solve_block(inverse, b)
+    r = toeplitz.dot(x)
+    r += pivots * x
+    r[1:] -= q * x[:-1]
+    r -= b
+    x -= _solve_block(inverse, r)
+    return x
+
+
 def _solve_steps(
     p: np.ndarray,
     q: np.ndarray,
@@ -289,13 +310,17 @@ def _solve_steps(
     alone, so :func:`_block_inverses` inverts it before stepping: once per
     column for constant coefficients, and a leaf's micro-blocks at a time
     for per-step ones.  The block is x = L^-1 b followed by one refinement
-    step x -= L^-1 (L x - b), whose residual takes the in-block lags, the
-    pivots and q u(t - 1) each on its own, never the rounded entry w1 - q;
-    no Python runs per step.  On a growing trace the block products can
-    overflow, or give inf - inf, before the steps do, so a block whose
-    values come out non-finite or at least ``_SAFE`` (2^1000) is redone by
-    forward substitution; batch columns already non-finite at the block
-    start are left out of that test.
+    step x -= L^-1 (L x - b) (:func:`_refined_solve`), whose residual takes
+    the in-block lags, the pivots and q u(t - 1) each on its own, never the
+    rounded entry w1 - q; no Python runs per step.  On a growing trace the
+    block products can overflow, or give inf - inf, before the steps do, so
+    a block whose values come out non-finite or at least ``_SAFE`` (2^1000)
+    is solved once more with each column of b scaled by its own power of
+    two and the result scaled back, both exact, as :func:`_add_history`
+    scales.  Only if a scaled value still trips the test, or a column comes
+    out non-finite once scaled back, is the block redone by forward
+    substitution, which alone finds the first non-finite step; batch columns
+    already non-finite at the block start are left out of both tests.
 
     The cost is O(n_max log^2 n_max) in place of O(n_max^2), and the
     interpreter pays a few array operations per micro-block, not per step.
@@ -373,21 +398,24 @@ def _solve_steps(
                 behind = history[s:e] + strip[: e - s, span - (s - lo) : span].dot(u[lo:s])
                 b = g[s - 1 : e - 1] - behind
                 b[0] += q[s - 1] * u[s - 1]
-                x = _solve_block(inverse, b)
-                # one refinement step against the unfolded equations: the
-                # in-block lags, the pivots and q u(t - 1), each on its own
-                r = toeplitz[: e - s, : e - s].dot(x)
-                r += pivots[s - 1 : e - 1] * x
-                r[1:] -= q[s : e - 1] * x[:-1]
-                r -= b
-                x -= _solve_block(inverse, r)
-                u[s:e] = x
+                block = (inverse, toeplitz[: e - s, : e - s], pivots[s - 1 : e - 1], q[s : e - 1])
+                x = u[s:e] = _refined_solve(*block, b)
                 # one comparison, which NaN fails too; in a batch, columns
                 # that were already dead at the block start are let through
                 if np.abs(x).max() < _SAFE or (dead | (np.abs(x).max(axis=0) < _SAFE)).all():
                     continue
                 # near overflow the block products can overflow, or give
-                # inf - inf, before the steps do: redo the block step by step
+                # inf - inf, before the steps do: solve again with each column
+                # of b scaled by its own power of two, and scale back (exact)
+                _, exponent = np.frexp(np.abs(b).max(axis=0))
+                x = _refined_solve(*block, np.ldexp(b, -exponent))
+                u[s:e] = np.ldexp(x, exponent)
+                # a live column that still trips, or overflows once scaled
+                # back, is redone step by step: the block solve spreads an
+                # inf over the block, and only the steps find the first one
+                fits = (np.abs(x).max(axis=0) < _SAFE) & np.isfinite(u[s:e]).all(axis=0)
+                if (dead | fits).all():
+                    continue
                 prev = u[s - 1]
                 steps = zip(range(s, e), q[s - 1 : e - 1], g[s - 1 : e - 1], pivots[s - 1 : e - 1], behind)
                 for n, qn, gn, pn, hn in steps:

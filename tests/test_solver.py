@@ -497,8 +497,8 @@ def test_fast_history_matches_the_plain_loop(nu, n_max, columns, per_step, seed)
 @pytest.mark.parametrize(
     "n_max",
     [1, _MICRO // 2 - 1, _MICRO // 2, _MICRO // 2 + 1, _MICRO - 1, _MICRO, _MICRO + 1]
-    + [_LEAF - 1, _LEAF + 1, _LEAF + _MICRO // 2 - 1, _LEAF + _MICRO - 1, _LEAF + _NEAR + 1]
-    + [2 * _LEAF + 3],
+    + [k * _LEAF + d for k in (1, 4) for d in (-1, 1, _MICRO // 2 - 1, _MICRO - 1, _NEAR + 1)]
+    + [2 * _LEAF + 3, 8 * _LEAF + 3],
 )
 @pytest.mark.parametrize("columns", [None, 3])
 def test_micro_blocks_match_the_plain_loop_at_their_edges(n_max, columns):
@@ -507,8 +507,10 @@ def test_micro_blocks_match_the_plain_loop_at_their_edges(n_max, columns):
     # end of and one step past the first micro-block, at the first leaf's
     # last step, one step into the next leaf, in the middle of and inside
     # its first micro-block, just past the lags that cross the leaf edge,
-    # and a few steps after a merge.  A horizon inside a micro-block leaves
-    # a short last block, solved by the leading corner of its inverse
+    # the same around the fourth leaf's end, where a merged block of four
+    # leaves starts, and a few steps after the merges of two and of eight
+    # leaves.  A horizon inside a micro-block leaves a short last block,
+    # solved by the leading corner of its inverse
     rng = np.random.default_rng(n_max)
     shape = (n_max,) if columns is None else (n_max, columns)
     nu = 0.7
@@ -551,13 +553,13 @@ def test_long_solves_keep_the_envelope_near_order_one():
 
 
 def test_fast_history_keeps_the_first_nonfinite_step_across_merges():
-    # at nu 0.1, c = -2 overflows inside the first leaf, c = -1.25 after the
-    # merge at offset 2 * _LEAF and c = -1.2638 five steps after it, when the
+    # at nu 0.1, c = -4.5 overflows inside the first leaf, c = -2 after the
+    # merge at offset 2 * _LEAF and c = -2.077 five steps after it, when the
     # merged block already nears overflow; c = -0.5 decays.  Each column's
     # transform input is scaled on its own, so neither the large block nor
     # the overflowed column moves a first non-finite step.
     nu, n_max = 0.1, 5000
-    cs = np.array([-2.0, -1.25, -1.2638, -0.5])
+    cs = np.array([-4.5, -2.0, -2.077, -0.5])
     zeros = np.zeros(n_max)
     coeffs = np.broadcast_to(cs, (n_max, cs.size))
     fast = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
@@ -618,6 +620,29 @@ def test_block_solves_near_overflow_fall_back_to_substitution(nu, c, n_max):
             assert np.all(np.abs(got[:first] - want[:first]) <= 1e-14 * np.abs(want[:first]))
     assert _first_nonfinite(fast[:, 0]) < _first_nonfinite(fast[:, 1])
     assert np.max(np.abs(fast[:, 2] - loop[:, 2])) <= 1e-14 * np.max(np.abs(loop[:, 2]))
+
+
+def test_block_solves_near_overflow_retry_scaled_first(monkeypatch):
+    # a slowly growing trace: at nu 0.1, c = -1.2 (just below -2^nu) spends
+    # about 140 steps, four micro-blocks and more, between 2^1000 and
+    # overflow.  Each such block fails the unscaled solve and is solved
+    # again with b scaled by a power of two; only the block that overflows
+    # is redone step by step
+    nu, c, n_max = 0.1, -1.2, 6000
+    zeros, coeffs = np.zeros(n_max), np.full(n_max, c)
+    calls = []
+    refined_solve = solver._refined_solve
+    monkeypatch.setattr(solver, "_refined_solve", lambda *args: calls.append(0) or refined_solve(*args))
+    fast = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
+    loop = _history_loop(zeros, coeffs, zeros, nu, 1.0)
+    first = _first_nonfinite(loop)
+    assert first is not None and _first_nonfinite(fast) == first
+    assert np.sum(np.abs(loop[:first]) >= 2.0**1000) > 4 * _MICRO
+    assert np.all(np.abs(fast[:first] - loop[:first]) <= 5e-14 * np.abs(loop[:first]))
+    blocks = sum(
+        len(range(max(lo, 1), min(lo + _LEAF, n_max + 1), _MICRO)) for lo in range(0, n_max + 1, _LEAF)
+    )
+    assert len(calls) - blocks >= 4
 
 
 def test_long_solves_free_their_buffers_without_the_cycle_collector():

@@ -25,6 +25,7 @@ from nablafrac import (
     tail_exponent,
 )
 from nablafrac.formats import write_report_json, write_scan_csv
+from nablafrac.solver import _solve_steps
 
 # classification fixtures: algebraic decay, oscillation, monomial growth
 _DECAYING = envelope_sequence(0.5, 399)
@@ -109,6 +110,58 @@ def test_tail_exponent_degenerate_cases():
     assert np.isnan(tail_exponent(np.zeros(50), 10))
     with pytest.raises(ValueError):
         tail_exponent(np.ones(5), 10)
+
+
+@pytest.mark.parametrize("n_max", [20, 2000])
+def test_batched_classes_and_tails_match_per_column_calls(n_max):
+    # the default scan grid, one (n_max + 1, 51) batch per order: the classes
+    # are the same comparisons of the same maxima, and the one batched
+    # polyfit differs from the per-column fits only in rounding, none at
+    # all with the default window of 2 points at n_max 20
+    cs = np.round(np.arange(-2.0, 0.5001, 0.05), 10)
+    zeros = np.zeros(n_max)
+    win = default_window(n_max + 1)
+    for nu in np.round(np.arange(0.1, 0.95, 0.1), 10):
+        traces = _solve_steps(zeros, np.broadcast_to(cs, (n_max, cs.size)), zeros, nu, 1.0, 0)
+        classes = decay_classify(traces, win)
+        tails = tail_exponent(traces, win)
+        assert classes == [decay_classify(column, win) for column in traces.T]
+        want = np.array([tail_exponent(column, win) for column in traces.T])
+        assert tails.shape == want.shape and np.array_equal(np.isnan(tails), np.isnan(want))
+        if n_max == 20:
+            assert tails.tobytes() == want.tobytes()
+        else:
+            assert np.nanmax(np.abs(tails - want)) <= 1e-11
+
+
+def test_batched_tails_fit_irregular_columns_on_their_own():
+    # a zero sample in the window, an overflowed column (inf, then nan), an
+    # inf sample, a nan sample and an all-zero column each take the
+    # per-column path, next to two clean columns, and give exactly what the
+    # 1-D call gives: nan for the non-finite and the zero columns
+    n, win = 400, 40
+    zero_in_window = _DECAYING.copy()
+    zero_in_window[-7] = 0.0
+    overflowed = mittag_leffler_seq(-50.0, 0.5, n - 1)
+    inf_in_window = _DECAYING.copy()
+    inf_in_window[-5] = np.inf
+    nan_in_window = _DECAYING.copy()
+    nan_in_window[-3] = np.nan
+    columns = [_DECAYING, zero_in_window, overflowed, inf_in_window, nan_in_window]
+    columns += [np.zeros(n), _OSCILLATING]
+    batch = np.stack(columns, axis=1)
+    tails = tail_exponent(batch, win)
+    assert tails.tobytes() == np.array([tail_exponent(column, win) for column in columns]).tobytes()
+    assert np.array_equal(np.isnan(tails), [False, False, True, True, False, True, False])
+    classes = decay_classify(batch, win)
+    assert classes == [decay_classify(column, win) for column in columns]
+    assert classes[2:4] == [DecayClass.UNBOUNDED] * 2 and classes[5] is DecayClass.TENDS_TO_ZERO
+
+
+def test_three_dimensional_traces_are_rejected():
+    for func in (decay_classify, tail_exponent):
+        with pytest.raises(ValueError, match="trace must be one-dimensional"):
+            func(np.ones((40, 2, 2)), 10)
 
 
 # --- envelope bound -----------------------------------------------------
