@@ -195,11 +195,14 @@ def _add_history(
         spectra[block] = kernel
     source = u[end - block : end]
     _, exponent = np.frexp(np.max(np.abs(source), axis=0))
-    spectrum = np.fft.rfft(np.ldexp(source, -exponent), size, axis=0) * kernel
+    # in place where it can be: a batch's transforms are the largest
+    # temporaries of a solve
+    spectrum = np.fft.rfft(np.ldexp(source, -exponent), size, axis=0)
+    spectrum *= kernel
     # lag n - j runs from 1 to size - 1, so the circular wrap of a size-2*block
     # transform lands only on the discarded first block - 1 outputs
     tail = np.fft.irfft(spectrum, size, axis=0)[block - 1 : block - 1 + stop - end]
-    history[end:stop] += np.ldexp(tail, exponent)
+    history[end:stop] += np.ldexp(tail, exponent, out=tail)
 
 
 def _block_inverses(pivots: np.ndarray, q: np.ndarray, toeplitz: np.ndarray) -> np.ndarray:
