@@ -145,10 +145,11 @@ def tail_exponent(trace: Sequence[float] | np.ndarray, window: int) -> float | n
     n = np.arange(len(arr))[-window:]
     v = arr[-window:]
     usable = n > 0
-    clean = np.all((v[usable] > 0.0) & np.isfinite(v[usable]), axis=0) & (usable.sum() >= 2)
+    x, y = np.log(n[usable]), v[usable]
+    clean = np.all((y > 0.0) & np.isfinite(y), axis=0) & (len(x) >= 2)
     slopes = np.full(arr.shape[1], np.nan)
     if clean.any():
-        slopes[clean] = np.polyfit(np.log(n[usable]), np.log(v[usable][:, clean]), 1)[0]
+        slopes[clean] = np.polyfit(x, np.log(y[:, clean]), 1)[0]
     for j in np.flatnonzero(~clean):
         mask = (v[:, j] > 0.0) & usable
         if int(mask.sum()) >= 2:

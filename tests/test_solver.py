@@ -632,7 +632,12 @@ def test_block_solves_near_overflow_retry_scaled_first(monkeypatch):
     zeros, coeffs = np.zeros(n_max), np.full(n_max, c)
     calls = []
     refined_solve = solver._refined_solve
-    monkeypatch.setattr(solver, "_refined_solve", lambda *args: calls.append(0) or refined_solve(*args))
+
+    def counted(*args):
+        calls.append(args)
+        return refined_solve(*args)
+
+    monkeypatch.setattr(solver, "_refined_solve", counted)
     fast = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
     loop = _history_loop(zeros, coeffs, zeros, nu, 1.0)
     first = _first_nonfinite(loop)

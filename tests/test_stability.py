@@ -138,7 +138,7 @@ def test_batched_tails_fit_irregular_columns_on_their_own():
     # a zero sample in the window, an overflowed column (inf, then nan), an
     # inf sample, a nan sample and an all-zero column each take the
     # per-column path, next to two clean columns, and give exactly what the
-    # 1-D call gives: nan for the non-finite and the zero columns
+    # 1-D call gives: nan for the overflowed, the inf and the zero columns
     n, win = 400, 40
     zero_in_window = _DECAYING.copy()
     zero_in_window[-7] = 0.0
