@@ -16,14 +16,18 @@ with one full-history sum per step costs O(n^2).  The stepping core instead
 splits the history by divide and conquer: leaves of ``_LEAF`` (512) points
 sum their own history, and the nearest lags, directly, and each finished
 block adds the rest of its history to the following block by one FFT
-convolution, O(n log^2 n) in all.  Every leaf advances in micro-blocks of
-``_MICRO`` (32) steps: one matrix product adds the history before the
-micro-block, and its own steps are one lower-triangular system, solved by an
-inverse formed before stepping and one refinement step.  A block near
-overflow is solved once more with its right-hand side scaled by a power of
-two per column; only a block that still trips, or overflows, is redone by
-forward substitution, step by step.  Solves of every
-length agree with the plain loop to within 1e-14 max|u| on decaying
+convolution, O(n log^2 n) in all.  Every leaf advances in micro-blocks: one
+matrix product adds the history before the micro-block, and its own steps
+are one lower-triangular system, solved by an inverse formed before stepping
+and one refinement step.  A micro-block's size follows the problem's shape,
+as its fixed cost of a few array operations weighs against its products: 32
+steps for a batch (the scan), whose every column applies its own inverse, 64
+for one problem with per-step coefficients, whose inverses are formed leaf
+by leaf, and 128 for one with constant coefficients, whose one inverse is
+formed once.  A block near overflow is solved once more with its right-hand
+side scaled by a power of two per column; only the columns that still trip,
+or overflow, are redone by forward substitution, step by step.  Solves of
+every length agree with the plain loop to within 1e-14 max|u| on decaying
 solutions, and overflow at the same step.
 
 The normalized solution (u0 = 1) is the discrete Mittag-Leffler-type
@@ -94,12 +98,10 @@ __all__ = [
 
 SINGULAR_PIVOT_TOL = 1e-13
 
-# the divide-and-conquer history of _solve_steps: points per leaf, the lags
-# that every step sums directly, also across a leaf boundary, and the steps
-# that share one matrix product
+# the divide-and-conquer history of _solve_steps: points per leaf, and the
+# lags that every step sums directly, also across a leaf boundary
 _LEAF = 512
 _NEAR = 64
-_MICRO = 32
 # a block-solved value this large is solved again from a scaled right-hand
 # side, and redone by substitution if it still reaches it
 _SAFE = 2.0**1000
@@ -205,6 +207,28 @@ def _add_history(
     history[end:stop] += np.ldexp(tail, exponent, out=tail)
 
 
+def _micro_size(q: np.ndarray, constant: bool) -> int:
+    """Steps per micro-block of a fractional solve with coefficients ``q``.
+
+    Each micro-block pays a few array operations whatever its size m (about
+    17 us on one x86-64 core), plus products that grow with m, so the size
+    is picked by what the products cost per block:
+
+    * a batch, (n, k) coefficients: 32 steps.  Each of the k columns
+      applies its own m x m inverse, k m^2 per block.
+    * one problem with per-step coefficients: 64 steps.  Its inverses are
+      formed per leaf, about m^3 / 3 per block by recursive doubling.
+    * one problem with constant coefficients: 128 steps.  Its one inverse
+      is formed once per solve, so only the fixed cost is left to amortize.
+
+    A solve shorter than its size is one block, of the power of two that
+    covers its steps, so a short solve forms no larger inverse than it
+    reads.  Every size is a power of two, as :func:`_block_inverses` needs.
+    """
+    size = 32 if q.ndim > 1 else 128 if constant else 64
+    return min(size, 1 << (len(q) - 1).bit_length())
+
+
 def _block_inverses(pivots: np.ndarray, q: np.ndarray, toeplitz: np.ndarray) -> np.ndarray:
     """Inverses of micro-block matrices, one per row of ``pivots`` and ``q``.
 
@@ -244,13 +268,17 @@ def _leaf_inverses(
     coefficients: Sequence[np.ndarray], starts: range, toeplitz: np.ndarray
 ) -> np.ndarray:
     """The inverses of the micro-blocks at ``starts``, from per-step (pivots, q)."""
-    first, rows = starts[0] - 1, len(starts) * _MICRO
+    m = len(toeplitz)
+    first, rows = starts[0] - 1, len(starts) * m
     blocks = []
     for c, fill in zip(coefficients, (1.0, 0.0)):
         chunk = c[first : first + rows]
-        # steps past n_max only fill the last micro-block's unused corner
-        chunk = np.concatenate((chunk, np.full((rows - len(chunk),) + chunk.shape[1:], fill)))
-        blocks.append(np.moveaxis(chunk.reshape((len(starts), _MICRO) + chunk.shape[1:]), 1, -1))
+        if len(chunk) < rows:
+            # steps past n_max only fill the last micro-block's unused corner
+            chunk = np.concatenate((chunk, np.full((rows - len(chunk),) + chunk.shape[1:], fill)))
+        chunk = chunk.reshape((len(starts), m) + chunk.shape[1:])
+        # a batch's steps go last, as one problem's already are
+        blocks.append(chunk if chunk.ndim == 2 else np.moveaxis(chunk, 1, -1))
     return _block_inverses(*blocks, toeplitz)
 
 
@@ -274,6 +302,25 @@ def _refined_solve(
     r[1:] -= q * x[:-1]
     r -= b
     x -= _solve_block(inverse, r)
+    return x
+
+
+def _substitute(
+    weights: np.ndarray, prev, q: np.ndarray, g: np.ndarray, pivots: np.ndarray, behind: np.ndarray
+) -> np.ndarray:
+    """One micro-block by forward substitution, one step at a time.
+
+    Row i of ``q``, ``g``, ``pivots`` and ``behind`` (the lags reaching
+    before the block) belongs to the block's step i, and ``prev`` is the
+    value before the block; rows hold one value, or one per stepped column.
+    """
+    x = np.empty_like(behind)
+    for i, (qn, gn, pn, hn) in enumerate(zip(q, g, pivots, behind)):
+        near = weights[i:0:-1].dot(x[:i])
+        # the history parts are added first: near overflow, q u less one
+        # part alone can overflow where the whole history keeps the step
+        # finite
+        prev = x[i] = (qn * prev + gn - (hn + near)) / pn
     return x
 
 
@@ -302,9 +349,16 @@ def _solve_steps(
     of a recursive halving, in loop form.  Every other lag is summed
     directly, the same way in every leaf: each leaf but the first starts
     with one dense product that adds the lags of at most ``_NEAR`` crossing
-    its edge, then the leaf advances ``_MICRO`` steps at a time (the first
-    leaf from step 1, past u0).  One matrix product adds the in-leaf
-    history before the micro-block to all of its steps.
+    its edge, then the leaf advances m steps at a time (the first leaf from
+    step 1, past u0).  One matrix product adds the in-leaf history before
+    the micro-block to all of its steps.  The size m is picked by
+    :func:`_micro_size` from the problem's shape: each micro-block costs a
+    few array operations whatever m is, while its products grow with m, and
+    how fast depends on the shape.  A batch keeps 32 steps, as each of its k
+    columns applies its own inverse (k m^2 per block); one problem with
+    per-step coefficients takes 64, as its inverses cost about m^3 / 3 per
+    block; one with constant coefficients takes 128, as its one inverse is
+    formed once per solve.
 
     The micro-block's m steps are then one lower-triangular system L x = b:
     the pivots 1 - p on the diagonal, w1 - q below it and the weight w_k k
@@ -320,10 +374,12 @@ def _solve_steps(
     a block whose values come out non-finite or at least ``_SAFE`` (2^1000)
     is solved once more with each column of b scaled by its own power of
     two and the result scaled back, both exact, as :func:`_add_history`
-    scales.  Only if a scaled value still trips the test, or a column comes
-    out non-finite once scaled back, is the block redone by forward
-    substitution, which alone finds the first non-finite step; batch columns
-    already non-finite at the block start are left out of both tests.
+    scales.  Only the live columns whose scaled values still trip the test,
+    or come out non-finite once scaled back, are redone by forward
+    substitution (:func:`_substitute`), which alone finds the first
+    non-finite step; the other columns keep their scaled values, and batch
+    columns already non-finite at the block start are left out of both
+    tests.
 
     The cost is O(n_max log^2 n_max) in place of O(n_max^2), and the
     interpreter pays a few array operations per micro-block, not per step.
@@ -357,16 +413,24 @@ def _solve_steps(
         if not n_max:
             return u
         weights = convolution_weights(nu, n_max + 1)
-        # the longest leaf.  reach[_MICRO + k] is the weight at lag k, 0 at
-        # lags below 1 and past n_max
+        # the block matrices depend on the coefficients alone: one inverse per
+        # column serves every block of a constant-coefficient solve, per-step
+        # coefficients get one stack of inverses per leaf.  Their size m, the
+        # steps per micro-block, follows from that and the batch shape
+        constant = bool((p == p[0]).all() and (q == q[0]).all())
+        m = _micro_size(q, constant)
+        # every column of a batch gets its own rows of the coefficients
+        pivots, q, g = np.broadcast_arrays(pivots, q, g)
+        # the longest leaf.  reach[m + k] is the weight at lag k, 0 at lags
+        # below 1 and past n_max
         span = min(n_max + 1, _LEAF)
-        reach = np.zeros(span + 2 * _MICRO)
-        reach[_MICRO + 1 : _MICRO + 1 + n_max] = weights[1 : span + _MICRO]
+        reach = np.zeros(span + 2 * m)
+        reach[m + 1 : m + 1 + n_max] = weights[1 : span + m]
         # strip[i, t], the weight at lag span + i - t, takes u[s - span + t]
-        # to step s + i; its last _MICRO columns, the lags i - j below the
+        # to step s + i; its last m columns, the lags i - j below the
         # diagonal, are the Toeplitz part of a micro-block's matrix
         strip = np.ndarray(
-            (_MICRO, span + _MICRO), buffer=reach, offset=(span + _MICRO) * reach.itemsize,
+            (m, span + m), buffer=reach, offset=(span + m) * reach.itemsize,
             strides=(reach.itemsize, -reach.itemsize),
         ).copy()
         toeplitz = strip[:, span:]
@@ -374,13 +438,8 @@ def _solve_steps(
             # crossing[i, t] takes u[lo - _NEAR + t] to step lo + i where the
             # lag _NEAR + i - t is at most _NEAR
             crossing = np.triu(weights[_NEAR + np.subtract.outer(np.arange(_NEAR), np.arange(_NEAR))])
-        # the block matrices depend on the coefficients alone: one inverse per
-        # column serves every block of a constant-coefficient solve, per-step
-        # coefficients get one stack of inverses per leaf
-        constant = bool((p == p[0]).all() and (q == q[0]).all())
-        coefficients = np.broadcast_arrays(pivots, q)
         if constant:
-            rows = (c[0][..., None].repeat(_MICRO, axis=-1) for c in coefficients)
+            rows = (c[0][..., None].repeat(m, axis=-1) for c in (pivots, q))
             shared = _block_inverses(*rows, toeplitz)
         history = np.zeros(u.shape)
         spectra: dict = {}
@@ -392,10 +451,10 @@ def _solve_steps(
                 _add_history(history, u, weights, lo, _LEAF * (leaves & -leaves), spectra)
                 history[lo : lo + _NEAR] += crossing[: hi - lo].dot(u[lo - _NEAR : lo])
             # the first leaf's first micro-block starts at step 1, past u0
-            starts = range(max(lo, 1), hi, _MICRO)
-            inverses = [shared] * len(starts) if constant else _leaf_inverses(coefficients, starts, toeplitz)
+            starts = range(max(lo, 1), hi, m)
+            inverses = [shared] * len(starts) if constant else _leaf_inverses((pivots, q), starts, toeplitz)
             for s, inverse in zip(starts, inverses):
-                e = min(s + _MICRO, hi)
+                e = min(s + m, hi)
                 inverse = inverse[..., : e - s, : e - s]
                 # every lag reaching before the micro-block
                 behind = history[s:e] + strip[: e - s, span - (s - lo) : span].dot(u[lo:s])
@@ -415,18 +474,15 @@ def _solve_steps(
                 u[s:e] = np.ldexp(x, exponent)
                 # a live column that still trips, or overflows once scaled
                 # back, is redone step by step: the block solve spreads an
-                # inf over the block, and only the steps find the first one
+                # inf over the block, and only the steps find the first one.
+                # The other columns keep their scaled values
                 fits = (np.abs(x).max(axis=0) < _SAFE) & np.isfinite(u[s:e]).all(axis=0)
                 if (dead | fits).all():
                     continue
-                prev = u[s - 1]
-                steps = zip(range(s, e), q[s - 1 : e - 1], g[s - 1 : e - 1], pivots[s - 1 : e - 1], behind)
-                for n, qn, gn, pn, hn in steps:
-                    near = weights[n - s : 0 : -1].dot(u[s:n])
-                    # the history parts are added first: near overflow, q u
-                    # less one part alone can overflow where the whole
-                    # history keeps the step finite
-                    prev = u[n] = (qn * prev + gn - (hn + near)) / pn
+                # the columns to redo; one problem is redone whole (Ellipsis)
+                redo = np.flatnonzero(~(dead | fits)) if columns else ...
+                rows = (c[s - 1 : e - 1, redo] for c in (q, g, pivots))
+                u[s:e, redo] = _substitute(weights, u[s - 1, redo], *rows, behind[:, redo])
                 dead = ~np.isfinite(u[e - 1])
             # free this leaf's inverses before the next leaf builds its own
             del inverses, inverse

@@ -133,11 +133,13 @@ def decay_classify(
 def tail_exponent(trace: Sequence[float] | np.ndarray, window: int) -> float | np.ndarray:
     """Log-log slope of |u(n)| over the last window; nan when undefined.
 
-    Zero samples and the n = 0 sample are excluded; at least two usable
-    points are needed for a slope.  An (n, k) trace gives an array of k
-    slopes, one per column: every column whose window is positive and
-    finite throughout is fitted by one ``np.polyfit`` over all of them, the
-    others one at a time with their own samples.
+    A window with a non-finite sample (inf or nan) gives nan: an overflowed
+    trace has no algebraic tail.  Otherwise zero samples and the n = 0
+    sample are excluded, and at least two usable points are needed for a
+    slope.  An (n, k) trace gives an array of k slopes, one per column:
+    every column whose window is positive and finite throughout is fitted
+    by one ``np.polyfit`` over all of them, the other finite ones one at a
+    time without their zero samples.
     """
     arr, single = _columns(trace)
     if window < 1 or len(arr) < window:
@@ -146,11 +148,12 @@ def tail_exponent(trace: Sequence[float] | np.ndarray, window: int) -> float | n
     v = arr[-window:]
     usable = n > 0
     x, y = np.log(n[usable]), v[usable]
-    clean = np.all((y > 0.0) & np.isfinite(y), axis=0) & (len(x) >= 2)
+    finite = np.isfinite(v).all(axis=0)
+    clean = finite & np.all(y > 0.0, axis=0) & (len(x) >= 2)
     slopes = np.full(arr.shape[1], np.nan)
     if clean.any():
         slopes[clean] = np.polyfit(x, np.log(y[:, clean]), 1)[0]
-    for j in np.flatnonzero(~clean):
+    for j in np.flatnonzero(finite & ~clean):
         mask = (v[:, j] > 0.0) & usable
         if int(mask.sum()) >= 2:
             slopes[j] = np.polyfit(np.log(n[mask]), np.log(v[mask, j]), 1)[0]

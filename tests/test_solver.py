@@ -34,13 +34,14 @@ from nablafrac import (
 )
 from nablafrac import cli, solver
 from nablafrac.exact import (
+    SOLVE_COST_GUARD,
     oracle_first_order,
     oracle_mittag_leffler,
     oracle_solve,
 )
 from nablafrac.formats import write_trace_csv, write_trace_json
 from nablafrac.grid import _BLOCK
-from nablafrac.solver import _LEAF, _MICRO, _NEAR, _solve_steps
+from nablafrac.solver import _LEAF, _NEAR, _micro_size, _solve_steps
 
 
 def _rel_gap(got: np.ndarray, want: np.ndarray, floor: float = 1.0) -> float:
@@ -494,29 +495,47 @@ def test_fast_history_matches_the_plain_loop(nu, n_max, columns, per_step, seed)
     assert np.max(np.abs(fast - loop)) <= 1e-14 * np.max(np.abs(loop))
 
 
-@pytest.mark.parametrize(
-    "n_max",
-    [1, _MICRO // 2 - 1, _MICRO // 2, _MICRO // 2 + 1, _MICRO - 1, _MICRO, _MICRO + 1]
-    + [k * _LEAF + d for k in (1, 4) for d in (-1, 1, _MICRO // 2 - 1, _MICRO - 1, _NEAR + 1)]
-    + [2 * _LEAF + 3, 8 * _LEAF + 3],
-)
-@pytest.mark.parametrize("columns", [None, 3])
+def _block_edges(m):
+    """Horizons around the edges of micro-blocks of m steps.
+
+    The steps advance m at a time, the first leaf's from step 1; these
+    horizons end on the first step, around the middle of, inside, at the
+    end of and one step past the first micro-block, at the first leaf's last
+    step, one step into the next leaf, in the middle of and inside its first
+    micro-block, just past the lags that cross the leaf edge, the same
+    around the fourth leaf's end, where a merged block of four leaves
+    starts, and a few steps after the merges of two and of eight leaves.
+    """
+    return (
+        [1, m // 2 - 1, m // 2, m // 2 + 1, m - 1, m, m + 1]
+        + [k * _LEAF + d for k in (1, 4) for d in (-1, 1, m // 2 - 1, m - 1, _NEAR + 1)]
+        + [2 * _LEAF + 3, 8 * _LEAF + 3]
+    )
+
+
+# the three problem shapes and their micro-block sizes past the first leaf:
+# one problem with per-step coefficients (None), a batch of three columns (3)
+# and one problem with constant coefficients
+_MICRO_SIZES = {
+    None: _micro_size(np.zeros(_LEAF), False),
+    3: _micro_size(np.zeros((_LEAF, 3)), False),
+    "constant": _micro_size(np.zeros(_LEAF), True),
+}
+
+
+@pytest.mark.parametrize("n_max", sorted({n for m in _MICRO_SIZES.values() for n in _block_edges(m)}))
+@pytest.mark.parametrize("columns", list(_MICRO_SIZES))
 def test_micro_blocks_match_the_plain_loop_at_their_edges(n_max, columns):
-    # the steps advance _MICRO at a time, the first leaf's from step 1; these
-    # horizons end on the first step, around the middle of, inside, at the
-    # end of and one step past the first micro-block, at the first leaf's
-    # last step, one step into the next leaf, in the middle of and inside
-    # its first micro-block, just past the lags that cross the leaf edge,
-    # the same around the fourth leaf's end, where a merged block of four
-    # leaves starts, and a few steps after the merges of two and of eight
-    # leaves.  A horizon inside a micro-block leaves a short last block,
-    # solved by the leading corner of its inverse
+    # every shape at the block edges of every size: its own, and the
+    # others', which fall inside its blocks.  A horizon inside a micro-block
+    # leaves a short last block, solved by the leading corner of its inverse
     rng = np.random.default_rng(n_max)
-    shape = (n_max,) if columns is None else (n_max, columns)
+    shape = (n_max, columns) if columns == 3 else (n_max,)
+    draws = None if columns == "constant" else shape
     nu = 0.7
-    p = rng.uniform(-1.0, 0.0, size=shape)
-    q = rng.uniform(-2.0 * nu, 0.0, size=shape)
-    g = rng.uniform(-1.0, 1.0, size=shape)
+    p = rng.uniform(-1.0, 0.0, size=draws) * np.ones(shape)
+    q = rng.uniform(-2.0 * nu, 0.0, size=draws) * np.ones(shape)
+    g = rng.uniform(-1.0, 1.0, size=draws) * np.ones(shape)
     fast = _solve_steps(p, q, g, nu, 1.5, 0)
     loop = _history_loop(p, q, g, nu, 1.5)
     assert np.max(np.abs(fast - loop)) <= 1e-14 * np.max(np.abs(loop))
@@ -532,9 +551,11 @@ def test_micro_blocks_keep_the_first_nonfinite_step():
     zeros = np.zeros(n_max)
     loop = _history_loop(zeros, np.full(n_max, c), zeros, nu, 1.0)
     first = _first_nonfinite(loop)
-    assert first > 2 * _LEAF and first % _LEAF % _MICRO != 0
-    assert _first_nonfinite(_solve_steps(zeros, np.full(n_max, c), zeros, nu, 1.0, 0)) == first
     coeffs = np.broadcast_to([c, -0.5], (n_max, 2))
+    # not on the first step of a micro-block, alone or in the batch
+    sizes = [_micro_size(np.full(n_max, c), True), _micro_size(coeffs, True)]
+    assert first > 2 * _LEAF and all(first % _LEAF % m != 0 for m in sizes)
+    assert _first_nonfinite(_solve_steps(zeros, np.full(n_max, c), zeros, nu, 1.0, 0)) == first
     batch = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
     assert [_first_nonfinite(column) for column in batch.T] == [first, None]
     with pytest.raises(DivergentSolutionError) as info:
@@ -623,12 +644,12 @@ def test_block_solves_near_overflow_fall_back_to_substitution(nu, c, n_max):
 
 
 def test_block_solves_near_overflow_retry_scaled_first(monkeypatch):
-    # a slowly growing trace: at nu 0.1, c = -1.2 (just below -2^nu) spends
-    # about 140 steps, four micro-blocks and more, between 2^1000 and
+    # a slowly growing trace: at nu 0.1, c = -1.1 (just below -2^nu) spends
+    # about 600 steps, four micro-blocks and more, between 2^1000 and
     # overflow.  Each such block fails the unscaled solve and is solved
     # again with b scaled by a power of two; only the block that overflows
     # is redone step by step
-    nu, c, n_max = 0.1, -1.2, 6000
+    nu, c, n_max = 0.1, -1.1, 26000
     zeros, coeffs = np.zeros(n_max), np.full(n_max, c)
     calls = []
     refined_solve = solver._refined_solve
@@ -642,12 +663,33 @@ def test_block_solves_near_overflow_retry_scaled_first(monkeypatch):
     loop = _history_loop(zeros, coeffs, zeros, nu, 1.0)
     first = _first_nonfinite(loop)
     assert first is not None and _first_nonfinite(fast) == first
-    assert np.sum(np.abs(loop[:first]) >= 2.0**1000) > 4 * _MICRO
+    m = _micro_size(coeffs, True)
+    assert np.sum(np.abs(loop[:first]) >= 2.0**1000) > 4 * m
     assert np.all(np.abs(fast[:first] - loop[:first]) <= 5e-14 * np.abs(loop[:first]))
-    blocks = sum(
-        len(range(max(lo, 1), min(lo + _LEAF, n_max + 1), _MICRO)) for lo in range(0, n_max + 1, _LEAF)
-    )
+    blocks = sum(len(range(max(lo, 1), min(lo + _LEAF, n_max + 1), m)) for lo in range(0, n_max + 1, _LEAF))
     assert len(calls) - blocks >= 4
+
+
+def test_block_solves_near_overflow_substitute_only_the_columns_that_trip(monkeypatch):
+    # c = -50 trips the 2^1000 test even when scaled, so its blocks are
+    # substituted step by step; the decaying column next to it keeps its
+    # block-solved values in those blocks
+    nu, n_max = 0.5, 300
+    zeros = np.zeros(n_max)
+    coeffs = np.broadcast_to([-50.0, -0.3], (n_max, 2))
+    stepped = []
+    substitute = solver._substitute
+
+    def counted(weights, prev, *rows):
+        stepped.append(np.shape(prev))
+        return substitute(weights, prev, *rows)
+
+    monkeypatch.setattr(solver, "_substitute", counted)
+    fast = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
+    loop = _history_loop(zeros, coeffs, zeros, nu, 1.0)
+    assert stepped and all(shape == (1,) for shape in stepped)
+    assert _first_nonfinite(fast[:, 0]) == _first_nonfinite(loop[:, 0]) is not None
+    assert np.max(np.abs(fast[:, 1] - loop[:, 1])) <= 1e-14 * np.max(np.abs(loop[:, 1]))
 
 
 def test_long_solves_free_their_buffers_without_the_cycle_collector():
@@ -670,18 +712,17 @@ def test_long_solves_free_their_buffers_without_the_cycle_collector():
 
 def test_general_solve_matches_exact_oracle():
     # constant coefficients, then per-step dyadic ones (exact as floats); the
-    # horizons end on and around the edges of the first micro-blocks
-    for n_max in (1, _MICRO - 1, _MICRO, _MICRO + 1, 40):
-        steps = range(n_max)
-        cases = [
-            (F(1, 4), F(-1, 2), F(1, 8)),
-            (
+    # horizons end on and around the edge of the first micro-block where the
+    # oracle reaches it (a constant problem's first block is longer)
+    for constant in (True, False):
+        m = _micro_size(np.zeros(SOLVE_COST_GUARD), constant)
+        for n_max in (n for n in (1, m - 1, m, m + 1, 40, SOLVE_COST_GUARD) if n <= SOLVE_COST_GUARD):
+            steps = range(n_max)
+            p, q, g = (F(1, 4), F(-1, 2), F(1, 8)) if constant else (
                 [F(-(k % 5), 8) for k in steps],
                 [F(-1 - k % 3, 4) for k in steps],
                 [F((-1) ** k, 2 ** (1 + k % 4)) for k in steps],
-            ),
-        ]
-        for p, q, g in cases:
+            )
             coeffs = (np.array(x, dtype=float) if isinstance(x, list) else float(x) for x in (p, q, g))
             got = solve_general(LinearProblem(0.75, 0, *coeffs, u0=1.5), n_max).values
             want = np.array([float(v) for v in oracle_solve(F(3, 4), p, q, g, F(3, 2), n_max)])

@@ -136,9 +136,9 @@ def test_batched_classes_and_tails_match_per_column_calls(n_max):
 
 def test_batched_tails_fit_irregular_columns_on_their_own():
     # a zero sample in the window, an overflowed column (inf, then nan), an
-    # inf sample, a nan sample and an all-zero column each take the
-    # per-column path, next to two clean columns, and give exactly what the
-    # 1-D call gives: nan for the overflowed, the inf and the zero columns
+    # inf sample, a nan sample and an all-zero column each leave the shared
+    # fit, next to two clean columns, and give exactly what the 1-D call
+    # gives: nan for the overflowed, the inf, the nan and the zero columns
     n, win = 400, 40
     zero_in_window = _DECAYING.copy()
     zero_in_window[-7] = 0.0
@@ -152,7 +152,7 @@ def test_batched_tails_fit_irregular_columns_on_their_own():
     batch = np.stack(columns, axis=1)
     tails = tail_exponent(batch, win)
     assert tails.tobytes() == np.array([tail_exponent(column, win) for column in columns]).tobytes()
-    assert np.array_equal(np.isnan(tails), [False, False, True, True, False, True, False])
+    assert np.array_equal(np.isnan(tails), [False, False, True, True, True, True, False])
     classes = decay_classify(batch, win)
     assert classes == [decay_classify(column, win) for column in columns]
     assert classes[2:4] == [DecayClass.UNBOUNDED] * 2 and classes[5] is DecayClass.TENDS_TO_ZERO
