@@ -22,16 +22,17 @@ Because the direct weight row is nonzero at every lag for non-integer nu,
 the value (nabla^nu u)(t) depends on every sample u(a+1), ..., u(t): the
 operator has full memory t - a, in contrast to the two-point classical
 nabla.  Each operator output is therefore one whole convolution, of which
-only the first n terms are needed.  It is computed in ``np.longdouble`` in
-blocks of ``_BLOCK`` (512) outputs: each block convolves its own inputs by
-one ``np.convolve``, and the lags across blocks come from a dyadic,
-block-causal FFT, in which the first half of every aligned node of 2s
-points adds to its second half (s = 512, 1024, ...), so the whole head
-costs O(n log n) beyond the blocks' own O(n * 512).  Products, sums and the
-FFTs carry the extended precision (NumPy >= 2.0 transforms long double
-natively) and only the final values are rounded to float64.  An input of at
-most ``_BLOCK`` points is a single ``np.convolve`` and bit-identical to the
-unblocked head; longer ones agree with it to the long-double FFT's rounding,
+only the first n terms are needed.  It is computed in ``np.longdouble`` by
+one near/far split at lag ``_BLOCK`` (512), the rule the stepping core's
+history uses too: one ``np.convolve`` of the first ``_BLOCK`` weights sums
+every lag below it, and the longer lags come from a dyadic, block-causal
+FFT, in which the first half of every aligned node of 2s points adds to its
+second half (s = 512, 1024, ...), so the whole head costs O(n log n) beyond
+the near lags' O(n * 512).  Products, sums and the FFTs carry the extended
+precision (NumPy >= 2.0 transforms long double natively) and only the final
+values are rounded to float64.  An input of at most ``_BLOCK`` points has no
+far lags, so its head is that one ``np.convolve``, bit-identical to the
+unsplit head; longer ones agree with it to the long-double FFT's rounding,
 far below float64's.  Where ``np.longdouble`` is itself 64-bit, this is a
 plain float64 convolution.  An output that overflows float64 raises
 :class:`DivergentSolutionError` at its first non-finite point, not a
@@ -63,8 +64,9 @@ __all__ = [
     "power_rule_check",
 ]
 
-# output block of _convolve_head; inputs of at most this many points are
-# summed in the order of one unblocked np.convolve, so bit for bit as it
+# the near/far split of _convolve_head, and its smallest FFT node half:
+# lags below it are summed by one np.convolve, so inputs of at most this many
+# points are summed bit for bit as the unsplit head
 _BLOCK = 512
 
 
@@ -139,29 +141,27 @@ def _check_positive_order(nu: float) -> None:
 def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=np.longdouble) -> np.ndarray:
     """First ``v.size`` terms of the convolution kernel * v, summed in ``dtype``.
 
-    Entry m is sum_{j<=m} kernel[m - j] v[j].  At most ``_BLOCK`` points are
-    the plain head of one ``np.convolve``.  Longer inputs are cut into blocks
-    of ``_BLOCK``: each block adds its own triangular head by ``np.convolve``,
-    and every lag across blocks comes from a dyadic, block-causal FFT.  At
-    each level s = ``_BLOCK``, 2 ``_BLOCK``, ... the first half of every
-    2s-aligned node adds to its second half through one batched real FFT of
-    size 2s, in ``dtype``; each earlier input block meets each later output
-    block at exactly one level, and no output reads a later input.  The
-    result is rounded to float64; an entry beyond its range rounds to inf,
-    which the caller's ``_require_finite`` reports.
+    Entry m is sum_{j<=m} kernel[m - j] v[j].  One ``np.convolve`` of the
+    first ``_BLOCK`` kernel entries with all of v sums every lag below
+    ``_BLOCK``, so at most ``_BLOCK`` points are the plain head of one
+    ``np.convolve``.  Every lag from ``_BLOCK`` on joins two different
+    blocks of ``_BLOCK`` points and comes from a dyadic, block-causal FFT of
+    the kernel with its first ``_BLOCK`` entries zeroed.  At each level
+    s = ``_BLOCK``, 2 ``_BLOCK``, ... the first half of every 2s-aligned node
+    adds to its second half through one batched real FFT of size 2s, in
+    ``dtype``; each earlier input block meets each later output block at
+    exactly one level, and no output reads a later input.  The result is
+    rounded to float64; an entry beyond its range rounds to inf, which the
+    caller's ``_require_finite`` reports.
     """
     n = v.size
-    if n <= _BLOCK:
-        return np.convolve(kernel[:n].astype(dtype), v.astype(dtype))[:n].astype(float, copy=False)
     # zero-padded to a power-of-two multiple of _BLOCK, so every level's nodes tile it
     size = _BLOCK << math.ceil(math.log2(-(-n // _BLOCK)))
     k, x, out = np.zeros((3, size), dtype=dtype)
     k[:n], x[:n] = kernel[:n], v
-    for lo in range(0, n, _BLOCK):
-        out[lo : lo + _BLOCK] = np.convolve(k[:_BLOCK], x[lo : lo + _BLOCK])[:_BLOCK]
-    # lag 0 reaches only a node's first half, whose outputs are dropped;
-    # leaving it out of the transforms halves their rounding
-    k[0] = 0
+    out[:n] = np.convolve(k[: min(n, _BLOCK)], x[:n])[:n]
+    # the lags below _BLOCK are summed above; the transforms add the rest
+    k[:_BLOCK] = 0
     s = _BLOCK
     while s < n:
         # the nodes whose second half starts before n; rfft pads each first half to 2s

@@ -24,11 +24,11 @@ as its fixed cost of a few array operations weighs against its products: 32
 steps for a batch (the scan), whose every column applies its own inverse, 64
 for one problem with per-step coefficients, whose inverses are formed leaf
 by leaf, and 128 for one with constant coefficients, whose one inverse is
-formed once.  A block near overflow is solved once more with its right-hand
-side scaled by a power of two per column; only the columns that still trip,
-or overflow, are redone by forward substitution, step by step.  Solves of
-every length agree with the plain loop to within 1e-14 max|u| on decaying
-solutions, and overflow at the same step.
+formed once.  A micro-block has two outcomes per column: values that come
+out finite are kept, and a column that does not is redone by forward
+substitution, step by step.  Solves of every length agree with the plain
+loop to within 1e-14 max|u| on decaying solutions, and overflow at the same
+step.
 
 The normalized solution (u0 = 1) is the discrete Mittag-Leffler-type
 sequence produced by :func:`mittag_leffler_seq`; by linearity every solution
@@ -59,8 +59,8 @@ of the stepping core, plus the decay envelope H_{nu-1}(t, rho(a)) for
 fractional solves.  A first-order solve re-applies :func:`nabla_diff`.  A
 fractional solve convolves the direct weight row with the solution mounted
 at index a, i.e. on N_{rho(a)+1}, in float64 by the grid operators'
-head-only convolution (blocks of 512 by ``np.convolve``, the lags across
-them by block-causal FFTs, O(n log n) in all): a defect needs no long
+head-only convolution (the lags below 512 by one ``np.convolve``, the longer
+ones by block-causal FFTs, O(n log n) in all): a defect needs no long
 double, unlike the grid operators, and no term past the head is formed.  The
 solution is scaled by a power of two first and the result back after it,
 both exact, so a finite trace near overflow keeps finite residuals; a
@@ -102,9 +102,6 @@ SINGULAR_PIVOT_TOL = 1e-13
 # lags that every step sums directly, also across a leaf boundary
 _LEAF = 512
 _NEAR = 64
-# a block-solved value this large is solved again from a scaled right-hand
-# side, and redone by substitution if it still reaches it
-_SAFE = 2.0**1000
 
 CoefficientLike = Union[float, Sequence[float], np.ndarray]
 
@@ -306,17 +303,19 @@ def _refined_solve(
 
 
 def _substitute(
-    weights: np.ndarray, prev, q: np.ndarray, g: np.ndarray, pivots: np.ndarray, behind: np.ndarray
+    weights: np.ndarray, prev: float, q: np.ndarray, g: np.ndarray, pivots: np.ndarray, behind: np.ndarray
 ) -> np.ndarray:
-    """One micro-block by forward substitution, one step at a time.
+    """One column of a micro-block by forward substitution, one step at a time.
 
-    Row i of ``q``, ``g``, ``pivots`` and ``behind`` (the lags reaching
+    Entry i of ``q``, ``g``, ``pivots`` and ``behind`` (the lags reaching
     before the block) belongs to the block's step i, and ``prev`` is the
-    value before the block; rows hold one value, or one per stepped column.
+    value before the block.  The steps run in Python floats; only the
+    in-block lags are one dot product each.
     """
-    x = np.empty_like(behind)
-    for i, (qn, gn, pn, hn) in enumerate(zip(q, g, pivots, behind)):
-        near = weights[i:0:-1].dot(x[:i])
+    x = np.empty(len(behind))
+    steps = zip(q.tolist(), g.tolist(), pivots.tolist(), behind.tolist())
+    for i, (qn, gn, pn, hn) in enumerate(steps):
+        near = float(weights[i:0:-1].dot(x[:i]))
         # the history parts are added first: near overflow, q u less one
         # part alone can overflow where the whole history keeps the step
         # finite
@@ -336,8 +335,8 @@ def _solve_steps(
 
     Coefficients have shape (n_max,) or, to step k independent problems at
     once, (n_max, k); ``u`` then has shape (n_max + 1, k).  ``nu=None`` steps
-    the classical nabla, whose lag-2 weight -1 is folded into q; it has no
-    history term.
+    the classical nabla for one problem, whose lag-2 weight -1 is folded
+    into q; it has no history term.
 
     For fractional orders the history sum_{j<n} w[n - j] u[j] is split by
     divide and conquer (Hairer, Lubich and Schlichte, 1985).  The offsets
@@ -369,17 +368,15 @@ def _solve_steps(
     for per-step ones.  The block is x = L^-1 b followed by one refinement
     step x -= L^-1 (L x - b) (:func:`_refined_solve`), whose residual takes
     the in-block lags, the pivots and q u(t - 1) each on its own, never the
-    rounded entry w1 - q; no Python runs per step.  On a growing trace the
-    block products can overflow, or give inf - inf, before the steps do, so
-    a block whose values come out non-finite or at least ``_SAFE`` (2^1000)
-    is solved once more with each column of b scaled by its own power of
-    two and the result scaled back, both exact, as :func:`_add_history`
-    scales.  Only the live columns whose scaled values still trip the test,
-    or come out non-finite once scaled back, are redone by forward
-    substitution (:func:`_substitute`), which alone finds the first
-    non-finite step; the other columns keep their scaled values, and batch
-    columns already non-finite at the block start are left out of both
-    tests.
+    rounded entry w1 - q; no Python runs per step.  Each column then has one
+    of two outcomes.  Values that come out finite are kept: an overflow or
+    inf - inf anywhere in the block products reaches x as inf or nan, so a
+    finite x needs no margin below overflow.  On a growing trace the block
+    products can overflow before the steps do and spread an inf over the
+    block, so a column that comes out non-finite is redone by forward
+    substitution (:func:`_substitute`), one column in Python floats, which
+    alone finds the first non-finite step.  Columns already non-finite at
+    the block start are left out; one problem is a batch of one column.
 
     The cost is O(n_max log^2 n_max) in place of O(n_max^2), and the
     interpreter pays a few array operations per micro-block, not per step.
@@ -403,10 +400,9 @@ def _solve_steps(
     # or the scan's unbounded class), not by NumPy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if nu is None:
-            # one problem steps in Python floats, a batch in rows (views) of its arrays
-            split = iter if columns else np.ndarray.tolist
-            (prev,) = split(u[:1])
-            for n, qn, gn, pn in zip(range(1, n_max + 1), split(q + 1.0), split(g), split(pivots)):
+            # one problem, stepped in Python floats
+            prev = float(u0)
+            for n, qn, gn, pn in zip(range(1, n_max + 1), (q + 1.0).tolist(), g.tolist(), pivots.tolist()):
                 prev = (qn * prev + gn) / pn
                 u[n] = prev
             return u
@@ -443,7 +439,10 @@ def _solve_steps(
             shared = _block_inverses(*rows, toeplitz)
         history = np.zeros(u.shape)
         spectra: dict = {}
-        dead = np.zeros(columns, dtype=bool)
+        # per-column views, in which one problem is a batch of one column,
+        # and the columns already non-finite, which substitution leaves out
+        u2, q2, g2, pivots2 = (c.reshape(len(c), -1) for c in (u, q, g, pivots))
+        dead = np.zeros(u2.shape[1], dtype=bool)
         for lo in range(0, n_max + 1, _LEAF):
             hi = min(lo + _LEAF, n_max + 1)
             if lo:
@@ -462,28 +461,19 @@ def _solve_steps(
                 b[0] += q[s - 1] * u[s - 1]
                 block = (inverse, toeplitz[: e - s, : e - s], pivots[s - 1 : e - 1], q[s : e - 1])
                 x = u[s:e] = _refined_solve(*block, b)
-                # one comparison, which NaN fails too; in a batch, columns
-                # that were already dead at the block start are let through
-                if np.abs(x).max() < _SAFE or (dead | (np.abs(x).max(axis=0) < _SAFE)).all():
+                # one test for the whole block first, as nearly every block
+                # passes it and the per-column test costs a few more calls
+                if np.isfinite(x).all():
                     continue
                 # near overflow the block products can overflow, or give
-                # inf - inf, before the steps do: solve again with each column
-                # of b scaled by its own power of two, and scale back (exact)
-                _, exponent = np.frexp(np.abs(b).max(axis=0))
-                x = _refined_solve(*block, np.ldexp(b, -exponent))
-                u[s:e] = np.ldexp(x, exponent)
-                # a live column that still trips, or overflows once scaled
-                # back, is redone step by step: the block solve spreads an
-                # inf over the block, and only the steps find the first one.
-                # The other columns keep their scaled values
-                fits = (np.abs(x).max(axis=0) < _SAFE) & np.isfinite(u[s:e]).all(axis=0)
-                if (dead | fits).all():
-                    continue
-                # the columns to redo; one problem is redone whole (Ellipsis)
-                redo = np.flatnonzero(~(dead | fits)) if columns else ...
-                rows = (c[s - 1 : e - 1, redo] for c in (q, g, pivots))
-                u[s:e, redo] = _substitute(weights, u[s - 1, redo], *rows, behind[:, redo])
-                dead = ~np.isfinite(u[e - 1])
+                # inf - inf, before the steps do, and spread an inf over the
+                # block: a live column that comes out non-finite is redone
+                # step by step, which alone finds its first non-finite step
+                behind = behind.reshape(e - s, -1)
+                for j in np.flatnonzero(~(dead | np.isfinite(u2[s:e]).all(axis=0))):
+                    steps = (c[s - 1 : e - 1, j] for c in (q2, g2, pivots2))
+                    u2[s:e, j] = _substitute(weights, float(u2[s - 1, j]), *steps, behind[:, j])
+                    dead[j] = not np.isfinite(u2[e - 1, j])
             # free this leaf's inverses before the next leaf builds its own
             del inverses, inverse
     return u

@@ -191,9 +191,10 @@ def test_residuals_see_a_corrupted_step(monkeypatch):
 @pytest.mark.parametrize("n_max", [_BLOCK - 1, _BLOCK, 3 * _BLOCK + 17])
 def test_residual_head_is_one_convolution_up_to_a_block(n_max):
     # the residual re-applies the operator to the first n_max + 1 points in
-    # float64 blocks of _BLOCK outputs: up to one block it is the head of one
-    # full np.convolve, bit for bit; beyond it only the order of the sums
-    # changes, so it stays at the long-double operator's defect
+    # float64, the lags below _BLOCK by one np.convolve: up to _BLOCK points
+    # it is the head of one full np.convolve, bit for bit; beyond it only the
+    # order of the sums changes, so it stays at the long-double operator's
+    # defect
     nu = 0.6
     rng = np.random.default_rng(n_max)
     p = rng.uniform(-1.0, 0.0, size=n_max)
@@ -625,8 +626,8 @@ def test_every_finite_default_scan_column_matches_the_plain_loop():
 
 @pytest.mark.parametrize("nu, c, n_max", [(0.5, -50.0, 300), (0.9, -1000.0, 200)])
 def test_block_solves_near_overflow_fall_back_to_substitution(nu, c, n_max):
-    # a fast-growing trace: the block inverse's entries grow like |c|^31, so
-    # block products overflow steps before the values do.  Such a block is
+    # a fast-growing trace: the block inverse's entries grow like |c|^(m - 1),
+    # so block products overflow steps before the values do.  Such a block is
     # redone step by step, for one problem and in a batch whose first
     # column dies before the second, next to a decaying column
     zeros = np.zeros(n_max)
@@ -643,22 +644,27 @@ def test_block_solves_near_overflow_fall_back_to_substitution(nu, c, n_max):
     assert np.max(np.abs(fast[:, 2] - loop[:, 2])) <= 1e-14 * np.max(np.abs(loop[:, 2]))
 
 
-def test_block_solves_near_overflow_retry_scaled_first(monkeypatch):
+def _spy_substitute(monkeypatch):
+    """Record the (prev, q) of every column that ``_substitute`` steps."""
+    calls = []
+    substitute = solver._substitute
+
+    def spy(weights, prev, q, *rows):
+        calls.append((prev, q))
+        return substitute(weights, prev, q, *rows)
+
+    monkeypatch.setattr(solver, "_substitute", spy)
+    return calls
+
+
+def test_block_solves_near_overflow_keep_every_finite_block(monkeypatch):
     # a slowly growing trace: at nu 0.1, c = -1.1 (just below -2^nu) spends
     # about 600 steps, four micro-blocks and more, between 2^1000 and
-    # overflow.  Each such block fails the unscaled solve and is solved
-    # again with b scaled by a power of two; only the block that overflows
-    # is redone step by step
+    # overflow.  Each of those blocks comes out finite and is kept; only the
+    # block that overflows is redone step by step
     nu, c, n_max = 0.1, -1.1, 26000
     zeros, coeffs = np.zeros(n_max), np.full(n_max, c)
-    calls = []
-    refined_solve = solver._refined_solve
-
-    def counted(*args):
-        calls.append(args)
-        return refined_solve(*args)
-
-    monkeypatch.setattr(solver, "_refined_solve", counted)
+    calls = _spy_substitute(monkeypatch)
     fast = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
     loop = _history_loop(zeros, coeffs, zeros, nu, 1.0)
     first = _first_nonfinite(loop)
@@ -666,30 +672,48 @@ def test_block_solves_near_overflow_retry_scaled_first(monkeypatch):
     m = _micro_size(coeffs, True)
     assert np.sum(np.abs(loop[:first]) >= 2.0**1000) > 4 * m
     assert np.all(np.abs(fast[:first] - loop[:first]) <= 5e-14 * np.abs(loop[:first]))
-    blocks = sum(len(range(max(lo, 1), min(lo + _LEAF, n_max + 1), m)) for lo in range(0, n_max + 1, _LEAF))
-    assert len(calls) - blocks >= 4
+    # the micro-block that holds the first non-finite step, from its leaf's
+    # start (the first leaf's from step 1)
+    lo = max(first // _LEAF * _LEAF, 1)
+    start = lo + (first - lo) // m * m
+    ((prev, steps),) = calls
+    assert prev == fast[start - 1] and len(steps) == min(m, n_max + 1 - start, _LEAF - start % _LEAF)
 
 
 def test_block_solves_near_overflow_substitute_only_the_columns_that_trip(monkeypatch):
-    # c = -50 trips the 2^1000 test even when scaled, so its blocks are
-    # substituted step by step; the decaying column next to it keeps its
-    # block-solved values in those blocks
+    # the c = -50 column's blocks come out non-finite, so they are
+    # substituted step by step, one column at a time; the decaying column
+    # next to it keeps its block-solved values in those blocks
     nu, n_max = 0.5, 300
     zeros = np.zeros(n_max)
     coeffs = np.broadcast_to([-50.0, -0.3], (n_max, 2))
-    stepped = []
-    substitute = solver._substitute
-
-    def counted(weights, prev, *rows):
-        stepped.append(np.shape(prev))
-        return substitute(weights, prev, *rows)
-
-    monkeypatch.setattr(solver, "_substitute", counted)
+    calls = _spy_substitute(monkeypatch)
     fast = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
     loop = _history_loop(zeros, coeffs, zeros, nu, 1.0)
-    assert stepped and all(shape == (1,) for shape in stepped)
+    assert calls and all(np.ndim(prev) == 0 and np.all(q == -50.0) for prev, q in calls)
     assert _first_nonfinite(fast[:, 0]) == _first_nonfinite(loop[:, 0]) is not None
     assert np.max(np.abs(fast[:, 1] - loop[:, 1])) <= 1e-14 * np.max(np.abs(loop[:, 1]))
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_growing_solves_overflow_at_the_plain_loops_step(nu):
+    # growing constant c of three kinds: just below -2^nu, which grows slowly
+    # and so starts near overflow (u0 = 1e300) to overflow within the
+    # horizon; c << -2, whose block inverses hold entries up to |c|^(m - 1)
+    # (inf for c = -1000 alone); and c > 2^nu.
+    # Each column overflows at the plain loop's step, alone and in one batch
+    n_max = 1500
+    zeros = np.zeros(n_max)
+    slow = [-(2**nu) - 0.05, -(2**nu) - 0.2, 2**nu + 0.01]
+    steep = [-3.0, -50.0, -1000.0, 2 * 2**nu]
+    for u0, cs in ((1e300, slow), (1.0, steep)):
+        coeffs = np.broadcast_to(cs, (n_max, len(cs)))
+        firsts = [_first_nonfinite(column) for column in _history_loop(zeros, coeffs, zeros, nu, u0).T]
+        assert None not in firsts
+        batch = _solve_steps(zeros, coeffs, zeros, nu, u0, 0)
+        assert [_first_nonfinite(column) for column in batch.T] == firsts
+        alone = [_solve_steps(zeros, np.full(n_max, c), zeros, nu, u0, 0) for c in cs]
+        assert [_first_nonfinite(column) for column in alone] == firsts
 
 
 def test_long_solves_free_their_buffers_without_the_cycle_collector():
