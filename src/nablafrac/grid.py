@@ -23,20 +23,20 @@ the value (nabla^nu u)(t) depends on every sample u(a+1), ..., u(t): the
 operator has full memory t - a, in contrast to the two-point classical
 nabla.  Each operator output is therefore one whole convolution, of which
 only the first n terms are needed.  It is computed in ``np.longdouble`` by
-one near/far split at lag ``_BLOCK`` (512), the rule the stepping core's
-history uses too: one ``np.convolve`` of the first ``_BLOCK`` weights sums
-every lag below it, and the longer lags come from a dyadic, block-causal
-FFT, in which the first half of every aligned node of 2s points adds to its
-second half (s = 512, 1024, ...), so the whole head costs O(n log n) beyond
-the near lags' O(n * 512).  Products, sums and the FFTs carry the extended
-precision (NumPy >= 2.0 transforms long double natively) and only the final
-values are rounded to float64.  An input of at most ``_BLOCK`` points has no
-far lags, so its head is that one ``np.convolve``, bit-identical to the
-unsplit head; longer ones agree with it to the long-double FFT's rounding,
-far below float64's.  Where ``np.longdouble`` is itself 64-bit, this is a
-plain float64 convolution.  An output that overflows float64 raises
-:class:`DivergentSolutionError` at its first non-finite point, not a
-warning.
+one near/far split at lag ``_BLOCK`` (512): one ``np.convolve`` of the first
+``_BLOCK`` weights sums every lag below it, and the longer lags come from
+the block-causal FFT merge that the solver's stepping core runs on its
+history (:func:`_far_lags`, with the same schedule: at every multiple e of
+512, the last 512 * 2^i points before e add to the next as many), so the
+whole head costs O(n log^2 n) beyond the near lags' O(n * 512).  Products,
+sums and the FFTs carry the extended precision (NumPy >= 2.0 transforms
+long double natively) and only the final values are rounded to float64.
+An input of at most ``_BLOCK`` points has no far lags, so its head is that
+one ``np.convolve``, bit-identical to the unsplit head; longer ones agree
+with it to the long-double FFT's rounding, far below float64's.  Where
+``np.longdouble`` is itself 64-bit, this is a plain float64 convolution.
+An output that overflows float64 raises :class:`DivergentSolutionError` at
+its first non-finite point, not a warning.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ __all__ = [
     "power_rule_check",
 ]
 
-# the near/far split of _convolve_head, and its smallest FFT node half:
+# the near/far split of _convolve_head, and its smallest FFT merge block:
 # lags below it are summed by one np.convolve, so inputs of at most this many
 # points are summed bit for bit as the unsplit head
 _BLOCK = 512
@@ -137,6 +137,37 @@ def _check_positive_order(nu: float) -> None:
         raise ValueError(f"order must be positive and finite, got {nu}")
 
 
+def _far_lags(
+    source: np.ndarray, weights: np.ndarray, near: int, count: int, spectra: dict
+) -> np.ndarray:
+    """The far lags of a block of b points at the ``count`` <= b points after it.
+
+    Entry i is sum_j weights[b + i - j] source[j] over the lags
+    b + i - j >= ``near``: the history that ``source`` adds to the point i
+    after its end.  ``weights[d]`` is the weight at lag d, and a lag past
+    its end weighs 0.  It is one real FFT of size 2b along axis 0, so a
+    (b, k) source is k columns at once, in the dtype of the inputs.  The
+    kernel is ``weights[1:2b]`` with the lags below ``near`` zeroed, so the
+    product's entry b - 1 + i holds lag b + i - j, and the circular wrap of
+    the lags up to 2b - 1 lands only on the first b - 1 entries, which are
+    dropped.  ``spectra`` caches the kernel's spectrum by b, for one weight
+    row, one ``near`` and one ``source.ndim``.
+    """
+    b = len(source)
+    kernel = spectra.get(b)
+    if kernel is None:
+        lags = weights[1 : 2 * b].copy()
+        lags[: near - 1] = 0
+        kernel = spectra[b] = np.fft.rfft(lags, 2 * b).reshape((-1,) + (1,) * (source.ndim - 1))
+    # in place where it can be, and a caller's scaled copy of the source
+    # freed before the inverse: a batch's transforms are the largest
+    # temporaries of a solve
+    spectrum = np.fft.rfft(source, 2 * b, axis=0)
+    del source
+    spectrum *= kernel
+    return np.fft.irfft(spectrum, 2 * b, axis=0)[b - 1 : b - 1 + count]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=np.longdouble) -> np.ndarray:
     """First ``v.size`` terms of the convolution kernel * v, summed in ``dtype``.
@@ -144,33 +175,25 @@ def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=np.longdouble) -> np
     Entry m is sum_{j<=m} kernel[m - j] v[j].  One ``np.convolve`` of the
     first ``_BLOCK`` kernel entries with all of v sums every lag below
     ``_BLOCK``, so at most ``_BLOCK`` points are the plain head of one
-    ``np.convolve``.  Every lag from ``_BLOCK`` on joins two different
-    blocks of ``_BLOCK`` points and comes from a dyadic, block-causal FFT of
-    the kernel with its first ``_BLOCK`` entries zeroed.  At each level
-    s = ``_BLOCK``, 2 ``_BLOCK``, ... the first half of every 2s-aligned node
-    adds to its second half through one batched real FFT of size 2s, in
-    ``dtype``; each earlier input block meets each later output block at
-    exactly one level, and no output reads a later input.  The result is
+    ``np.convolve``.  Every longer lag joins two different blocks of
+    ``_BLOCK`` points and comes from the stepping core's block-causal
+    schedule: at every multiple e of ``_BLOCK``, the last ``_BLOCK * 2^i``
+    points before e, with 2^i the largest power of two dividing
+    e / ``_BLOCK``, add their lags from ``_BLOCK`` on to the next as many
+    points by :func:`_far_lags`.  Each earlier block meets each later one at
+    exactly one merge, and no output reads a later input.  The result is
     rounded to float64; an entry beyond its range rounds to inf, which the
     caller's ``_require_finite`` reports.
     """
     n = v.size
-    # zero-padded to a power-of-two multiple of _BLOCK, so every level's nodes tile it
-    size = _BLOCK << math.ceil(math.log2(-(-n // _BLOCK)))
-    k, x, out = np.zeros((3, size), dtype=dtype)
-    k[:n], x[:n] = kernel[:n], v
-    out[:n] = np.convolve(k[: min(n, _BLOCK)], x[:n])[:n]
-    # the lags below _BLOCK are summed above; the transforms add the rest
-    k[:_BLOCK] = 0
-    s = _BLOCK
-    while s < n:
-        # the nodes whose second half starts before n; rfft pads each first half to 2s
-        span = -(-(n - s) // (2 * s)) * 2 * s
-        spectrum = np.fft.rfft(x[:span].reshape(-1, 2 * s)[:, :s], 2 * s)
-        spectrum *= np.fft.rfft(k[: 2 * s])
-        out[:span].reshape(-1, 2 * s)[:, s:] += np.fft.irfft(spectrum, 2 * s)[:, s:]
-        s *= 2
-    return out[:n].astype(float)
+    kernel, v = kernel[:n].astype(dtype), v.astype(dtype)
+    out = np.convolve(kernel[:_BLOCK], v)[:n]
+    spectra: dict = {}
+    for e in range(_BLOCK, n, _BLOCK):
+        blocks = e // _BLOCK
+        b = _BLOCK * (blocks & -blocks)
+        out[e : e + b] += _far_lags(v[e - b : e], kernel, _BLOCK, min(b, n - e), spectra)
+    return out.astype(float)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -16,7 +16,8 @@ with one full-history sum per step costs O(n^2).  The stepping core instead
 splits the history by divide and conquer: leaves of ``_LEAF`` (512) points
 sum their own history, and the nearest lags, directly, and each finished
 block adds the rest of its history to the following block by one FFT
-convolution, O(n log^2 n) in all.  Every leaf advances in micro-blocks: one
+convolution, O(n log^2 n) in all.  That merge, ``grid._far_lags``, is the
+one the grid operators' heads run too.  Every leaf advances in micro-blocks: one
 matrix product adds the history before the micro-block, and its own steps
 are one lower-triangular system, solved by an inverse formed before stepping
 and one refinement step.  A micro-block's size follows the problem's shape,
@@ -57,11 +58,12 @@ Every returned :class:`SolutionTrace` carries per-step residuals obtained by
 re-applying the difference operator to the computed solution, independently
 of the stepping core, plus the decay envelope H_{nu-1}(t, rho(a)) for
 fractional solves.  A first-order solve re-applies :func:`nabla_diff`.  A
-fractional solve convolves the direct weight row with the solution mounted
-at index a, i.e. on N_{rho(a)+1}, in float64 by the grid operators'
-head-only convolution (the lags below 512 by one ``np.convolve``, the longer
-ones by block-causal FFTs, O(n log n) in all): a defect needs no long
-double, unlike the grid operators, and no term past the head is formed.  The
+fractional solve convolves the direct weight row that it stepped with
+(formed once per solve) with the solution mounted at index a, i.e. on
+N_{rho(a)+1}, in float64 by the grid operators' head-only convolution (the
+lags below 512 by one ``np.convolve``, the longer ones by the stepping
+core's FFT merges, O(n log^2 n) in all): a defect needs no long double,
+unlike the grid operators, and no term past the head is formed.  The
 solution is scaled by a power of two first and the result back after it,
 both exact, so a finite trace near overflow keeps finite residuals; a
 re-application that still overflows raises :class:`DivergentSolutionError`.
@@ -79,7 +81,7 @@ import math
 
 import numpy as np
 
-from .grid import GridFunction, _convolve_head, _require_finite, nabla_diff
+from .grid import GridFunction, _convolve_head, _far_lags, _require_finite, nabla_diff
 from .monomial import convolution_weights, monomial_sequence
 
 __all__ = [
@@ -166,42 +168,6 @@ def envelope_sequence(nu: float, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     return monomial_sequence(nu - 1.0, n_max + 1)[1:]
-
-
-def _add_history(
-    history: np.ndarray, u: np.ndarray, weights: np.ndarray, end: int, block: int, spectra: dict
-) -> None:
-    """Add the far history of u[end - block:end] to the steps end, ..., end + block - 1.
-
-    ``history[n] += sum weights[n - j] u[j]`` over j in [end - block, end)
-    with lag n - j > ``_NEAR``, for the steps that exist, as one real-FFT
-    convolution of size 2 * block along axis 0, which also covers a batch of
-    columns.  The FFT's rounding scales with the norm of the kernel, which
-    the first lags dominate (lag 1 weighs -nu); leaving them to the steps'
-    direct sums keeps that rounding from piling up over the slowly decaying
-    memory of orders near 1.  Each column is scaled by its own power of two
-    before the transform and back after it (exact), so a column near
-    overflow neither overflows in the transform nor sets the scale of the
-    others.  ``spectra`` holds this solve's kernel spectra by block size.
-    """
-    size = 2 * block
-    stop = min(end + block, len(u))
-    kernel = spectra.get(block)
-    if kernel is None:
-        lags = weights[1:size].copy()
-        lags[:_NEAR] = 0.0
-        kernel = np.fft.rfft(lags, size).reshape((-1,) + (1,) * (u.ndim - 1))
-        spectra[block] = kernel
-    source = u[end - block : end]
-    _, exponent = np.frexp(np.max(np.abs(source), axis=0))
-    # in place where it can be: a batch's transforms are the largest
-    # temporaries of a solve
-    spectrum = np.fft.rfft(np.ldexp(source, -exponent), size, axis=0)
-    spectrum *= kernel
-    # lag n - j runs from 1 to size - 1, so the circular wrap of a size-2*block
-    # transform lands only on the discarded first block - 1 outputs
-    tail = np.fft.irfft(spectrum, size, axis=0)[block - 1 : block - 1 + stop - end]
-    history[end:stop] += np.ldexp(tail, exponent, out=tail)
 
 
 def _micro_size(q: np.ndarray, constant: bool) -> int:
@@ -327,14 +293,16 @@ def _solve_steps(
     p: np.ndarray,
     q: np.ndarray,
     g: np.ndarray,
-    nu: float | None,
+    weights: np.ndarray | None,
     u0: float,
     base: int,
 ) -> np.ndarray:
     """The stepping core, time-major: ``u[n]`` is the solution at offset n.
 
     Coefficients have shape (n_max,) or, to step k independent problems at
-    once, (n_max, k); ``u`` then has shape (n_max + 1, k).  ``nu=None`` steps
+    once, (n_max, k); ``u`` then has shape (n_max + 1, k).  ``weights`` is
+    the direct weight row ``convolution_weights(nu, n_max + 1)`` of a
+    fractional order nu, formed once by the caller; ``weights=None`` steps
     the classical nabla for one problem, whose lag-2 weight -1 is folded
     into q; it has no history term.
 
@@ -342,22 +310,28 @@ def _solve_steps(
     divide and conquer (Hairer, Lubich and Schlichte, 1985).  The offsets
     0..n_max fall into leaves of ``_LEAF`` points.  When a leaf ends at
     offset e, the block of the last ``_LEAF * 2^i`` points before e, with
-    2^i the largest power of two dividing e / ``_LEAF``, adds the history
-    at lags beyond ``_NEAR`` to the next as many points by one FFT
-    convolution (:func:`_add_history`): the left-half-into-right-half step
-    of a recursive halving, in loop form.  Every other lag is summed
-    directly, the same way in every leaf: each leaf but the first starts
-    with one dense product that adds the lags of at most ``_NEAR`` crossing
-    its edge, then the leaf advances m steps at a time (the first leaf from
-    step 1, past u0).  One matrix product adds the in-leaf history before
-    the micro-block to all of its steps.  The size m is picked by
-    :func:`_micro_size` from the problem's shape: each micro-block costs a
-    few array operations whatever m is, while its products grow with m, and
-    how fast depends on the shape.  A batch keeps 32 steps, as each of its k
-    columns applies its own inverse (k m^2 per block); one problem with
-    per-step coefficients takes 64, as its inverses cost about m^3 / 3 per
-    block; one with constant coefficients takes 128, as its one inverse is
-    formed once per solve.
+    2^i the largest power of two dividing e / ``_LEAF``, adds the history at
+    lags beyond ``_NEAR`` to the next as many points by one FFT convolution
+    (:func:`grid._far_lags`, the merge the grid operators' heads use too):
+    the left-half-into-right-half step of a recursive halving, in loop form.
+    The FFT's rounding scales with the norm of the kernel, which the first
+    lags dominate (lag 1 weighs -nu); leaving them to the direct sums keeps
+    that rounding from piling up over the slowly decaying memory of orders
+    near 1.  Each column is scaled by its own power of two before the
+    transform and back after it (exact), so a column near overflow neither
+    overflows in the transform nor sets the scale of the others.  Every
+    other lag is summed directly, the same way in every leaf: each leaf but
+    the first starts with one dense product that adds the lags of at most
+    ``_NEAR`` crossing its edge, then the leaf advances m steps at a time
+    (the first leaf from step 1, past u0).  One matrix product adds the
+    in-leaf history before the micro-block to all of its steps.  The size m
+    is picked by :func:`_micro_size` from the problem's shape: each
+    micro-block costs a few array operations whatever m is, while its
+    products grow with m, and how fast depends on the shape.  A batch keeps
+    32 steps, as each of its k columns applies its own inverse (k m^2 per
+    block); one problem with per-step coefficients takes 64, as its inverses
+    cost about m^3 / 3 per block; one with constant coefficients takes 128,
+    as its one inverse is formed once per solve.
 
     The micro-block's m steps are then one lower-triangular system L x = b:
     the pivots 1 - p on the diagonal, w1 - q below it and the weight w_k k
@@ -383,7 +357,7 @@ def _solve_steps(
     The values differ from the plain loop only by the order of their sums
     and the rounding of the block inverses and of the FFTs, within 1e-14 *
     max|u| on decaying solutions, and overflow at the same step.
-    ``nu=None`` steps the same float recurrence with no history.
+    ``weights=None`` steps the same float recurrence with no history.
     """
     n_max = len(q)
     columns = np.shape(q)[1:]
@@ -399,7 +373,7 @@ def _solve_steps(
     # an overflowing trace is reported by its callers (DivergentSolutionError,
     # or the scan's unbounded class), not by NumPy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if nu is None:
+        if weights is None:
             # one problem, stepped in Python floats
             prev = float(u0)
             for n, qn, gn, pn in zip(range(1, n_max + 1), (q + 1.0).tolist(), g.tolist(), pivots.tolist()):
@@ -408,7 +382,6 @@ def _solve_steps(
             return u
         if not n_max:
             return u
-        weights = convolution_weights(nu, n_max + 1)
         # the block matrices depend on the coefficients alone: one inverse per
         # column serves every block of a constant-coefficient solve, per-step
         # coefficients get one stack of inverses per leaf.  Their size m, the
@@ -447,7 +420,14 @@ def _solve_steps(
             hi = min(lo + _LEAF, n_max + 1)
             if lo:
                 leaves = lo // _LEAF
-                _add_history(history, u, weights, lo, _LEAF * (leaves & -leaves), spectra)
+                block = _LEAF * (leaves & -leaves)
+                source = u[lo - block : lo]
+                _, exponent = np.frexp(np.max(np.abs(source), axis=0))
+                count = min(block, n_max + 1 - lo)
+                far = _far_lags(np.ldexp(source, -exponent), weights, _NEAR + 1, count, spectra)
+                history[lo : lo + count] += np.ldexp(far, exponent, out=far)
+                # the merge's transform buffer is not kept through the leaf
+                del far
                 history[lo : lo + _NEAR] += crossing[: hi - lo].dot(u[lo - _NEAR : lo])
             # the first leaf's first micro-block starts at step 1, past u0
             starts = range(max(lo, 1), hi, m)
@@ -495,7 +475,7 @@ def mittag_leffler_seq(
     _check_unit_order(nu)
     carr = coefficient_array(c, n_max)
     zeros = np.zeros(n_max)
-    return _solve_steps(zeros, carr, zeros, nu, 1.0, base)
+    return _solve_steps(zeros, carr, zeros, convolution_weights(nu, n_max + 1), 1.0, base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,7 +542,9 @@ def _solve(
     if not math.isfinite(u0):
         raise ValueError(f"u0 must be finite, got {u0}")
     p, q, g = (coefficient_array(x, n_max) for x in (p, q, g))
-    u = _solve_steps(p, q, g, nu, u0, base)
+    # one weight row serves the stepping and the re-application
+    weights = None if nu is None else convolution_weights(nu, n_max + 1)
+    u = _solve_steps(p, q, g, weights, u0, base)
     _require_finite(u, base)
     # independent re-application; the direct operator based at rho(base)
     # consumes the solution mounted on N_base = N_{rho(base)+1}, and only its
@@ -573,7 +555,6 @@ def _solve(
         # a float64 convolution head: a defect needs no long double.  u
         # is scaled by a power of two (exact) so a trace near overflow stays finite
         _, exponent = np.frexp(np.max(np.abs(u)))
-        weights = convolution_weights(nu, n_max + 1)
         head = _convolve_head(weights, np.ldexp(u, -exponent), float)
         with np.errstate(over="ignore"):
             applied = np.ldexp(head, exponent)

@@ -35,6 +35,7 @@ import math
 
 import numpy as np
 
+from .monomial import convolution_weights
 from .solver import (
     CoefficientLike,
     FirstOrderForm,
@@ -282,7 +283,7 @@ def _scan_order(nu: float, cs: list[float], n_max: int, win: int) -> list[ScanCe
     """Step every coefficient of one order together, then classify and fit all columns."""
     zeros = np.zeros(n_max)
     coeffs = np.broadcast_to(np.asarray(cs), (n_max, len(cs)))
-    traces = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
+    traces = _solve_steps(zeros, coeffs, zeros, convolution_weights(nu, n_max + 1), 1.0, 0)
     classes = decay_classify(traces, win)
     tails = tail_exponent(traces, win).tolist()
     return [ScanCell(nu, c, cls, tail) for c, cls, tail in zip(cs, classes, tails)]

@@ -29,7 +29,7 @@ from nablafrac.exact import (
     oracle_nabla_sum,
 )
 from nablafrac.formats import GridCsvError, read_grid_csv, write_grid_csv
-from nablafrac.grid import _BLOCK, _convolve_head
+from nablafrac.grid import _BLOCK, _convolve_head, _far_lags
 
 
 def _common_domain_gap(direct, composed):
@@ -282,9 +282,47 @@ def test_one_block_heads_are_bit_identical_to_the_full_convolution(nu):
     "n", [_BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 17, 2 * _BLOCK, 4 * _BLOCK + 1, 5000]
 )
 def test_blocked_heads_match_the_full_convolution(nu, n):
+    # the long-double head, as the operators run it, and the float64 head of
+    # the solve residuals, in units of the largest output
     v = np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
     kernel = _kernel(nu, n)
-    assert _max_rel(_convolve_head(kernel, v), _full_head(kernel, v)) <= 1e-12
+    full = _full_head(kernel, v)
+    assert _max_rel(_convolve_head(kernel, v), full) <= 1e-12
+    assert np.max(np.abs(_convolve_head(kernel, v, float) - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+def _far_lags_loop(source, weights, near, count):
+    """The far lags by their definition, one long-double sum over the sources per output."""
+    b = len(source)
+    lagged = np.zeros(2 * b, dtype=np.longdouble)
+    lagged[near : len(weights)] = weights[near : 2 * b]
+    source = source.astype(np.longdouble)
+    out = np.empty((count,) + source.shape[1:], dtype=np.longdouble)
+    for i in range(count):
+        # source j reaches output i at lag b + i - j
+        out[i] = lagged[b + i : i : -1].dot(source)
+    return out
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.longdouble, 1e-18), (float, 1e-15)])
+@pytest.mark.parametrize("near", [65, _BLOCK])
+@pytest.mark.parametrize("columns", [(), (3,)])
+def test_far_lags_match_the_direct_sum(dtype, bound, near, columns):
+    # one block of b points into the next b, and into the first 100 points
+    # of a last, partial block, whose weight row ends at the last lag it
+    # needs.  The bound is relative to the largest sum of |w| |x| at a point
+    b, rng = _BLOCK, np.random.default_rng(near)
+    source = rng.uniform(-1.0, 1.0, size=(b,) + columns).astype(dtype)
+    for count in (b, 100):
+        weights = convolution_weights(0.7, b + count).astype(dtype)
+        want = _far_lags_loop(source, weights, near, count)
+        scale = np.max(_far_lags_loop(np.abs(source), np.abs(weights), near, count))
+        spectra: dict = {}
+        for _ in range(2):  # the second call reads the cached spectrum
+            got = _far_lags(source, weights, near, count, spectra)
+            assert got.shape == want.shape and got.dtype == dtype
+            assert np.max(np.abs(got - want)) <= bound * scale
+        assert list(spectra) == [b]
 
 
 def test_memory_crosses_block_edges():
@@ -304,13 +342,14 @@ def test_memory_crosses_block_edges():
     "n, bump",
     [
         (5000, 4900),  # in the last, partial block
-        (5000, 2 * _BLOCK),  # offset 1024, right after the middle of a 4-block node
-        (5000, 2 * _BLOCK - 1),  # the last input of that node's first half
+        (5000, 2 * _BLOCK),  # offset 1024, the first point the 2-block merge reaches
+        (5000, 2 * _BLOCK - 1),  # the last input of that merge's source block
         (4 * _BLOCK + 1, 4 * _BLOCK),  # the last point, alone in its block
     ],
 )
 def test_memory_stays_causal_across_fft_levels(n, bump):
-    # the cross-block lags come from FFTs over 2s-aligned nodes: a bump
+    # the cross-block lags come from FFT merges of aligned blocks of
+    # _BLOCK * 2^i points into the next as many: a bump
     # changes every output from its own point on and none before it
     vals = np.random.default_rng(41).uniform(-1.0, 1.0, size=n)
     bumped = vals.copy()

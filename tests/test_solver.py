@@ -491,7 +491,7 @@ def test_fast_history_matches_the_plain_loop(nu, n_max, columns, per_step, seed)
         for (lo, hi), steps in zip(ranges, per_step)
     )
     u0 = rng.uniform(-2.0, 2.0)
-    fast = _solve_steps(p, q, g, nu, u0, 0)
+    fast = _solve_steps(p, q, g, convolution_weights(nu, n_max + 1), u0, 0)
     loop = _history_loop(p, q, g, nu, u0)
     assert np.max(np.abs(fast - loop)) <= 1e-14 * np.max(np.abs(loop))
 
@@ -537,7 +537,7 @@ def test_micro_blocks_match_the_plain_loop_at_their_edges(n_max, columns):
     p = rng.uniform(-1.0, 0.0, size=draws) * np.ones(shape)
     q = rng.uniform(-2.0 * nu, 0.0, size=draws) * np.ones(shape)
     g = rng.uniform(-1.0, 1.0, size=draws) * np.ones(shape)
-    fast = _solve_steps(p, q, g, nu, 1.5, 0)
+    fast = _solve_steps(p, q, g, convolution_weights(nu, n_max + 1), 1.5, 0)
     loop = _history_loop(p, q, g, nu, 1.5)
     assert np.max(np.abs(fast - loop)) <= 1e-14 * np.max(np.abs(loop))
 
@@ -556,8 +556,9 @@ def test_micro_blocks_keep_the_first_nonfinite_step():
     # not on the first step of a micro-block, alone or in the batch
     sizes = [_micro_size(np.full(n_max, c), True), _micro_size(coeffs, True)]
     assert first > 2 * _LEAF and all(first % _LEAF % m != 0 for m in sizes)
-    assert _first_nonfinite(_solve_steps(zeros, np.full(n_max, c), zeros, nu, 1.0, 0)) == first
-    batch = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
+    weights = convolution_weights(nu, n_max + 1)
+    assert _first_nonfinite(_solve_steps(zeros, np.full(n_max, c), zeros, weights, 1.0, 0)) == first
+    batch = _solve_steps(zeros, coeffs, zeros, weights, 1.0, 0)
     assert [_first_nonfinite(column) for column in batch.T] == [first, None]
     with pytest.raises(DivergentSolutionError) as info:
         solve_lagged(c, nu, 1.0, n_max, base=3)
@@ -584,7 +585,7 @@ def test_fast_history_keeps_the_first_nonfinite_step_across_merges():
     cs = np.array([-4.5, -2.0, -2.077, -0.5])
     zeros = np.zeros(n_max)
     coeffs = np.broadcast_to(cs, (n_max, cs.size))
-    fast = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
+    fast = _solve_steps(zeros, coeffs, zeros, convolution_weights(nu, n_max + 1), 1.0, 0)
     loop = _history_loop(zeros, coeffs, zeros, nu, 1.0)
     firsts = [_first_nonfinite(column) for column in loop.T]
     assert [_first_nonfinite(column) for column in fast.T] == firsts
@@ -614,7 +615,7 @@ def test_every_finite_default_scan_column_matches_the_plain_loop():
     coeffs = np.broadcast_to(cs, (n_max, len(cs)))
     checked = 0
     for nu in nus:
-        fast = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
+        fast = _solve_steps(zeros, coeffs, zeros, convolution_weights(nu, n_max + 1), 1.0, 0)
         loop = _history_loop(zeros, coeffs, zeros, nu, 1.0)
         finite = np.all(np.isfinite(loop), axis=0)
         assert np.array_equal(np.all(np.isfinite(fast), axis=0), finite)
@@ -633,8 +634,9 @@ def test_block_solves_near_overflow_fall_back_to_substitution(nu, c, n_max):
     zeros = np.zeros(n_max)
     single = np.full(n_max, c)
     batch = np.broadcast_to([c, c / 2, -0.3], (n_max, 3))
+    weights = convolution_weights(nu, n_max + 1)
     for coeffs in (single, batch):
-        fast = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0).reshape(n_max + 1, -1)
+        fast = _solve_steps(zeros, coeffs, zeros, weights, 1.0, 0).reshape(n_max + 1, -1)
         loop = _history_loop(zeros, coeffs, zeros, nu, 1.0).reshape(n_max + 1, -1)
         for got, want in zip(fast.T[:2], loop.T[:2]):
             first = _first_nonfinite(want)
@@ -665,7 +667,7 @@ def test_block_solves_near_overflow_keep_every_finite_block(monkeypatch):
     nu, c, n_max = 0.1, -1.1, 26000
     zeros, coeffs = np.zeros(n_max), np.full(n_max, c)
     calls = _spy_substitute(monkeypatch)
-    fast = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
+    fast = _solve_steps(zeros, coeffs, zeros, convolution_weights(nu, n_max + 1), 1.0, 0)
     loop = _history_loop(zeros, coeffs, zeros, nu, 1.0)
     first = _first_nonfinite(loop)
     assert first is not None and _first_nonfinite(fast) == first
@@ -688,7 +690,7 @@ def test_block_solves_near_overflow_substitute_only_the_columns_that_trip(monkey
     zeros = np.zeros(n_max)
     coeffs = np.broadcast_to([-50.0, -0.3], (n_max, 2))
     calls = _spy_substitute(monkeypatch)
-    fast = _solve_steps(zeros, coeffs, zeros, nu, 1.0, 0)
+    fast = _solve_steps(zeros, coeffs, zeros, convolution_weights(nu, n_max + 1), 1.0, 0)
     loop = _history_loop(zeros, coeffs, zeros, nu, 1.0)
     assert calls and all(np.ndim(prev) == 0 and np.all(q == -50.0) for prev, q in calls)
     assert _first_nonfinite(fast[:, 0]) == _first_nonfinite(loop[:, 0]) is not None
@@ -706,13 +708,14 @@ def test_growing_solves_overflow_at_the_plain_loops_step(nu):
     zeros = np.zeros(n_max)
     slow = [-(2**nu) - 0.05, -(2**nu) - 0.2, 2**nu + 0.01]
     steep = [-3.0, -50.0, -1000.0, 2 * 2**nu]
+    weights = convolution_weights(nu, n_max + 1)
     for u0, cs in ((1e300, slow), (1.0, steep)):
         coeffs = np.broadcast_to(cs, (n_max, len(cs)))
         firsts = [_first_nonfinite(column) for column in _history_loop(zeros, coeffs, zeros, nu, u0).T]
         assert None not in firsts
-        batch = _solve_steps(zeros, coeffs, zeros, nu, u0, 0)
+        batch = _solve_steps(zeros, coeffs, zeros, weights, u0, 0)
         assert [_first_nonfinite(column) for column in batch.T] == firsts
-        alone = [_solve_steps(zeros, np.full(n_max, c), zeros, nu, u0, 0) for c in cs]
+        alone = [_solve_steps(zeros, np.full(n_max, c), zeros, weights, u0, 0) for c in cs]
         assert [_first_nonfinite(column) for column in alone] == firsts
 
 

@@ -13,6 +13,7 @@ from nablafrac import (
     LinearProblem,
     bound_check,
     compare_orders,
+    convolution_weights,
     criterion_check,
     decay_classify,
     default_window,
@@ -121,8 +122,9 @@ def test_batched_classes_and_tails_match_per_column_calls(n_max):
     cs = np.round(np.arange(-2.0, 0.5001, 0.05), 10)
     zeros = np.zeros(n_max)
     win = default_window(n_max + 1)
+    coeffs = np.broadcast_to(cs, (n_max, cs.size))
     for nu in np.round(np.arange(0.1, 0.95, 0.1), 10):
-        traces = _solve_steps(zeros, np.broadcast_to(cs, (n_max, cs.size)), zeros, nu, 1.0, 0)
+        traces = _solve_steps(zeros, coeffs, zeros, convolution_weights(nu, n_max + 1), 1.0, 0)
         classes = decay_classify(traces, win)
         tails = tail_exponent(traces, win)
         assert classes == [decay_classify(column, win) for column in traces.T]
