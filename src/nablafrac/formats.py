@@ -15,8 +15,11 @@ with the indented item separator.  Only one chunk's text is held at a time.
 
 from __future__ import annotations
 
+import io
 import json
-from itertools import chain, compress, count, islice, repeat
+import math
+import warnings
+from itertools import chain, islice
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -47,6 +50,11 @@ class GridCsvError(ValueError):
 _CHUNK = 1024
 # the items of an indent-2 list one level down, as json.dump(indent=2) lays them out
 _LIST_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+# one parsed grid CSV row
+_ROW = np.dtype([("index", np.int64), ("value", np.float64)])
+# np.loadtxt reads the ASCII separators \x1c-\x1f, and many non-ASCII
+# characters, as blanks inside a field, where int() and float() refuse them
+_NOT_BULK = "#\x1c\x1d\x1e\x1f"
 
 
 def write_table(stream: IO[str], header: str, *columns: Iterable) -> None:
@@ -107,66 +115,78 @@ def read_grid_csv(stream: IO[str]) -> GridFunction:
     of :func:`write_grid_csv` round-trips.  Indices must be consecutive and
     ascending; errors name the offending line number.
 
-    The rows are parsed in bulk: the body is split on commas once, indices
-    convert with ``int`` and values with one ``float`` array, and the checks
-    are array comparisons.  Only a malformed stream pays for finding its
-    first bad row, which gets the error the row-by-row checks would give:
-    two fields, an integer index, a finite value, the consecutive run.
+    After the header, the rows of an ASCII text are parsed in bulk by
+    ``np.loadtxt`` into an int64 index and a float64 value, and checked by
+    array comparisons: a non-empty body with no ``#`` and no separator
+    character U+001C to U+001F, finite values and a consecutive index run.
+    Anything NumPy rejects or the checks refuse goes to the row-by-row
+    parse, which raises the error of the first bad row, or accepts what
+    ``int`` and ``float`` read and NumPy does not: ``_`` digit separators,
+    non-ASCII digits, whitespace-only lines and indices past int64.
     """
-    lines = list(map(str.strip, stream.read().split("\n")))
-    kept = [line != "" and line[0] != "#" for line in lines]
-    data = list(compress(lines, kept))
-    if not data:
+    text = stream.read()
+    lines = io.StringIO(text)
+    # the header is the first line that is neither blank nor a comment
+    for number, line in enumerate(iter(lines.readline, ""), 1):
+        header = line.strip()
+        if header and header[0] != "#":
+            break
+    else:
         raise GridCsvError("line 1: missing 'index,value' header")
-    header, rows = data[0], data[1:]
     if header.lower() != "index,value":
-        number = next(compress(count(1), kept))
         raise GridCsvError(f"line {number}: expected header 'index,value', got {header!r}")
-    if not rows:
-        raise GridCsvError("no data rows after the header")
-    # the rows before the first without exactly one comma pair up in the tokens
-    commas = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.intp, count=len(rows))
-    unpaired = np.flatnonzero(commas != 1)
-    paired = int(unpaired[0]) if unpaired.size else len(rows)
-    tokens = ",".join(rows[:paired]).split(",") if paired else []
-    # each failure as (row, check order, message); the first row wins, then the first check
-    failures = [] if paired == len(rows) else [(paired, 0, f"expected 'index,value', got {rows[paired]!r}")]
-    try:
-        indices = list(map(int, tokens[0::2]))
-    except ValueError:
-        bad = _first_rejected(int, tokens[0::2])
-        failures.append((bad, 1, f"index {tokens[2 * bad]!r} is not an integer"))
-        indices = list(map(int, tokens[: 2 * bad : 2]))
-    try:
-        values = np.array(tokens[1::2], dtype=float)
-    except ValueError:
-        bad = _first_rejected(float, tokens[1::2])
-        failures.append((bad, 2, f"value {tokens[2 * bad + 1]!r} is not a number"))
-        values = np.array(tokens[1 : 2 * bad : 2], dtype=float)
-    infinite = np.flatnonzero(~np.isfinite(values))
-    if infinite.size:
-        bad = int(infinite[0])
-        failures.append((bad, 3, f"value {tokens[2 * bad + 1]!r} is not finite"))
-    if indices and indices != list(range(indices[0], indices[0] + len(indices))):
-        bad = next(k for k, index in enumerate(indices) if index != indices[0] + k)
-        expected = indices[bad - 1] + 1
-        failures.append((bad, 4, f"index {indices[bad]} breaks the consecutive run (expected {expected})"))
-    if failures:
-        row, _, message = min(failures)
-        # the data rows follow the header among the kept lines
-        number = list(compress(count(1), kept))[row + 1]
-        raise GridCsvError(f"line {number}: {message}")
-    return GridFunction(indices[0], values)
-
-
-def _first_rejected(convert, tokens: list[str]) -> int:
-    """The position of the first token ``convert`` raises ValueError for, or len(tokens)."""
-    for position, token in enumerate(tokens):
+    start = lines.tell()
+    if text.isascii() and all(text.find(c, start) < 0 for c in _NOT_BULK):
         try:
-            convert(token)
+            # an empty body warns and gives no rows, which the checks refuse
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(lines, delimiter=",", comments=None, dtype=_ROW, ndmin=1)
         except ValueError:
-            return position
-    return len(tokens)
+            pass
+        else:
+            indices, values = rows["index"], rows["value"]
+            # int64 differences wrap, so the run must also end above its start
+            if (
+                indices.size
+                and np.isfinite(values).all()
+                and (np.diff(indices) == 1).all()
+                and indices[-1] >= indices[0]
+            ):
+                return GridFunction(int(indices[0]), values)
+    lines.seek(start)
+    return _parse_rows(lines, number + 1)
+
+
+def _parse_rows(lines: Iterable[str], first: int) -> GridFunction:
+    """The rows after the header, one at a time; ``first`` is the first line's number."""
+    indices, values = [], []
+    for number, line in enumerate(map(str.strip, lines), first):
+        if line == "" or line[0] == "#":
+            continue
+        if line.count(",") != 1:
+            raise GridCsvError(f"line {number}: expected 'index,value', got {line!r}")
+        index_text, value_text = line.split(",")
+        try:
+            index = int(index_text)
+        except ValueError:
+            raise GridCsvError(f"line {number}: index {index_text!r} is not an integer") from None
+        try:
+            value = float(value_text)
+        except ValueError:
+            raise GridCsvError(f"line {number}: value {value_text!r} is not a number") from None
+        if not math.isfinite(value):
+            raise GridCsvError(f"line {number}: value {value_text!r} is not finite")
+        if indices and index != indices[-1] + 1:
+            expected = indices[-1] + 1
+            raise GridCsvError(
+                f"line {number}: index {index} breaks the consecutive run (expected {expected})"
+            )
+        indices.append(index)
+        values.append(value)
+    if not values:
+        raise GridCsvError("no data rows after the header")
+    return GridFunction(indices[0], values)
 
 
 def write_trace_csv(trace: SolutionTrace, stream: IO[str]) -> None:

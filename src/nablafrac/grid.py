@@ -23,20 +23,24 @@ the value (nabla^nu u)(t) depends on every sample u(a+1), ..., u(t): the
 operator has full memory t - a, in contrast to the two-point classical
 nabla.  Each operator output is therefore one whole convolution, of which
 only the first n terms are needed.  It is computed in ``np.longdouble`` by
-one near/far split at lag ``_BLOCK`` (512): one ``np.convolve`` of the first
+one near/far split at lag ``_BLOCK`` (256): one ``np.convolve`` of the first
 ``_BLOCK`` weights sums every lag below it, and the longer lags come from
 the block-causal FFT merge that the solver's stepping core runs on its
-history (:func:`_far_lags`, with the same schedule: at every multiple e of
-512, the last 512 * 2^i points before e add to the next as many), so the
-whole head costs O(n log^2 n) beyond the near lags' O(n * 512).  Products,
-sums and the FFTs carry the extended precision (NumPy >= 2.0 transforms
-long double natively) and only the final values are rounded to float64.
-An input of at most ``_BLOCK`` points has no far lags, so its head is that
-one ``np.convolve``, bit-identical to the unsplit head; longer ones agree
-with it to the long-double FFT's rounding, far below float64's.  Where
-``np.longdouble`` is itself 64-bit, this is a plain float64 convolution.
-An output that overflows float64 raises :class:`DivergentSolutionError` at
-its first non-finite point, not a warning.
+history (:func:`_far_lags`, with the same schedule on blocks of 256: at
+every multiple e of 256, the last 256 * 2^i points before e add to the next
+as many), so the whole head costs O(n log^2 n) beyond the near lags'
+O(n * 256).  A merge of b points feeds the next b, except the last one,
+which feeds only the count points left; it transforms b + count points
+rounded up to 2^k, 3 * 2^k or 5 * 2^k, at most 2b: 5120 points at
+n = 5000, not 8192.  Products, sums and the FFTs carry the extended
+precision (NumPy >= 2.0 transforms long double natively) and only the
+final values are rounded to float64.  An input of at most ``_BLOCK`` points
+has no far lags, so its head is that one ``np.convolve``, bit-identical to
+the unsplit head; longer ones agree with it to the long-double FFT's
+rounding, far below float64's.  Where ``np.longdouble`` is itself 64-bit,
+this is a plain float64 convolution.  An output that overflows float64
+raises :class:`DivergentSolutionError` at its first non-finite point, not a
+warning.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ __all__ = [
 # the near/far split of _convolve_head, and its smallest FFT merge block:
 # lags below it are summed by one np.convolve, so inputs of at most this many
 # points are summed bit for bit as the unsplit head
-_BLOCK = 512
+_BLOCK = 256
 
 
 class DomainTooShortError(ValueError):
@@ -137,6 +141,15 @@ def _check_positive_order(nu: float) -> None:
         raise ValueError(f"order must be positive and finite, got {nu}")
 
 
+def _transform_length(b: int, count: int) -> int:
+    """The smallest 2^k, 3 * 2^k or 5 * 2^k that is at least b + count.
+
+    For a power of two b and count <= b it is never above 2b.
+    """
+    need = b + count
+    return min(f << (-(-need // f) - 1).bit_length() for f in (1, 3, 5))
+
+
 def _far_lags(
     source: np.ndarray, weights: np.ndarray, near: int, count: int, spectra: dict
 ) -> np.ndarray:
@@ -145,27 +158,31 @@ def _far_lags(
     Entry i is sum_j weights[b + i - j] source[j] over the lags
     b + i - j >= ``near``: the history that ``source`` adds to the point i
     after its end.  ``weights[d]`` is the weight at lag d, and a lag past
-    its end weighs 0.  It is one real FFT of size 2b along axis 0, so a
-    (b, k) source is k columns at once, in the dtype of the inputs.  The
-    kernel is ``weights[1:2b]`` with the lags below ``near`` zeroed, so the
-    product's entry b - 1 + i holds lag b + i - j, and the circular wrap of
-    the lags up to 2b - 1 lands only on the first b - 1 entries, which are
-    dropped.  ``spectra`` caches the kernel's spectrum by b, for one weight
-    row, one ``near`` and one ``source.ndim``.
+    its end weighs 0.  It is one real FFT along axis 0, so a (b, k) source
+    is k columns at once, in the dtype of the inputs.  The transform length
+    L is the smallest 2^k, 3 * 2^k or 5 * 2^k of at least b + ``count``:
+    2b for a whole block, less for the partial merge at the end of a head
+    or a solve.  The kernel is ``weights[1:L]`` with the lags below ``near``
+    zeroed, so the product's entry b - 1 + i holds lag b + i - j, at most
+    b - 1 + ``count`` < L, and the circular wrap of the product's tail
+    lands only on its first b - 2 entries, which are dropped.  The kernel
+    depends on L alone, so ``spectra`` caches its spectrum by L, for one
+    weight row, one ``near`` and one ``source.ndim``.
     """
     b = len(source)
-    kernel = spectra.get(b)
+    size = _transform_length(b, count)
+    kernel = spectra.get(size)
     if kernel is None:
-        lags = weights[1 : 2 * b].copy()
+        lags = weights[1:size].copy()
         lags[: near - 1] = 0
-        kernel = spectra[b] = np.fft.rfft(lags, 2 * b).reshape((-1,) + (1,) * (source.ndim - 1))
+        kernel = spectra[size] = np.fft.rfft(lags, size).reshape((-1,) + (1,) * (source.ndim - 1))
     # in place where it can be, and a caller's scaled copy of the source
     # freed before the inverse: a batch's transforms are the largest
     # temporaries of a solve
-    spectrum = np.fft.rfft(source, 2 * b, axis=0)
+    spectrum = np.fft.rfft(source, size, axis=0)
     del source
     spectrum *= kernel
-    return np.fft.irfft(spectrum, 2 * b, axis=0)[b - 1 : b - 1 + count]
+    return np.fft.irfft(spectrum, size, axis=0)[b - 1 : b - 1 + count]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -180,10 +197,10 @@ def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=np.longdouble) -> np
     schedule: at every multiple e of ``_BLOCK``, the last ``_BLOCK * 2^i``
     points before e, with 2^i the largest power of two dividing
     e / ``_BLOCK``, add their lags from ``_BLOCK`` on to the next as many
-    points by :func:`_far_lags`.  Each earlier block meets each later one at
-    exactly one merge, and no output reads a later input.  The result is
-    rounded to float64; an entry beyond its range rounds to inf, which the
-    caller's ``_require_finite`` reports.
+    points, or to those left before n, by :func:`_far_lags`.  Each earlier
+    block meets each later one at exactly one merge, and no output reads a
+    later input.  The result is rounded to float64; an entry beyond its
+    range rounds to inf, which the caller's ``_require_finite`` reports.
     """
     n = v.size
     kernel, v = kernel[:n].astype(dtype), v.astype(dtype)

@@ -48,16 +48,26 @@ def _check_order(mu: float) -> None:
         raise ValueError(f"monomial order must be finite, got {mu}")
 
 
-def _recurrence_tail(mu: float, n_max: int) -> np.ndarray:
-    """Raw recurrence values h(1), ..., h(n_max), with no order conventions."""
+def _recurrence_tail(mu, n_max: int) -> np.ndarray:
+    """Raw recurrence values h(1), ..., h(n_max), with no order conventions.
+
+    ``mu`` may be a sequence of orders, which gives one row per order from
+    one long-double recurrence; each row is bit for bit the row of its order
+    alone, since every row takes the same elementwise steps in the same
+    order.
+    """
+    mu = np.asarray(mu, dtype=np.longdouble)[..., None]
     if n_max < 1:
-        return np.empty(0, dtype=float)
-    out = np.empty(n_max, dtype=np.longdouble)
-    out[0] = 1.0
+        return np.empty(mu.shape[:-1] + (0,), dtype=float)
+    out = np.empty(mu.shape[:-1] + (n_max,), dtype=np.longdouble)
+    out[..., 0] = 1.0
     k = np.arange(1, n_max, dtype=np.longdouble)
-    np.cumprod((k + np.longdouble(mu)) / k, out=out[1:])
-    # a value past the float64 range becomes inf, which callers report
+    ratios = np.add(k, mu, out=out[..., 1:])
+    ratios /= k
+    # a value past the float64 range, or past the long double one, becomes
+    # inf, which callers report
     with np.errstate(over="ignore"):
+        np.cumprod(ratios, axis=-1, out=ratios)
         return out.astype(float)
 
 

@@ -11,25 +11,27 @@ is exactly 1), into the explicit step equation
 
     u(t) = c(t) u(t - 1) - sum_{s=a}^{t-1} H_{-nu-1}(t, rho(s)) u(s).
 
-Every step reads all earlier samples (the memory property), so stepping
-with one full-history sum per step costs O(n^2).  The stepping core instead
+Every step reads all earlier samples (the memory property), so stepping with
+one full-history sum per step costs O(n^2).  The stepping core instead
 splits the history by divide and conquer: leaves of ``_LEAF`` (512) points
 sum their own history, and the nearest lags, directly, and each finished
 block adds the rest of its history to the following block by one FFT
 convolution, O(n log^2 n) in all.  That merge, ``grid._far_lags``, is the
-one the grid operators' heads run too.  Every leaf advances in micro-blocks: one
-matrix product adds the history before the micro-block, and its own steps
-are one lower-triangular system, solved by an inverse formed before stepping
-and one refinement step.  A micro-block's size follows the problem's shape,
-as its fixed cost of a few array operations weighs against its products: 32
-steps for a batch (the scan), whose every column applies its own inverse, 64
-for one problem with per-step coefficients, whose inverses are formed leaf
-by leaf, and 128 for one with constant coefficients, whose one inverse is
-formed once.  A micro-block has two outcomes per column: values that come
-out finite are kept, and a column that does not is redone by forward
-substitution, step by step.  Solves of every length agree with the plain
-loop to within 1e-14 max|u| on decaying solutions, and overflow at the same
-step.
+one the grid operators' heads run too; the last merge of a solve, which
+feeds only the points left before n_max, transforms as many points as that
+needs, rounded up to 2^k, 3 * 2^k or 5 * 2^k, not twice its block.  Every
+leaf advances in micro-blocks: one matrix product adds the history before
+the micro-block, and its own steps are one lower-triangular system, solved
+by an inverse formed before stepping and one refinement step.  A
+micro-block's size follows the problem's shape, as its fixed cost of a few
+array operations weighs against its products: 32 steps for a batch (the
+scan), whose every column applies its own inverse, 64 for one problem with
+per-step coefficients, whose inverses are formed leaf by leaf, and 128 for
+one with constant coefficients, whose one inverse is formed once.  A
+micro-block has two outcomes per column: values that come out finite are
+kept, and a column that does not is redone by forward substitution, step by
+step.  Solves of every length agree with the plain loop to within 1e-14
+max|u| on decaying solutions, and overflow at the same step.
 
 The normalized solution (u0 = 1) is the discrete Mittag-Leffler-type
 sequence produced by :func:`mittag_leffler_seq`; by linearity every solution
@@ -59,11 +61,12 @@ re-applying the difference operator to the computed solution, independently
 of the stepping core, plus the decay envelope H_{nu-1}(t, rho(a)) for
 fractional solves.  A first-order solve re-applies :func:`nabla_diff`.  A
 fractional solve convolves the direct weight row that it stepped with
-(formed once per solve) with the solution mounted at index a, i.e. on
-N_{rho(a)+1}, in float64 by the grid operators' head-only convolution (the
-lags below 512 by one ``np.convolve``, the longer ones by the stepping
-core's FFT merges, O(n log^2 n) in all): a defect needs no long double,
-unlike the grid operators, and no term past the head is formed.  The
+(formed once per solve, by one recurrence together with the envelope) with
+the solution mounted at index a, i.e. on N_{rho(a)+1}, in float64 by the
+grid operators' head-only convolution (the lags below 256 by one
+``np.convolve``, the longer ones by the stepping core's FFT merges,
+O(n log^2 n) in all): a defect needs no long double, unlike the grid
+operators, and no term past the head is formed.  The
 solution is scaled by a power of two first and the result back after it,
 both exact, so a finite trace near overflow keeps finite residuals; a
 re-application that still overflows raises :class:`DivergentSolutionError`.
@@ -82,7 +85,7 @@ import math
 import numpy as np
 
 from .grid import GridFunction, _convolve_head, _far_lags, _require_finite, nabla_diff
-from .monomial import convolution_weights, monomial_sequence
+from .monomial import _recurrence_tail, convolution_weights, monomial_sequence
 
 __all__ = [
     "SINGULAR_PIVOT_TOL",
@@ -168,6 +171,17 @@ def envelope_sequence(nu: float, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     return monomial_sequence(nu - 1.0, n_max + 1)[1:]
+
+
+def _weights_and_envelope(nu: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """``convolution_weights(nu, n_max + 1)`` and ``envelope_sequence(nu, n_max)``, bit for bit.
+
+    Both are n_max + 1 values of one monomial recurrence, of orders -nu - 1
+    and nu - 1, so one two-row long-double recurrence forms them together.
+    """
+    weights, envelope = _recurrence_tail([-np.longdouble(nu) - 1.0, nu - 1.0], n_max + 1)
+    # two arrays, so that a trace keeps its envelope and not the weight row
+    return weights.copy(), envelope.copy()
 
 
 def _micro_size(q: np.ndarray, constant: bool) -> int:
@@ -311,9 +325,11 @@ def _solve_steps(
     0..n_max fall into leaves of ``_LEAF`` points.  When a leaf ends at
     offset e, the block of the last ``_LEAF * 2^i`` points before e, with
     2^i the largest power of two dividing e / ``_LEAF``, adds the history at
-    lags beyond ``_NEAR`` to the next as many points by one FFT convolution
-    (:func:`grid._far_lags`, the merge the grid operators' heads use too):
-    the left-half-into-right-half step of a recursive halving, in loop form.
+    lags beyond ``_NEAR`` to the next as many points, or to those left up to
+    n_max, by one FFT convolution (:func:`grid._far_lags`, the merge the
+    grid operators' heads use too, whose transform shrinks with the points
+    it feeds): the left-half-into-right-half step of a recursive halving,
+    in loop form.
     The FFT's rounding scales with the norm of the kernel, which the first
     lags dominate (lag 1 weighs -nu); leaving them to the direct sums keeps
     that rounding from piling up over the slowly decaying memory of orders
@@ -543,7 +559,7 @@ def _solve(
         raise ValueError(f"u0 must be finite, got {u0}")
     p, q, g = (coefficient_array(x, n_max) for x in (p, q, g))
     # one weight row serves the stepping and the re-application
-    weights = None if nu is None else convolution_weights(nu, n_max + 1)
+    weights, envelope = (None, None) if nu is None else _weights_and_envelope(nu, n_max)
     u = _solve_steps(p, q, g, weights, u0, base)
     _require_finite(u, base)
     # independent re-application; the direct operator based at rho(base)
@@ -561,7 +577,6 @@ def _solve(
         _require_finite(applied, base)
     residuals = np.zeros(u.size)
     residuals[1:] = np.abs(applied[-n_max:] - (p * u[1:] + q * u[:-1] + g))
-    envelope = None if nu is None else envelope_sequence(nu, n_max)
     return SolutionTrace(base, u, residuals, envelope, nu)
 
 

@@ -43,9 +43,8 @@ from .solver import (
     SolutionTrace,
     _check_unit_order,
     _solve_steps,
+    _weights_and_envelope,
     coefficient_array,
-    envelope_sequence,
-    mittag_leffler_seq,
     solve_first_order,
     solve_general,
 )
@@ -195,8 +194,11 @@ def bound_check(
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     carr = coefficient_array(c, n_max)
-    values = mittag_leffler_seq(carr, nu, n_max, base)
-    envelope = envelope_sequence(nu, n_max)
+    _check_unit_order(nu)
+    # the solve's weight row and the envelope come from one recurrence
+    weights, envelope = _weights_and_envelope(nu, n_max)
+    zeros = np.zeros(n_max)
+    values = _solve_steps(zeros, carr, zeros, weights, 1.0, base)
     bound_ok = np.abs(values) <= envelope + BOUND_SLACK * (1.0 + envelope)
     win = default_window(values.size) if window is None else window
     return StabilityReport(

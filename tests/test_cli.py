@@ -55,17 +55,19 @@ def test_monomial_rejects_bad_parameters(runner):
 
 
 def test_monomial_overflow_exits_5_with_the_offset(runner, tmp_path):
-    # H_mu(3, 0) = mu (mu + 1) / 2 passes the float64 range at mu = 1e308
+    # H_mu(3, 0) = mu (mu + 1) / 2 passes the float64 range at mu = 1e308;
+    # by offset 5000 the long-double recurrence overflows too
     out = tmp_path / "m.json"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = runner.invoke(
-            main, ["monomial", "--mu", "1e308", "--n-max", "3", "--format", "json", "-o", str(out)]
-        )
-    assert [str(w.message) for w in caught] == []
-    assert result.exit_code == 5
-    assert "diverged at t = 3:" in result.output
-    assert not out.exists()
+    for n_max in ("3", "5000"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(
+                main, ["monomial", "--mu", "1e308", "--n-max", n_max, "--format", "json", "-o", str(out)]
+            )
+        assert [str(w.message) for w in caught] == []
+        assert result.exit_code == 5
+        assert "diverged at t = 3:" in result.output
+        assert not out.exists()
 
 
 # --- apply --------------------------------------------------------------

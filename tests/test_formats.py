@@ -1,4 +1,5 @@
-"""CSV and JSON writers: byte for byte against the per-value writers they replaced."""
+"""CSV and JSON writers byte for byte against the per-value writers they replaced, and the
+grid CSV reader against a row-by-row parser."""
 
 import io
 import json
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import nablafrac.cli
 import nablafrac.formats
 from nablafrac.cli import main
-from nablafrac.formats import _CHUNK, write_document, write_table
+from nablafrac.formats import _CHUNK, GridCsvError, read_grid_csv, write_document, write_table
+from nablafrac.grid import GridFunction
 
 
 def _table_oracle(stream, header, *columns):
@@ -174,3 +176,160 @@ def test_cli_outputs_match_the_oracle_writers(tmp_path, monkeypatch, argv):
     assert len(got) == len(want) >= 1
     for new, old in zip(got, want):
         _assert_same(new, old)
+
+
+# --- grid CSV reader ----------------------------------------------------
+
+
+def _read_rows(stream):
+    """The reference reader: every line in order, converted by int() and float()."""
+    header, indices, values = None, [], []
+    for number, line in enumerate(stream.read().split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            if line.lower() != "index,value":
+                raise GridCsvError(f"line {number}: expected header 'index,value', got {line!r}")
+            header = line
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise GridCsvError(f"line {number}: expected 'index,value', got {line!r}")
+        try:
+            index = int(fields[0])
+        except ValueError:
+            raise GridCsvError(f"line {number}: index {fields[0]!r} is not an integer") from None
+        try:
+            value = float(fields[1])
+        except ValueError:
+            raise GridCsvError(f"line {number}: value {fields[1]!r} is not a number") from None
+        if value != value or value in (float("inf"), float("-inf")):
+            raise GridCsvError(f"line {number}: value {fields[1]!r} is not finite")
+        if indices and index != indices[-1] + 1:
+            raise GridCsvError(
+                f"line {number}: index {index} breaks the consecutive run (expected {indices[-1] + 1})"
+            )
+        indices.append(index)
+        values.append(value)
+    if header is None:
+        raise GridCsvError("line 1: missing 'index,value' header")
+    if not values:
+        raise GridCsvError("no data rows after the header")
+    return GridFunction(indices[0], values)
+
+
+def _outcome(read, text):
+    try:
+        grid = read(io.StringIO(text))
+    except GridCsvError as exc:
+        return "error", str(exc)
+    return grid.base, grid.values.tobytes()
+
+
+# whitespace that str.strip, int() and float() skip, some of which NumPy
+# skips too; two are line breaks to str.splitlines but not to split("\n")
+_PADDING = st.text(st.sampled_from(" \t\x0b\x0c\x85\xa0\u2028\u3000"), max_size=2)
+# Arabic-Indic and fullwidth digits
+_DIGITS = ["".join(map(chr, range(first, first + 10))) for first in (0x0660, 0xFF10)]
+_GARBAGE = ["", "x", "1.5", "1e3", "0x1F", "1__0", "_1", "1_", "#", "nan#", "1 2", '"3"', "--1"]
+# characters NumPy reads as blanks inside a field, and int() and float() refuse
+_GARBAGE += ["\u0661x", "\x1c1", "1\x1f", "\u01fe1", "\u07611"]
+
+
+def _respell(draw, text):
+    """``text`` respelled as int() and float() still read it."""
+    kind = draw(st.sampled_from(["plus", "underscore", "digits"]))
+    if kind == "plus" and text[0] not in "+-":
+        text = "+" + text
+    elif kind == "underscore":
+        # one separator between two digits
+        spots = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
+        if spots:
+            i = draw(st.sampled_from(spots))
+            text = text[:i] + "_" + text[i:]
+    elif kind == "digits":
+        digits = draw(st.sampled_from(_DIGITS))
+        text = "".join(digits[int(ch)] if ch.isdigit() else ch for ch in text)
+    return draw(_PADDING) + text + draw(_PADDING)
+
+
+_DEFECTS = ["index", "value", "nonfinite", "extra", "missing", "jump", "header", "hash", "cr"]
+
+
+@st.composite
+def grid_csv_texts(draw):
+    """Grid CSV files in plain spellings that NumPy parses, or in the other
+    spellings int() and float() take, half of them with one defect."""
+    respelled = draw(st.booleans())
+    defect = draw(st.sampled_from([None] * len(_DEFECTS) + _DEFECTS))
+    filler = st.sampled_from(["", "# note", "#", "  ", "\t", " # indented", "\x0c", "\x1c"])
+    lines = draw(st.lists(filler, max_size=3))
+    header = draw(st.sampled_from(["index,value", "Index,Value", " INDEX,VALUE\t"]))
+    if defect == "header":
+        header = draw(st.sampled_from(["index;value", "i,v", "index,value,x"]))
+    lines.append(header)
+    # blank lines are all NumPy skips
+    filler = filler if respelled else st.just("")
+    big = 2**63 - 1
+    near = st.integers(-50, 50)
+    start = draw(near | near | st.integers(big - 5, big + 5) | st.integers(-big - 6, -big + 5))
+    count = draw(st.integers(0 if defect else 1, 12))
+    bad = draw(st.integers(0, max(count - 1, 0)))
+    for k in range(count):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(filler))
+        index = start + k + (draw(st.sampled_from([-1, 1, 2, -5])) if defect == "jump" and k >= bad else 0)
+        value = draw(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([0.0, -0.0, 5e-324, 1.5, -2.25, 1e300])
+        )
+        if respelled:
+            index_text, value_text = _respell(draw, str(index)), _respell(draw, repr(value))
+        else:
+            pad = st.sampled_from(["", " ", "\t"])
+            sign = draw(st.sampled_from(["", "+"])) if index >= 0 else ""
+            index_text = draw(pad) + sign + str(index) + draw(pad)
+            value_text = draw(pad) + repr(value) + draw(pad)
+        if k == bad and defect == "index":
+            index_text = draw(st.sampled_from(_GARBAGE))
+        elif k == bad and defect == "value":
+            value_text = draw(st.sampled_from(_GARBAGE))
+        elif k == bad and defect == "nonfinite":
+            value_text = draw(st.sampled_from(["nan", "inf", "-inf", "Infinity", " 1e400", "-nan"]))
+        row = index_text + "," + value_text
+        if k == bad and defect in ("extra", "missing", "hash", "cr"):
+            row = {"extra": row + ",0", "missing": index_text, "hash": row + " #", "cr": row + "\r"}[defect]
+        lines.append(row)
+    lines += draw(st.lists(filler, max_size=2))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    # the last line's end is optional
+    return text if draw(st.booleans()) else text[: -len(ends[-1])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=grid_csv_texts())
+def test_read_grid_csv_matches_the_row_by_row_reader(text):
+    # the bulk parse and its fallback give the reference's GridFunction,
+    # bit for bit, or its error message
+    assert _outcome(read_grid_csv, text) == _outcome(_read_rows, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # an int64 run that wraps: each difference is 1 modulo 2^64
+        f"index,value\n{2**63 - 1},1\n{-(2**63)},2\n",
+        "index,value\n1,2\n2,3",
+        "index,value\n1,2\n2,-inf\n",
+        "index,value\n1,2\r2,3\n",
+        "index,value\n0,0.0\n1,\x1c1\n",
+        "index,value\n\u01fe1,2\n",
+        "index,value\n1,2\n\n   \n2,3\n",
+        "index,value\n\n \n",
+        "index,value",
+    ],
+)
+def test_read_grid_csv_edge_cases_match_the_row_by_row_reader(text):
+    assert _outcome(read_grid_csv, text) == _outcome(_read_rows, text)

@@ -279,7 +279,11 @@ def test_one_block_heads_are_bit_identical_to_the_full_convolution(nu):
 
 @pytest.mark.parametrize("nu", [0.3, 0.75, 1.5, 1.9])
 @pytest.mark.parametrize(
-    "n", [_BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 17, 2 * _BLOCK, 4 * _BLOCK + 1, 5000]
+    "n",
+    # the edges of one block and of the two-block merges, and 5000, whose
+    # last merge takes 5120 points where a whole one would take 8192
+    [_BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 17, 2 * _BLOCK, 4 * _BLOCK + 1]
+    + [2 * _BLOCK - 1, 2 * _BLOCK + 1, 6 * _BLOCK + 17, 4 * _BLOCK, 8 * _BLOCK + 1, 5000],
 )
 def test_blocked_heads_match_the_full_convolution(nu, n):
     # the long-double head, as the operators run it, and the float64 head of
@@ -305,15 +309,17 @@ def _far_lags_loop(source, weights, near, count):
 
 
 @pytest.mark.parametrize("dtype, bound", [(np.longdouble, 1e-18), (float, 1e-15)])
-@pytest.mark.parametrize("near", [65, _BLOCK])
+@pytest.mark.parametrize("near", [65, _BLOCK, 2 * _BLOCK])
 @pytest.mark.parametrize("columns", [(), (3,)])
 def test_far_lags_match_the_direct_sum(dtype, bound, near, columns):
-    # one block of b points into the next b, and into the first 100 points
-    # of a last, partial block, whose weight row ends at the last lag it
-    # needs.  The bound is relative to the largest sum of |w| |x| at a point
-    b, rng = _BLOCK, np.random.default_rng(near)
+    # one block of b = 512 points into the next b, and into the first 100
+    # and 250 points of a last, partial block, whose weight row ends at the
+    # last lag it needs; those merges transform 5 * 2^7 and 3 * 2^8 points,
+    # the smallest such lengths of at least b + count.  The bound is
+    # relative to the largest sum of |w| |x| at a point
+    b, rng = 2 * _BLOCK, np.random.default_rng(near)
     source = rng.uniform(-1.0, 1.0, size=(b,) + columns).astype(dtype)
-    for count in (b, 100):
+    for count, size in ((b, 2 * b), (100, 5 * 2**7), (250, 3 * 2**8)):
         weights = convolution_weights(0.7, b + count).astype(dtype)
         want = _far_lags_loop(source, weights, near, count)
         scale = np.max(_far_lags_loop(np.abs(source), np.abs(weights), near, count))
@@ -322,7 +328,8 @@ def test_far_lags_match_the_direct_sum(dtype, bound, near, columns):
             got = _far_lags(source, weights, near, count, spectra)
             assert got.shape == want.shape and got.dtype == dtype
             assert np.max(np.abs(got - want)) <= bound * scale
-        assert list(spectra) == [b]
+        # the kernel spectrum is cached by its transform length
+        assert list(spectra) == [size]
 
 
 def test_memory_crosses_block_edges():
@@ -342,9 +349,12 @@ def test_memory_crosses_block_edges():
     "n, bump",
     [
         (5000, 4900),  # in the last, partial block
-        (5000, 2 * _BLOCK),  # offset 1024, the first point the 2-block merge reaches
+        (5000, 2 * _BLOCK),  # offset 512, the first point the 2-block merge reaches
         (5000, 2 * _BLOCK - 1),  # the last input of that merge's source block
+        (5000, 4 * _BLOCK),  # offset 1024, the first point the 4-block merge reaches
+        (5000, 4 * _BLOCK - 1),  # the last input of that merge's source block
         (4 * _BLOCK + 1, 4 * _BLOCK),  # the last point, alone in its block
+        (8 * _BLOCK + 1, 8 * _BLOCK),  # the same past the 8-block merge
     ],
 )
 def test_memory_stays_causal_across_fft_levels(n, bump):

@@ -40,8 +40,8 @@ from nablafrac.exact import (
     oracle_solve,
 )
 from nablafrac.formats import write_trace_csv, write_trace_json
-from nablafrac.grid import _BLOCK
-from nablafrac.solver import _LEAF, _NEAR, _micro_size, _solve_steps
+from nablafrac.grid import _BLOCK, _transform_length
+from nablafrac.solver import _LEAF, _NEAR, _micro_size, _solve_steps, _weights_and_envelope
 
 
 def _rel_gap(got: np.ndarray, want: np.ndarray, floor: float = 1.0) -> float:
@@ -77,6 +77,18 @@ def test_envelope_rejects_negative_n_max():
     for n_max in (-1, -2):
         with pytest.raises(ValueError, match=f"got {n_max}$"):
             envelope_sequence(0.5, n_max)
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.1, 0.3, 0.5, 0.75, 0.9, 0.99, 1 / 3])
+def test_one_recurrence_gives_the_weights_and_the_envelope_bit_for_bit(nu):
+    # the solves and bound_check form both rows at once; each row is the
+    # separate call's, to the last bit, and so are the traces' envelopes
+    for n_max in (0, 1, 2, 127, 5000, 40000):
+        weights, envelope = _weights_and_envelope(nu, n_max)
+        assert weights.tobytes() == convolution_weights(nu, n_max + 1).tobytes()
+        assert envelope.tobytes() == envelope_sequence(nu, n_max).tobytes()
+    assert solve_lagged(-0.4, nu, 1.0, 300).envelope.tobytes() == envelope_sequence(nu, 300).tobytes()
+    assert bound_check(-0.4, nu, 300).envelope.tobytes() == envelope_sequence(nu, 300).tobytes()
 
 
 def test_zero_coefficient_sequence_equals_envelope():
@@ -188,7 +200,9 @@ def test_residuals_see_a_corrupted_step(monkeypatch):
     assert trace.residuals[step + 1] == pytest.approx((nu + c) * delta, rel=1e-6)
 
 
-@pytest.mark.parametrize("n_max", [_BLOCK - 1, _BLOCK, 3 * _BLOCK + 17])
+@pytest.mark.parametrize(
+    "n_max", [_BLOCK - 1, _BLOCK, 3 * _BLOCK + 17, 2 * _BLOCK - 1, 2 * _BLOCK, 6 * _BLOCK + 17]
+)
 def test_residual_head_is_one_convolution_up_to_a_block(n_max):
     # the residual re-applies the operator to the first n_max + 1 points in
     # float64, the lags below _BLOCK by one np.convolve: up to _BLOCK points
@@ -717,6 +731,31 @@ def test_growing_solves_overflow_at_the_plain_loops_step(nu):
         assert [_first_nonfinite(column) for column in batch.T] == firsts
         alone = [_solve_steps(zeros, np.full(n_max, c), zeros, weights, u0, 0) for c in cs]
         assert [_first_nonfinite(column) for column in alone] == firsts
+
+
+def test_a_shrunk_last_merge_matches_the_plain_loop():
+    # at n_max 8700 the last merge adds the 8192 points before offset 8192
+    # to the 509 after it by a transform of 5 * 2^11 points, not 2 * 8192:
+    # decaying solves stay within 1e-14 max|u| of the loop, and a column
+    # that overflows past the merge does so at the loop's step
+    nu, n_max = 0.5, 8700
+    assert _transform_length(8192, n_max + 1 - 8192) == 5 * 2**11
+    zeros = np.zeros(n_max)
+    weights = convolution_weights(nu, n_max + 1)
+    rng = np.random.default_rng(87)
+    per_step = rng.uniform(-2.0 * nu, 0.0, size=n_max)
+    for q in (np.full(n_max, -0.5), per_step, np.broadcast_to([-0.3, -0.6, -0.95], (n_max, 3))):
+        fast = _solve_steps(zeros, q, zeros, weights, 1.0, 0)
+        loop = _history_loop(zeros, q, zeros, nu, 1.0)
+        assert np.max(np.abs(fast - loop)) <= 1e-14 * np.max(np.abs(loop))
+    # alone and next to a decaying column
+    c = -(2**nu) - 0.05
+    for q in (np.full(n_max, c), np.broadcast_to([c, -0.5], (n_max, 2))):
+        fast = _solve_steps(zeros, q, zeros, weights, 1e140, 0).reshape(n_max + 1, -1)
+        loop = _history_loop(zeros, q, zeros, nu, 1e140).reshape(n_max + 1, -1)
+        first = _first_nonfinite(loop[:, 0])
+        assert first is not None and first > 8192
+        assert _first_nonfinite(fast[:, 0]) == first
 
 
 def test_long_solves_free_their_buffers_without_the_cycle_collector():
