@@ -74,4 +74,4 @@ from .stability import (
     tail_exponent,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

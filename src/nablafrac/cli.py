@@ -168,8 +168,7 @@ def monomial_cmd(mu: float, n_max: int, output: str, fmt: str) -> None:
         _require_finite(values, 0)
     with _open_outputs(output) as (stream,):
         if fmt == "json":
-            n = list(range(n_max + 1))
-            write_document(stream, "monomial_sequence", mu=mu, n=n, value=values)
+            write_document(stream, "monomial_sequence", mu=mu, n=range(n_max + 1), value=values)
         else:
             write_table(stream, "n,value", range(n_max + 1), values)
 
@@ -207,7 +206,7 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
             result = nabla_diff(grid)
     with _open_outputs(output) as (stream,):
         if fmt == "json":
-            index = list(range(result.base, result.last + 1))
+            index = range(result.base, result.last + 1)
             fields = dict(op=op, nu=nu, base=result.base, index=index, value=result.values)
             write_document(stream, "operator_result", **fields)
         else:

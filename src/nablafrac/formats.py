@@ -201,8 +201,8 @@ def write_trace_json(trace: SolutionTrace, stream: IO[str], **metadata) -> None:
     fields = {
         "base": trace.base,
         "nu": trace.nu,
-        "n": list(range(len(trace))),
-        "t": list(range(trace.base, trace.base + len(trace))),
+        "n": range(len(trace)),
+        "t": range(trace.base, trace.base + len(trace)),
         "u": trace.values,
         "residual": trace.residuals,
         "envelope": trace.envelope,

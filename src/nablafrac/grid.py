@@ -50,11 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monomial import (
-    convolution_weights,
-    monomial_limit_sequence,
-    monomial_sequence,
-)
+from .monomial import convolution_weights, monomial_limit_sequence
 
 __all__ = [
     "DivergentSolutionError",
@@ -244,12 +240,13 @@ def nabla_sum(u: GridFunction, nu: float) -> GridFunction:
 
     The result lives on {a, a+1, ...} and is 0 at a by convention.  Kernel
     row: H_{nu-1}(t, rho(s)) at lag t - s + 1, convolved with the samples in
-    long double (see the module notes).
+    long double (see the module notes).  The row is the recurrence
+    continuation, so an order so small that nu - 1 rounds to -1 gives the
+    kernel 1, 0, 0, ... and the sum is the identity, its order-0 limit.
     """
     _check_positive_order(nu)
-    # kernel[lag - 1] = H_{nu-1} at offset lag; nu - 1 is never a negative
-    # integer for nu > 0, so no convention branch is live here
-    kernel = monomial_sequence(nu - 1.0, len(u))[1:]
+    # kernel[lag - 1] = H_{nu-1} at offset lag
+    kernel = monomial_limit_sequence(nu - 1.0, len(u))[1:]
     out = np.concatenate(([0.0], _convolve_head(kernel, u.values)))
     _require_finite(out, u.base - 1)
     return GridFunction(u.base - 1, out)

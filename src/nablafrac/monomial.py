@@ -18,7 +18,11 @@ recurrence
 which is algebraically equal to the gamma ratio, never overflows at the
 offsets this package touches, and has no poles to step around.  The
 recurrence runs in extended precision internally so the returned float64
-values stay correctly rounded even when the sequence grows like n^mu.
+values stay correctly rounded even when the sequence grows like n^mu.  Each
+call forms one order's row.  The decay envelope H_{nu-1} and the fractional
+sum's kernel take the recurrence continuation
+(:func:`monomial_limit_sequence`), not the zero convention: an order nu so
+small that nu - 1 rounds to -1 gives them 1, 0, 0, ..., their order-0 limit.
 
 The convolution weights of the direct Riemann-Liouville difference of order
 ``nu`` are the monomials of order -nu - 1: weight(lag) = H_{-nu-1} at offset
@@ -48,26 +52,20 @@ def _check_order(mu: float) -> None:
         raise ValueError(f"monomial order must be finite, got {mu}")
 
 
-def _recurrence_tail(mu, n_max: int) -> np.ndarray:
-    """Raw recurrence values h(1), ..., h(n_max), with no order conventions.
-
-    ``mu`` may be a sequence of orders, which gives one row per order from
-    one long-double recurrence; each row is bit for bit the row of its order
-    alone, since every row takes the same elementwise steps in the same
-    order.
-    """
-    mu = np.asarray(mu, dtype=np.longdouble)[..., None]
+def _recurrence_tail(mu: float, n_max: int) -> np.ndarray:
+    """Raw recurrence values h(1), ..., h(n_max), with no order conventions."""
     if n_max < 1:
-        return np.empty(mu.shape[:-1] + (0,), dtype=float)
-    out = np.empty(mu.shape[:-1] + (n_max,), dtype=np.longdouble)
-    out[..., 0] = 1.0
+        return np.empty(0, dtype=float)
+    out = np.empty(n_max, dtype=np.longdouble)
+    out[0] = 1.0
     k = np.arange(1, n_max, dtype=np.longdouble)
-    ratios = np.add(k, mu, out=out[..., 1:])
+    # the ratios (k + mu) / k, formed in place: no temporary long-double row
+    ratios = np.add(k, np.longdouble(mu), out=out[1:])
     ratios /= k
     # a value past the float64 range, or past the long double one, becomes
     # inf, which callers report
     with np.errstate(over="ignore"):
-        np.cumprod(ratios, axis=-1, out=ratios)
+        np.cumprod(ratios, out=ratios)
         return out.astype(float)
 
 

@@ -58,13 +58,13 @@ One stepping core serves both orders.
 
 Every returned :class:`SolutionTrace` carries per-step residuals obtained by
 re-applying the difference operator to the computed solution, independently
-of the stepping core, plus the decay envelope H_{nu-1}(t, rho(a)) for
-fractional solves.  A first-order solve re-applies :func:`nabla_diff`.  A
-fractional solve convolves the direct weight row that it stepped with
-(formed once per solve, by one recurrence together with the envelope) with
-the solution mounted at index a, i.e. on N_{rho(a)+1}, in float64 by the
-grid operators' head-only convolution (the lags below 256 by one
-``np.convolve``, the longer ones by the stepping core's FFT merges,
+of the stepping core, plus the decay envelope H_{nu-1}(t, rho(a)) of
+:func:`envelope_sequence` for fractional solves.  A first-order solve
+re-applies :func:`nabla_diff`.  A fractional solve convolves the direct
+weight row that it stepped with (``convolution_weights``, formed once per
+solve) with the solution mounted at index a, i.e. on N_{rho(a)+1}, in
+float64 by the grid operators' head-only convolution (the lags below 256
+by one ``np.convolve``, the longer ones by the stepping core's FFT merges,
 O(n log^2 n) in all): a defect needs no long double, unlike the grid
 operators, and no term past the head is formed.  The
 solution is scaled by a power of two first and the result back after it,
@@ -85,7 +85,7 @@ import math
 import numpy as np
 
 from .grid import GridFunction, _convolve_head, _far_lags, _require_finite, nabla_diff
-from .monomial import _recurrence_tail, convolution_weights, monomial_sequence
+from .monomial import convolution_weights, monomial_limit_sequence
 
 __all__ = [
     "SINGULAR_PIVOT_TOL",
@@ -165,23 +165,14 @@ def envelope_sequence(nu: float, n_max: int) -> np.ndarray:
     """Decay envelope H_{nu-1}(a + n, rho(a)) for n = 0..n_max (offset n + 1).
 
     For 0 < nu < 1 it is positive, strictly decreasing and tends to 0 like
-    n^(nu-1).
+    n^(nu-1).  It is the recurrence continuation of the monomial, with no
+    zero convention: an order so small that nu - 1 rounds to -1 gives
+    1, 0, 0, ..., the envelope's limit at order 0.
     """
     _check_unit_order(nu)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    return monomial_sequence(nu - 1.0, n_max + 1)[1:]
-
-
-def _weights_and_envelope(nu: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """``convolution_weights(nu, n_max + 1)`` and ``envelope_sequence(nu, n_max)``, bit for bit.
-
-    Both are n_max + 1 values of one monomial recurrence, of orders -nu - 1
-    and nu - 1, so one two-row long-double recurrence forms them together.
-    """
-    weights, envelope = _recurrence_tail([-np.longdouble(nu) - 1.0, nu - 1.0], n_max + 1)
-    # two arrays, so that a trace keeps its envelope and not the weight row
-    return weights.copy(), envelope.copy()
+    return monomial_limit_sequence(nu - 1.0, n_max + 1)[1:]
 
 
 def _micro_size(q: np.ndarray, constant: bool) -> int:
@@ -475,23 +466,21 @@ def _solve_steps(
     return u
 
 
-def mittag_leffler_seq(
-    c: CoefficientLike, nu: float, n_max: int, base: int = 0
-) -> np.ndarray:
+def mittag_leffler_seq(c: CoefficientLike, nu: float, n_max: int) -> np.ndarray:
     """Discrete Mittag-Leffler-type sequence for the lagged equation.
 
     Defined by E(a) = 1 and, for t in N_{a+1},
 
         E(t) = c(t) E(t - 1) - sum_{s=a}^{t-1} H_{-nu-1}(t, rho(s)) E(s).
 
-    Values depend only on offsets, never on ``base`` (translation
-    invariance); the base parameter exists so callers can keep their grids
-    aligned.  Returns the values at offsets 0..n_max.
+    Values depend only on offsets, never on the base point a (translation
+    invariance), so none is taken.  Returns the values at offsets 0..n_max.
     """
     _check_unit_order(nu)
     carr = coefficient_array(c, n_max)
     zeros = np.zeros(n_max)
-    return _solve_steps(zeros, carr, zeros, convolution_weights(nu, n_max + 1), 1.0, base)
+    # the base only names the step of a singular pivot, and p = 0 has none
+    return _solve_steps(zeros, carr, zeros, convolution_weights(nu, n_max + 1), 1.0, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -559,7 +548,7 @@ def _solve(
         raise ValueError(f"u0 must be finite, got {u0}")
     p, q, g = (coefficient_array(x, n_max) for x in (p, q, g))
     # one weight row serves the stepping and the re-application
-    weights, envelope = (None, None) if nu is None else _weights_and_envelope(nu, n_max)
+    weights = None if nu is None else convolution_weights(nu, n_max + 1)
     u = _solve_steps(p, q, g, weights, u0, base)
     _require_finite(u, base)
     # independent re-application; the direct operator based at rho(base)
@@ -577,6 +566,7 @@ def _solve(
         _require_finite(applied, base)
     residuals = np.zeros(u.size)
     residuals[1:] = np.abs(applied[-n_max:] - (p * u[1:] + q * u[:-1] + g))
+    envelope = None if nu is None else envelope_sequence(nu, n_max)
     return SolutionTrace(base, u, residuals, envelope, nu)
 
 

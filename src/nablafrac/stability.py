@@ -15,9 +15,12 @@ global maximum, the last window must drop below 0.5x the initial window's
 maximum and 0.1x the global maximum to classify ``tends_to_zero``, and a
 last-window maximum above 10x the first sample, or any non-finite sample
 (an overflowed trace), classifies ``unbounded``.
-Algebraic tails n^(nu-1) are slow, so classification runs want n_max >= 2000
-(default window n_max / 10); close to nu = 1 no desk-scale horizon can pass
-the 0.1x clause (the envelope decays like n^(-0.1) at nu = 0.9).
+``bound_check``, ``compare_orders`` and ``stability_scan`` classify over the
+default window, a tenth of the trace; only ``decay_classify`` and
+``tail_exponent`` take the caller's window.  Algebraic tails n^(nu-1) are
+slow, so classification runs want n_max >= 2000; close to nu = 1 no
+desk-scale horizon can pass the 0.1x clause (the envelope decays like
+n^(-0.1) at nu = 0.9).
 
 ``tail_stat`` reports the measured algebraic tail exponent: the log-log
 slope of |u(n)| over the last window (about nu - 1 for envelope-like traces,
@@ -43,8 +46,9 @@ from .solver import (
     SolutionTrace,
     _check_unit_order,
     _solve_steps,
-    _weights_and_envelope,
     coefficient_array,
+    envelope_sequence,
+    mittag_leffler_seq,
     solve_first_order,
     solve_general,
 )
@@ -182,25 +186,23 @@ class StabilityReport:
         return bool(np.all(self.bound_ok))
 
 
-def bound_check(
-    c: CoefficientLike, nu: float, n_max: int, base: int = 0, window: int | None = None
-) -> StabilityReport:
+def bound_check(c: CoefficientLike, nu: float, n_max: int, base: int = 0) -> StabilityReport:
     """Run the lagged equation and check the envelope bound pointwise.
 
     bound_ok[n] tests |E(a+n)| <= H_{nu-1}(a+n, rho(a)) + 1e-12 (1 + H).
     When criterion_holds is all true, bound_ok must be all true; the converse
-    does not hold (the criterion is sufficient, not necessary).
+    does not hold (the criterion is sufficient, not necessary).  The values
+    are :func:`mittag_leffler_seq`'s and the envelope is
+    :func:`envelope_sequence`'s; ``base`` only labels the report.  The decay
+    class and the tail are taken over the default window.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     carr = coefficient_array(c, n_max)
-    _check_unit_order(nu)
-    # the solve's weight row and the envelope come from one recurrence
-    weights, envelope = _weights_and_envelope(nu, n_max)
-    zeros = np.zeros(n_max)
-    values = _solve_steps(zeros, carr, zeros, weights, 1.0, base)
+    values = mittag_leffler_seq(carr, nu, n_max)
+    envelope = envelope_sequence(nu, n_max)
     bound_ok = np.abs(values) <= envelope + BOUND_SLACK * (1.0 + envelope)
-    win = default_window(values.size) if window is None else window
+    win = default_window(values.size)
     return StabilityReport(
         nu=nu,
         base=base,
@@ -245,20 +247,20 @@ def compare_orders(
     u0: float,
     n_max: int,
     base: int = 0,
-    window: int | None = None,
 ) -> OrderComparison:
     """Solve the first-order equation and its fractional counterpart.
 
     The counterpart keeps the same right-hand side: ``on_u_lag`` pairs with
     the lagged fractional equation, ``on_u_t`` with the undelayed one
-    (p = c).  Decay classes are computed with a shared window.
+    (p = c).  Both decay classes and tails are taken over the default
+    window.
     """
     form = FirstOrderForm(form)
     p, q = form.split(c)
     problem = LinearProblem(nu, base, p=p, q=q, g=0.0, u0=u0)
     first = solve_first_order(c, form, u0, n_max, base)
     frac = solve_general(problem, n_max)
-    win = default_window(len(first)) if window is None else window
+    win = default_window(len(first))
     return OrderComparison(
         nu=nu,
         form=form,
@@ -291,12 +293,7 @@ def _scan_order(nu: float, cs: list[float], n_max: int, win: int) -> list[ScanCe
     return [ScanCell(nu, c, cls, tail) for c, cls, tail in zip(cs, classes, tails)]
 
 
-def stability_scan(
-    nu_grid: Sequence[float],
-    c_grid: Sequence[float],
-    n_max: int,
-    window: int | None = None,
-) -> list[ScanCell]:
+def stability_scan(nu_grid: Sequence[float], c_grid: Sequence[float], n_max: int) -> list[ScanCell]:
     """Classify the constant-coefficient lagged equation over a (nu, c) grid.
 
     All coefficients of one order are stepped as one batch, the same
@@ -310,7 +307,8 @@ def stability_scan(
     traces are then classified by one :func:`decay_classify` call and
     fitted by one :func:`tail_exponent` call on the (n_max + 1, k) batch:
     the classes are those of the per-column calls, and the tails differ
-    from them only in rounding (a few 1e-13 at n_max 2000).
+    from them only in rounding (a few 1e-13 at n_max 2000).  Every trace
+    is classified and fitted over the default window.
     Cells are returned in row-major order (nu outer, c inner).
     """
     nus = [float(nu) for nu in nu_grid]
@@ -319,7 +317,7 @@ def stability_scan(
     cs = coefficient_array(c_grid, len(c_grid)).tolist()
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    win = default_window(n_max + 1) if window is None else window
+    win = default_window(n_max + 1)
     return [cell for nu in nus for cell in _scan_order(nu, cs, n_max, win)]
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: happy paths, exit codes, determinism."""
 
+import io
 import json
 import warnings
 
@@ -81,6 +82,23 @@ def test_apply_sum_of_ones_counts(runner, tmp_path):
     assert result.output == (
         "# base=0\nindex,value\n0,0\n1,1\n2,2\n3,3\n4,4\n5,5\n"
     )
+
+
+def test_apply_sum_of_a_tiny_order_is_the_identity(runner, tmp_path):
+    path = tmp_path / "u.csv"
+    v = np.random.default_rng(6).uniform(-10.0, 10.0, 300)
+    _write_grid(path, 1, v)
+    for nu in ("1e-20", repr(2.0**-54)):
+        result = runner.invoke(main, ["apply", "--op", "sum", "--nu", nu, "--input", str(path)])
+        assert result.exit_code == 0
+        rows = np.loadtxt(result.output.splitlines(), delimiter=",", skiprows=2)
+        assert rows[0, 1] == 0.0
+        assert float(np.max(np.abs(rows[1:, 1] - v))) <= 1e-15
+    # other orders print the library's sum, byte for byte
+    result = runner.invoke(main, ["apply", "--op", "sum", "--nu", "0.3", "--input", str(path)])
+    want = io.StringIO()
+    write_grid_csv(nablafrac.nabla_sum(GridFunction(1, v), 0.3), want, record_base=True)
+    assert result.output == want.getvalue()
 
 
 def test_apply_nabla_needs_no_order(runner, tmp_path):

@@ -27,8 +27,11 @@ def _table_oracle(stream, header, *columns):
 
 
 def _document_oracle(stream, kind, **fields):
-    """json.dump with indent 2 and a trailing newline."""
-    lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+    """json.dump with indent 2 and a trailing newline; arrays and ranges as lists."""
+    lists = {
+        k: v.tolist() if isinstance(v, np.ndarray) else list(v) if isinstance(v, range) else v
+        for k, v in fields.items()
+    }
     json.dump({"kind": kind, **lists}, stream, indent=2)
     stream.write("\n")
 

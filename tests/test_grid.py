@@ -139,6 +139,19 @@ def test_sum_vanishes_at_its_base_point():
     assert r.values[0] == 0.0
 
 
+def test_sum_of_a_tiny_order_is_the_identity():
+    # nu - 1 rounds to -1, whose recurrence row is 1, 0, 0, ...: the sum's
+    # order-0 limit, not the zero function
+    v = np.random.default_rng(5).uniform(-10.0, 10.0, 600)
+    for nu in (1e-20, 2.0**-54):
+        r = nabla_sum(GridFunction(2, v), nu)
+        assert r.base == 1 and r.values[0] == 0.0
+        assert float(np.max(np.abs(r.values[1:] - v))) <= 1e-15
+    # an order whose nu - 1 is not -1 keeps its row, to the last bit
+    want = _convolve_head(monomial_sequence(0.3 - 1.0, v.size)[1:], v)
+    assert nabla_sum(GridFunction(2, v), 0.3).values[1:].tobytes() == want.tobytes()
+
+
 def test_sum_power_rule():
     # sum of order nu sends H_mu to H_{mu+nu} at matching offsets
     mu, nu, n = 0.3, 0.7, 100

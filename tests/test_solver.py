@@ -41,7 +41,7 @@ from nablafrac.exact import (
 )
 from nablafrac.formats import write_trace_csv, write_trace_json
 from nablafrac.grid import _BLOCK, _transform_length
-from nablafrac.solver import _LEAF, _NEAR, _micro_size, _solve_steps, _weights_and_envelope
+from nablafrac.solver import _LEAF, _NEAR, _micro_size, _solve_steps
 
 
 def _rel_gap(got: np.ndarray, want: np.ndarray, floor: float = 1.0) -> float:
@@ -79,16 +79,19 @@ def test_envelope_rejects_negative_n_max():
             envelope_sequence(0.5, n_max)
 
 
-@pytest.mark.parametrize("nu", [0.01, 0.1, 0.3, 0.5, 0.75, 0.9, 0.99, 1 / 3])
-def test_one_recurrence_gives_the_weights_and_the_envelope_bit_for_bit(nu):
-    # the solves and bound_check form both rows at once; each row is the
-    # separate call's, to the last bit, and so are the traces' envelopes
-    for n_max in (0, 1, 2, 127, 5000, 40000):
-        weights, envelope = _weights_and_envelope(nu, n_max)
-        assert weights.tobytes() == convolution_weights(nu, n_max + 1).tobytes()
-        assert envelope.tobytes() == envelope_sequence(nu, n_max).tobytes()
-    assert solve_lagged(-0.4, nu, 1.0, 300).envelope.tobytes() == envelope_sequence(nu, 300).tobytes()
-    assert bound_check(-0.4, nu, 300).envelope.tobytes() == envelope_sequence(nu, 300).tobytes()
+@pytest.mark.parametrize("nu", [1e-20, 2.0**-54, 0.01, 1 / 3, 0.5, 0.99])
+def test_every_envelope_is_the_envelope_sequence(nu):
+    # the solves and bound_check carry envelope_sequence's row, to the last
+    # bit, also at orders so small that nu - 1 rounds to -1
+    want = envelope_sequence(nu, 300).tobytes()
+    assert solve_lagged(-0.4 * nu, nu, 1.0, 300).envelope.tobytes() == want
+    problem = LinearProblem(nu, 2, p=0.1, q=-0.4 * nu, g=0.01, u0=1.0)
+    assert solve_general(problem, 300).envelope.tobytes() == want
+    assert bound_check(-0.4 * nu, nu, 300).envelope.tobytes() == want
+    # c = 0 gives E equal to the envelope, which at the tiny orders is the
+    # order-0 limit 1, 0, 0, ...; a zero-convention envelope would deny it
+    report = bound_check(0.0, nu, 50)
+    assert report.criterion_all and report.bound_all
 
 
 def test_zero_coefficient_sequence_equals_envelope():
