@@ -7,17 +7,6 @@ envelope bound and decay classification, and exact-rational twins of every
 floating kernel for testing.
 """
 
-from .exact import (
-    oracle_first_order,
-    oracle_frac_diff_composed,
-    oracle_frac_diff_direct,
-    oracle_mittag_leffler,
-    oracle_monomial,
-    oracle_nabla_diff_n,
-    oracle_nabla_sum,
-    oracle_solve,
-    oracle_weight_row,
-)
 from .formats import (
     GridCsvError,
     dumps_fractions,
@@ -75,3 +64,26 @@ from .stability import (
 )
 
 __version__ = "0.3.0"
+
+# the exact oracles need fractions, which the CLI does not: they load on first use
+_ORACLES = (
+    "oracle_first_order",
+    "oracle_frac_diff_composed",
+    "oracle_frac_diff_direct",
+    "oracle_mittag_leffler",
+    "oracle_monomial",
+    "oracle_nabla_diff_n",
+    "oracle_nabla_sum",
+    "oracle_solve",
+    "oracle_weight_row",
+)
+
+
+def __getattr__(name: str):
+    """``exact`` and its oracles, imported on first use."""
+    if name == "exact" or name in _ORACLES:
+        from importlib import import_module
+
+        exact = import_module(".exact", __name__)
+        return exact if name == "exact" else getattr(exact, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,11 +3,15 @@ grid CSV reader against a row-by-row parser."""
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nablafrac.cli
 import nablafrac.formats
@@ -102,8 +106,70 @@ def documents(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(columns=tables(), header=texts)
+# a non-ASCII str column, int64s that print through float, a range past 17 digits
+@example(columns=[["é", "☃", "𝜈"], np.array([0.5, 2.0, -1e-300])], header="h")
+@example(columns=[np.array([2**53 + 1, -(2**63)], dtype=np.int64)], header="h")
+@example(columns=[range(10**20, 10**20 + 3), np.array([1.0, 2.0, 3.0])], header="h")
 def test_write_table_matches_the_row_writer(columns, header):
     _assert_same(_text(write_table, header, *columns), _text(_table_oracle, header, *columns))
+
+
+# --- the 17-digit float formatter ---------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_any_bit_pattern_prints_as_percent_17g(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    _assert_same(_text(write_table, "x", values), _text(_table_oracle, "x", values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_certified_digits_are_the_correctly_rounded_ones(bits):
+    values = np.abs(np.array(bits, dtype=np.uint64).view(np.float64))
+    values = values[np.isfinite(values) & (values > 0)]
+    k, digits, certain = nablafrac.formats._decimal(values)
+    for value, k, digits in zip(values[certain].tolist(), k[certain].tolist(), digits[certain].tolist()):
+        # '%.16e' rounds to 17 significant digits exactly
+        mantissa, exponent = ("%.16e" % value).split("e")
+        assert (digits, k) == (int(mantissa.replace(".", "")), int(exponent))
+
+
+def test_a_million_random_bit_patterns_print_as_percent_17g():
+    values = np.random.default_rng(21).integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+    _assert_same(_text(write_table, "x", values), _text(_table_oracle, "x", values))
+
+
+def test_powers_of_ten_their_neighbours_and_the_extremes_print_as_percent_17g():
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    extremes = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0]
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), extremes])
+    values = np.concatenate([values, -values, [np.nan, -np.nan, np.inf, -np.inf]])
+    _assert_same(_text(write_table, "x", values), _text(_table_oracle, "x", values))
+
+
+@pytest.mark.parametrize(
+    "value, tie", [(1234567890123456.75, True), (2251799813685247.25, True), (0.5, False), (2.5e-8, False)]
+)
+def test_exact_ties_take_the_fallback(value, tie):
+    # a tie's x·10^(16 - k) ends in exactly .5, which the certified path leaves to '%.17g'
+    values = np.array([value, -value])
+    k, digits, certain = nablafrac.formats._decimal(np.abs(values))
+    assert certain.all() != tie
+    _assert_same(_text(write_table, "x", values), _text(_table_oracle, "x", values))
+
+
+def test_importing_the_cli_builds_no_table_and_loads_no_fractions():
+    # the tables are built on first use, so the CLI's start-up does not pay for them
+    code = (
+        "import sys, nablafrac.cli, nablafrac.formats as f; "
+        "print(f._tables.cache_info().currsize, 'fractions' in sys.modules, 'decimal' in sys.modules)"
+    )
+    src = str(Path(nablafrac.formats.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["0", "False", "False"], done.stderr
 
 
 @settings(max_examples=60, deadline=None)
