@@ -140,23 +140,28 @@ def _check_unit_order(nu: float) -> None:
 
 
 def coefficient_array(c: CoefficientLike, n_max: int) -> np.ndarray:
-    """Normalize a scalar or sequence coefficient to an array of length n_max.
+    """Normalize a coefficient to an array of n_max steps along axis 0.
 
     Entry i corresponds to the step at t = a + 1 + i.  A sequence must supply
-    at least n_max finite entries; scalars broadcast.
+    at least n_max finite entries; scalars broadcast.  An (n, k) array holds
+    k problems as columns and gives (n_max, k).  A float64 sequence or batch
+    is returned as a view, not a copy, so the scan's broadcast batch stays
+    one row of memory.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     arr = np.asarray(c, dtype=float)
     if arr.ndim == 0:
         arr = np.full(n_max, float(arr))
-    elif arr.ndim == 1:
-        if arr.size < n_max:
-            raise ValueError(f"coefficient sequence has {arr.size} entries, need {n_max}")
-        arr = arr[:n_max].astype(float)
+    elif arr.ndim <= 2:
+        if len(arr) < n_max:
+            raise ValueError(f"coefficient sequence has {len(arr)} entries, need {n_max}")
+        arr = arr[:n_max]
     else:
-        raise ValueError(f"coefficients must be scalar or one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"coefficients must be scalar, one-dimensional or (n, k), got shape {arr.shape}")
+    # min and max see any inf or nan and, unlike isfinite, form no
+    # temporary the size of a batch
+    if not np.isfinite([arr.min(initial=0.0), arr.max(initial=0.0)]).all():
         raise ValueError("coefficients must be finite")
     return arr
 
@@ -475,6 +480,11 @@ def mittag_leffler_seq(c: CoefficientLike, nu: float, n_max: int) -> np.ndarray:
 
     Values depend only on offsets, never on the base point a (translation
     invariance), so none is taken.  Returns the values at offsets 0..n_max.
+    An (n_max, k) coefficient array holds k problems as columns and gives
+    (n_max + 1, k): one batch of the stepping core, whose history merges
+    and micro-blocks serve every column, and each column gets the values
+    its own call would give, up to the order of the sums.  A trace that
+    overflows is returned as it is.
     """
     _check_unit_order(nu)
     carr = coefficient_array(c, n_max)
@@ -547,6 +557,8 @@ def _solve(
     if not math.isfinite(u0):
         raise ValueError(f"u0 must be finite, got {u0}")
     p, q, g = (coefficient_array(x, n_max) for x in (p, q, g))
+    if max(p.ndim, q.ndim, g.ndim) > 1:
+        raise ValueError("a solve takes scalar or one-dimensional coefficients; only mittag_leffler_seq steps a batch")
     # one weight row serves the stepping and the re-application
     weights = None if nu is None else convolution_weights(nu, n_max + 1)
     u = _solve_steps(p, q, g, weights, u0, base)

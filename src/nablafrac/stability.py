@@ -22,6 +22,12 @@ slow, so classification runs want n_max >= 2000; close to nu = 1 no
 desk-scale horizon can pass the 0.1x clause (the envelope decays like
 n^(-0.1) at nu = 0.9).
 
+The module steps equations through public solver functions only: each
+report steps :func:`mittag_leffler_seq` or a solve, and a scan steps each
+order's coefficients as one (n_max, k) batch of :func:`mittag_leffler_seq`.
+A batch given to ``bound_check``, or to the solves behind
+``compare_orders``, is refused with a ``ValueError`` before it is stepped.
+
 ``tail_stat`` reports the measured algebraic tail exponent: the log-log
 slope of |u(n)| over the last window (about nu - 1 for envelope-like traces,
 0 for oscillating or constant ones).  It is diagnostic only; no acceptance
@@ -38,14 +44,12 @@ import math
 
 import numpy as np
 
-from .monomial import convolution_weights
 from .solver import (
     CoefficientLike,
     FirstOrderForm,
     LinearProblem,
     SolutionTrace,
     _check_unit_order,
-    _solve_steps,
     coefficient_array,
     envelope_sequence,
     mittag_leffler_seq,
@@ -198,15 +202,16 @@ def bound_check(c: CoefficientLike, nu: float, n_max: int, base: int = 0) -> Sta
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    carr = coefficient_array(c, n_max)
-    values = mittag_leffler_seq(carr, nu, n_max)
+    # the criterion refuses a batch before anything is stepped
+    criterion_holds = criterion_check(coefficient_array(c, n_max), nu)
+    values = mittag_leffler_seq(c, nu, n_max)
     envelope = envelope_sequence(nu, n_max)
     bound_ok = np.abs(values) <= envelope + BOUND_SLACK * (1.0 + envelope)
     win = default_window(values.size)
     return StabilityReport(
         nu=nu,
         base=base,
-        criterion_holds=criterion_check(carr, nu),
+        criterion_holds=criterion_holds,
         bound_ok=bound_ok,
         decay_class=decay_classify(values, win),
         tail_stat=tail_exponent(values, win),
@@ -283,22 +288,13 @@ class ScanCell:
     tail_stat: float
 
 
-def _scan_order(nu: float, cs: list[float], n_max: int, win: int) -> list[ScanCell]:
-    """Step every coefficient of one order together, then classify and fit all columns."""
-    zeros = np.zeros(n_max)
-    coeffs = np.broadcast_to(np.asarray(cs), (n_max, len(cs)))
-    traces = _solve_steps(zeros, coeffs, zeros, convolution_weights(nu, n_max + 1), 1.0, 0)
-    classes = decay_classify(traces, win)
-    tails = tail_exponent(traces, win).tolist()
-    return [ScanCell(nu, c, cls, tail) for c, cls, tail in zip(cs, classes, tails)]
-
-
 def stability_scan(nu_grid: Sequence[float], c_grid: Sequence[float], n_max: int) -> list[ScanCell]:
     """Classify the constant-coefficient lagged equation over a (nu, c) grid.
 
-    All coefficients of one order are stepped as one batch, the same
-    recursion as :func:`mittag_leffler_seq` per cell: each column gets the
-    values that solve would give it, up to the order of the sums.  The
+    All coefficients of one order are stepped as one batch: one
+    :func:`mittag_leffler_seq` call on the (n_max, k) array whose every
+    row is the c grid, a broadcast view of one row.  Each column gets the
+    values its own call would give it, up to the order of the sums.  The
     batch shares the stepping core's divide-and-conquer history and its
     micro-blocks, one matrix product per micro-block and one FFT
     convolution along the step axis per merge for all columns, and each
@@ -314,11 +310,21 @@ def stability_scan(nu_grid: Sequence[float], c_grid: Sequence[float], n_max: int
     nus = [float(nu) for nu in nu_grid]
     for nu in nus:
         _check_unit_order(nu)
-    cs = coefficient_array(c_grid, len(c_grid)).tolist()
+    cs = coefficient_array(c_grid, len(c_grid))
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     win = default_window(n_max + 1)
-    return [cell for nu in nus for cell in _scan_order(nu, cs, n_max, win)]
+    # one row of memory for every order; a 2-D c grid makes a 3-D batch,
+    # which mittag_leffler_seq refuses before it steps
+    coeffs = np.broadcast_to(cs, (n_max,) + cs.shape)
+    cells = []
+    for nu in nus:
+        traces = mittag_leffler_seq(coeffs, nu, n_max)
+        tails = tail_exponent(traces, win).tolist()
+        cells += map(ScanCell, [nu] * len(cs), cs.tolist(), decay_classify(traces, win), tails)
+        # free this order's traces before the next order steps its own
+        del traces
+    return cells
 
 
 def _none_if_nan(x: float) -> float | None:

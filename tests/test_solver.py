@@ -56,6 +56,11 @@ def test_coefficient_array_broadcasts_and_truncates():
     assert np.array_equal(coefficient_array(2.0, 4), [2.0, 2.0, 2.0, 2.0])
     assert np.array_equal(coefficient_array([1.0, 2.0, 3.0], 2), [1.0, 2.0])
     assert coefficient_array(1.0, 0).size == 0
+    # a batch, k problems as columns, is cut along its steps and not copied
+    batch = np.broadcast_to([-0.5, 0.25, 0.0], (10, 3))
+    cut = coefficient_array(batch, 6)
+    assert cut.shape == (6, 3) and np.shares_memory(cut, batch)
+    assert np.array_equal(cut, batch[:6])
 
 
 def test_coefficient_array_validation():
@@ -65,6 +70,11 @@ def test_coefficient_array_validation():
         coefficient_array([[1.0, 2.0]], 2)
     with pytest.raises(ValueError):
         coefficient_array([1.0, float("inf")], 2)
+    for bad in (np.nan, -np.inf):
+        batch = np.full((3, 2), -0.5)
+        batch[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            coefficient_array(batch, 2)
     with pytest.raises(ValueError):
         coefficient_array(0.0, -1)
 
@@ -734,6 +744,11 @@ def test_growing_solves_overflow_at_the_plain_loops_step(nu):
         assert [_first_nonfinite(column) for column in batch.T] == firsts
         alone = [_solve_steps(zeros, np.full(n_max, c), zeros, weights, u0, 0) for c in cs]
         assert [_first_nonfinite(column) for column in alone] == firsts
+        if u0 == 1.0:
+            # the public batch is the same core's batch, to the last bit
+            public = mittag_leffler_seq(coeffs, nu, n_max)
+            assert public.shape == (n_max + 1, len(cs)) and public.tobytes() == batch.tobytes()
+            assert [_first_nonfinite(column) for column in public.T] == firsts
 
 
 def test_a_shrunk_last_merge_matches_the_plain_loop():
@@ -759,6 +774,36 @@ def test_a_shrunk_last_merge_matches_the_plain_loop():
         first = _first_nonfinite(loop[:, 0])
         assert first is not None and first > 8192
         assert _first_nonfinite(fast[:, 0]) == first
+
+
+_BATCH = np.full((10, 2), -0.25)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_lagged(_BATCH, 0.5, 1.0, 10),
+        lambda: solve_general(LinearProblem(0.5, 0, p=_BATCH, q=-0.25, g=0.0, u0=1.0), 10),
+        lambda: solve_general(LinearProblem(0.5, 0, p=0.0, q=_BATCH, g=0.0, u0=1.0), 10),
+        lambda: solve_general(LinearProblem(0.5, 0, p=0.0, q=-0.25, g=_BATCH, u0=1.0), 10),
+        lambda: solve_first_order(_BATCH, "on_u_lag", 1.0, 10),
+        lambda: solve_first_order(-0.25, "on_u_t", 1.0, 10, g=_BATCH),
+        lambda: bound_check(_BATCH, 0.5, 10),
+        # k = n_max + 1 columns would broadcast against the envelope
+        lambda: bound_check(np.full((10, 11), -0.25), 0.5, 10),
+        lambda: mittag_leffler_seq(np.full((10, 2, 2), -0.25), 0.5, 10),
+        lambda: mittag_leffler_seq(_BATCH[:9], 0.5, 10),
+    ],
+    ids=["lagged", "general-p", "general-q", "general-g", "first-order", "first-order-g",
+         "bound", "bound-k-is-n-plus-1", "seq-3d", "seq-short-batch"],
+)
+def test_solves_refuse_batches_before_stepping(monkeypatch, call):
+    # only mittag_leffler_seq steps a batch, and only an (n_max, k) one
+    stepped = []
+    monkeypatch.setattr(solver, "_solve_steps", lambda *args: stepped.append(args))
+    with pytest.raises(ValueError):
+        call()
+    assert not stepped
 
 
 def test_long_solves_free_their_buffers_without_the_cycle_collector():

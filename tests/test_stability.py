@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from nablafrac import (
     LinearProblem,
     bound_check,
     compare_orders,
-    convolution_weights,
     criterion_check,
     decay_classify,
     default_window,
@@ -26,7 +26,6 @@ from nablafrac import (
     tail_exponent,
 )
 from nablafrac.formats import write_report_json, write_scan_csv
-from nablafrac.solver import _solve_steps
 
 # classification fixtures: algebraic decay, oscillation, monomial growth
 _DECAYING = envelope_sequence(0.5, 399)
@@ -120,11 +119,10 @@ def test_batched_classes_and_tails_match_per_column_calls(n_max):
     # polyfit differs from the per-column fits only in rounding, none at
     # all with the default window of 2 points at n_max 20
     cs = np.round(np.arange(-2.0, 0.5001, 0.05), 10)
-    zeros = np.zeros(n_max)
     win = default_window(n_max + 1)
     coeffs = np.broadcast_to(cs, (n_max, cs.size))
     for nu in np.round(np.arange(0.1, 0.95, 0.1), 10):
-        traces = _solve_steps(zeros, coeffs, zeros, convolution_weights(nu, n_max + 1), 1.0, 0)
+        traces = mittag_leffler_seq(coeffs, nu, n_max)
         classes = decay_classify(traces, win)
         tails = tail_exponent(traces, win)
         assert classes == [decay_classify(column, win) for column in traces.T]
@@ -315,6 +313,24 @@ def test_scan_matches_per_cell_sequences():
 def test_scan_validates_orders():
     with pytest.raises(ValueError):
         stability_scan([0.5, 1.0], [-0.5], 100)
+
+
+def test_scan_holds_one_order_of_traces_at_a_time():
+    # each order's (n_max + 1, 51) traces take 0.78 MB; a scan that kept one
+    # order's traces alive while the next order steps would peak that much
+    # above a one-order scan
+    cs = np.round(np.arange(-2.0, 0.5001, 0.05), 10)
+    stability_scan([0.5], cs, 2000)
+
+    def peak(nus):
+        tracemalloc.start()
+        try:
+            stability_scan(nus, cs, 2000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak([0.2, 0.5, 0.8]) - peak([0.2]) <= 0.1 * 2**20
 
 
 def test_scan_csv_format():
