@@ -3,13 +3,13 @@
 Taylor monomials by stable recurrence, Riemann-Liouville nabla sums and
 differences with explicit base bookkeeping, method-of-steps solvers for
 linear fractional initial value problems, a stability criterion with its
-envelope bound and decay classification, and exact-rational twins of every
-floating kernel for testing.
+envelope bound and decay classification.  The exact-rational twins of every
+floating kernel, the tests' oracle, live in :mod:`nablafrac.exact`, which
+the package does not import: ``from nablafrac.exact import oracle_solve``.
 """
 
 from .formats import (
     GridCsvError,
-    dumps_fractions,
     read_grid_csv,
     write_document,
     write_grid_csv,
@@ -63,27 +63,4 @@ from .stability import (
     tail_exponent,
 )
 
-__version__ = "0.3.0"
-
-# the exact oracles need fractions, which the CLI does not: they load on first use
-_ORACLES = (
-    "oracle_first_order",
-    "oracle_frac_diff_composed",
-    "oracle_frac_diff_direct",
-    "oracle_mittag_leffler",
-    "oracle_monomial",
-    "oracle_nabla_diff_n",
-    "oracle_nabla_sum",
-    "oracle_solve",
-    "oracle_weight_row",
-)
-
-
-def __getattr__(name: str):
-    """``exact`` and its oracles, imported on first use."""
-    if name == "exact" or name in _ORACLES:
-        from importlib import import_module
-
-        exact = import_module(".exact", __name__)
-        return exact if name == "exact" else getattr(exact, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__version__ = "0.4.0"

@@ -53,7 +53,6 @@ from .stability import ScanCell, StabilityReport, _none_if_nan
 
 __all__ = [
     "GridCsvError",
-    "dumps_fractions",
     "read_grid_csv",
     "write_document",
     "write_grid_csv",
@@ -451,7 +450,6 @@ def write_report_json(report: StabilityReport, stream: IO[str]) -> None:
     """Write criterion, bound, and classification arrays as a JSON document."""
     fields = {
         "nu": report.nu,
-        "base": report.base,
         "criterion_holds": report.criterion_holds,
         "bound_ok": report.bound_ok,
         "decay_class": report.decay_class.value,
@@ -460,9 +458,3 @@ def write_report_json(report: StabilityReport, stream: IO[str]) -> None:
         "envelope": report.envelope,
     }
     write_document(stream, "stability_report", **fields)
-
-
-def dumps_fractions(obj) -> str:
-    """Serialize nested fixtures with Fractions as "p/q" strings (cross-language reuse)."""
-    as_text = "{0.numerator}/{0.denominator}".format
-    return json.dumps(obj, indent=2, sort_keys=True, default=as_text)

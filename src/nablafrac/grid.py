@@ -38,9 +38,10 @@ final values are rounded to float64.  An input of at most ``_BLOCK`` points
 has no far lags, so its head is that one ``np.convolve``, bit-identical to
 the unsplit head; longer ones agree with it to the long-double FFT's
 rounding, far below float64's.  Where ``np.longdouble`` is itself 64-bit,
-this is a plain float64 convolution.  An output that overflows float64
-raises :class:`DivergentSolutionError` at its first non-finite point, not a
-warning.
+this is a float64 convolution of the input scaled by a power of two, so
+that an input near overflow does not overflow inside the merges.  An
+output that overflows float64 raises :class:`DivergentSolutionError` at its
+first non-finite point, not a warning.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monomial import convolution_weights, monomial_limit_sequence
+from .monomial import _check_positive_order, convolution_weights, monomial_limit_sequence
 
 __all__ = [
     "DivergentSolutionError",
@@ -132,11 +133,6 @@ class GridFunction:
         return float(self.values[t - self.base])
 
 
-def _check_positive_order(nu: float) -> None:
-    if not math.isfinite(nu) or nu <= 0:
-        raise ValueError(f"order must be positive and finite, got {nu}")
-
-
 def _transform_length(b: int, count: int) -> int:
     """The smallest 2^k, 3 * 2^k or 5 * 2^k that is at least b + count.
 
@@ -197,8 +193,19 @@ def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=np.longdouble) -> np
     block meets each later one at exactly one merge, and no output reads a
     later input.  The result is rounded to float64; an entry beyond its
     range rounds to inf, which the caller's ``_require_finite`` reports.
+
+    A ``dtype`` with float64's exponent range (float64 itself, or a 64-bit
+    ``np.longdouble``) sums v scaled by a power of two, max|v| in [1/2, 1),
+    and scales the result back, both exact but for subnormals: an input
+    near overflow then keeps its merges finite, where the transforms' sums
+    of up to 2b terms would overflow first.  A wider long double needs no
+    scaling.
     """
     n = v.size
+    scaled = np.finfo(dtype).maxexp <= 1024
+    if scaled:
+        _, exponent = np.frexp(np.max(np.abs(v)))
+        v = np.ldexp(v, -exponent)
     kernel, v = kernel[:n].astype(dtype), v.astype(dtype)
     out = np.convolve(kernel[:_BLOCK], v)[:n]
     spectra: dict = {}
@@ -206,17 +213,16 @@ def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=np.longdouble) -> np
         blocks = e // _BLOCK
         b = _BLOCK * (blocks & -blocks)
         out[e : e + b] += _far_lags(v[e - b : e], kernel, _BLOCK, min(b, n - e), spectra)
-    return out.astype(float)
+    out = out.astype(float)
+    return np.ldexp(out, exponent, out=out) if scaled else out
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def nabla_diff(u: GridFunction) -> GridFunction:
-    """Backward difference u(t) - u(t-1), defined on {base+1, ...}."""
-    if len(u) < 2:
-        raise DomainTooShortError("nabla difference needs at least 2 points")
-    values = np.diff(u.values)
-    _require_finite(values, u.base + 1)
-    return GridFunction(u.base + 1, values)
+    """Backward difference u(t) - u(t-1), defined on {base+1, ...}.
+
+    It is :func:`nabla_diff_n` of order 1.
+    """
+    return nabla_diff_n(u, 1)
 
 
 @np.errstate(over="ignore", invalid="ignore")

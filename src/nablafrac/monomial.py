@@ -52,6 +52,11 @@ def _check_order(mu: float) -> None:
         raise ValueError(f"monomial order must be finite, got {mu}")
 
 
+def _check_positive_order(nu: float) -> None:
+    if not math.isfinite(nu) or nu <= 0:
+        raise ValueError(f"order must be positive and finite, got {nu}")
+
+
 def _recurrence_tail(mu: float, n_max: int) -> np.ndarray:
     """Raw recurrence values h(1), ..., h(n_max), with no order conventions."""
     if n_max < 1:
@@ -104,9 +109,7 @@ def convolution_weights(nu: float, max_lag: int) -> np.ndarray:
     negative.  The order -nu-1 is formed in extended precision so the lag-2
     identity holds to the last bit even when nu itself is not dyadic.
     """
-    _check_order(nu)
-    if nu <= 0:
-        raise ValueError(f"order must be positive, got {nu}")
+    _check_positive_order(nu)
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     if float(nu).is_integer():

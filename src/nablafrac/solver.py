@@ -66,10 +66,11 @@ solve) with the solution mounted at index a, i.e. on N_{rho(a)+1}, in
 float64 by the grid operators' head-only convolution (the lags below 256
 by one ``np.convolve``, the longer ones by the stepping core's FFT merges,
 O(n log^2 n) in all): a defect needs no long double, unlike the grid
-operators, and no term past the head is formed.  The
-solution is scaled by a power of two first and the result back after it,
-both exact, so a finite trace near overflow keeps finite residuals; a
-re-application that still overflows raises :class:`DivergentSolutionError`.
+operators, and no term past the head is formed.  The head, as every
+float64 one, scales the solution by a power of two first and the result
+back after it, both exact, so a finite trace near overflow keeps finite
+residuals; a re-application that still overflows raises
+:class:`DivergentSolutionError`.
 On decaying solves the residuals agree with the long-double grid operator's
 to within about 1e-15 max|u|.
 """
@@ -551,7 +552,13 @@ def _solve(
     n_max: int,
     base: int,
 ) -> SolutionTrace:
-    """Solve (nabla^nu u)(t) = p(t)u(t) + q(t)u(t-1) + g(t); nu=None is the classical nabla."""
+    """Solve (nabla^nu u)(t) = p(t)u(t) + q(t)u(t-1) + g(t); nu=None is the classical nabla.
+
+    The residuals re-apply the operator to the stepped solution:
+    :func:`nabla_diff`, or the float64 head of the stepped weight row, which
+    scales u by a power of two and back (see ``grid._convolve_head``), so a
+    trace near overflow keeps finite residuals.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not math.isfinite(u0):
@@ -569,12 +576,8 @@ def _solve(
     if nu is None:
         applied = nabla_diff(GridFunction(base, u)).values
     else:
-        # a float64 convolution head: a defect needs no long double.  u
-        # is scaled by a power of two (exact) so a trace near overflow stays finite
-        _, exponent = np.frexp(np.max(np.abs(u)))
-        head = _convolve_head(weights, np.ldexp(u, -exponent), float)
-        with np.errstate(over="ignore"):
-            applied = np.ldexp(head, exponent)
+        # a float64 convolution head, scaled inside: a defect needs no long double
+        applied = _convolve_head(weights, u, float)
         _require_finite(applied, base)
     residuals = np.zeros(u.size)
     residuals[1:] = np.abs(applied[-n_max:] - (p * u[1:] + q * u[:-1] + g))

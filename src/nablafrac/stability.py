@@ -170,10 +170,13 @@ def tail_exponent(trace: Sequence[float] | np.ndarray, window: int) -> float | n
 
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
-    """Criterion, bound, and classification diagnostics for one solve."""
+    """Criterion, bound, and classification diagnostics for one solve.
+
+    Each array is indexed by the offset n = t - a from the solve's base a,
+    which the report does not name: every bound holds for any base.
+    """
 
     nu: float
-    base: int
     criterion_holds: np.ndarray
     bound_ok: np.ndarray
     decay_class: DecayClass
@@ -190,15 +193,15 @@ class StabilityReport:
         return bool(np.all(self.bound_ok))
 
 
-def bound_check(c: CoefficientLike, nu: float, n_max: int, base: int = 0) -> StabilityReport:
+def bound_check(c: CoefficientLike, nu: float, n_max: int) -> StabilityReport:
     """Run the lagged equation and check the envelope bound pointwise.
 
     bound_ok[n] tests |E(a+n)| <= H_{nu-1}(a+n, rho(a)) + 1e-12 (1 + H).
     When criterion_holds is all true, bound_ok must be all true; the converse
     does not hold (the criterion is sufficient, not necessary).  The values
     are :func:`mittag_leffler_seq`'s and the envelope is
-    :func:`envelope_sequence`'s; ``base`` only labels the report.  The decay
-    class and the tail are taken over the default window.
+    :func:`envelope_sequence`'s, both from offset 0; neither depends on the
+    base a.  The decay class and the tail are taken over the default window.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -210,7 +213,6 @@ def bound_check(c: CoefficientLike, nu: float, n_max: int, base: int = 0) -> Sta
     win = default_window(values.size)
     return StabilityReport(
         nu=nu,
-        base=base,
         criterion_holds=criterion_holds,
         bound_ok=bound_ok,
         decay_class=decay_classify(values, win),

@@ -1,6 +1,5 @@
 """Exact-rational reference implementations: frozen values and identities."""
 
-import json
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +16,6 @@ from nablafrac.exact import (
     oracle_solve,
     oracle_weight_row,
 )
-from nablafrac.formats import dumps_fractions
 
 # deterministic little grid function with awkward denominators
 VALUES = [F(k * k - 3, k + 2) for k in range(1, 21)]
@@ -148,12 +146,3 @@ def test_first_order_singular_and_unknown_form():
         oracle_first_order(1, "on_u_t", 1, 3)
     with pytest.raises(ValueError):
         oracle_first_order(0, "sideways", 1, 3)
-
-
-def test_dumps_fractions_round_trips_structure():
-    doc = {"tail": [F(1), F(1, 2), F(3, 8)], "nu": F(1, 2), "n": 3}
-    text = dumps_fractions(doc)
-    parsed = json.loads(text)
-    assert parsed["tail"] == ["1/1", "1/2", "3/8"]
-    assert parsed["nu"] == "1/2"
-    assert parsed["n"] == 3

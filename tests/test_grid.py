@@ -3,7 +3,11 @@
 import importlib
 import io
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +312,20 @@ def test_blocked_heads_match_the_full_convolution(nu, n):
     assert np.max(np.abs(_convolve_head(kernel, v, float) - full)) <= 1e-13 * np.max(np.abs(full))
 
 
+@pytest.mark.parametrize("nu", [0.5, 0.3])
+@pytest.mark.parametrize("n", [2000, 5000])
+def test_float64_heads_of_inputs_near_overflow_stay_finite(nu, n):
+    # the sum kernel (order nu - 1) and the direct weights: unscaled, the
+    # float64 merges overflow from point 512 on, while the long-double head
+    # peaks near 3.5e306
+    v = np.random.default_rng(n).uniform(-1e306, 1e306, size=n)
+    for kernel in (monomial_sequence(nu - 1.0, n)[1:], convolution_weights(nu, n)):
+        want = _convolve_head(kernel, v)
+        got = _convolve_head(kernel, v, float)
+        assert np.isfinite(want).all() and np.isfinite(got).all()
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def _far_lags_loop(source, weights, near, count):
     """The far lags by their definition, one long-double sum over the sources per output."""
     b = len(source)
@@ -491,13 +509,27 @@ def test_package_reexports_the_formats_module():
     # the root holds exactly the submodules' public names, so a name deleted
     # from a submodule cannot survive as a root alias
     modules = {}
-    for module_name in ("grid", "monomial", "solver", "stability", "formats", "exact"):
+    for module_name in ("grid", "monomial", "solver", "stability", "formats"):
         module = modules[module_name] = importlib.import_module(f"nablafrac.{module_name}")
         for name in module.__all__:
             assert getattr(nablafrac, name) is getattr(module, name), (module_name, name)
     exported = {name for module in modules.values() for name in module.__all__}
     public = {name for name in vars(nablafrac) if not name.startswith("_")}
-    assert public - exported <= set(modules) | {"cli"}
+    # other tests import cli and exact, which binds them as attributes
+    assert public - exported <= set(modules) | {"cli", "exact"}
+
+
+def test_package_root_binds_no_oracle():
+    # the exact oracles are imported from nablafrac.exact; the root neither
+    # names them nor loads fractions
+    code = (
+        "import sys, nablafrac; "
+        "print(hasattr(nablafrac, 'oracle_solve'), hasattr(nablafrac, 'exact'), 'fractions' in sys.modules); "
+        "import nablafrac.exact; print(nablafrac.exact.oracle_solve.__name__)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(nablafrac.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["False", "False", "False", "oracle_solve"], done.stderr
 
 
 def test_csv_round_trip_is_lossless():

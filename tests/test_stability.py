@@ -202,6 +202,9 @@ def test_report_json_document():
     buf = io.StringIO()
     write_report_json(report, buf)
     doc = json.loads(buf.getvalue())
+    assert list(doc) == [
+        "kind", "nu", "criterion_holds", "bound_ok", "decay_class", "tail_stat", "values", "envelope",
+    ]
     assert doc["kind"] == "stability_report"
     assert doc["nu"] == 0.5
     assert len(doc["values"]) == len(doc["envelope"]) == 101
