@@ -1,8 +1,9 @@
 """Command-line front end: thin, deterministic wrappers over the library.
 
 Exit codes: 0 success, 2 invalid parameters (a non-finite initial value or
-scan range among them), malformed input or an unwritable output path, 3
-input too short for the requested operator, 4 singular step while solving,
+scan range among them), malformed input, an unwritable output path, a size
+too large to allocate or a range axis of more than 10^4 points, 3 input too
+short for the requested operator, 4 singular step while solving,
 5 result overflowed.  Output is written by :mod:`nablafrac.formats` with 17
 significant digits, so identical invocations produce byte-identical files.
 """
@@ -54,8 +55,13 @@ COEFFICIENT_PRESETS = {
 }
 
 
-# library errors with their own exit code; any other ValueError exits 2
-_EXIT_CODES = {DomainTooShortError: 3, SingularStepError: 4, DivergentSolutionError: 5}
+# errors with their own exit code, looked up by isinstance (NumPy
+# raises a subclass of MemoryError); any other ValueError exits 2
+_EXIT_CODES = {DomainTooShortError: 3, SingularStepError: 4, DivergentSolutionError: 5, MemoryError: 2}
+
+# the most points of a start:stop:step axis; each c point costs a scan its
+# own block inverse and trace
+_MAX_AXIS_POINTS = 10**4
 
 
 @contextlib.contextmanager
@@ -65,7 +71,7 @@ def _library_errors():
         yield
     except tuple(_EXIT_CODES) as exc:
         error = click.ClickException(str(exc))
-        error.exit_code = _EXIT_CODES[type(exc)]
+        error.exit_code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
         raise error from None
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
@@ -142,6 +148,8 @@ def _parse_axis(spec: str, name: str) -> list[float]:
             count = int(math.floor(span + 1e-9))
             if count < 0:
                 raise ValueError("stop lies before start")
+            if count >= _MAX_AXIS_POINTS:
+                raise ValueError(f"a range takes at most {_MAX_AXIS_POINTS} points, got {count + 1:.6g}")
             return [round(start + i * step, 12) for i in range(count + 1)]
         return [float(x) for x in spec.split(",")]
     except ValueError as exc:

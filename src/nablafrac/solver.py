@@ -203,20 +203,39 @@ def _micro_size(q: np.ndarray, constant: bool) -> int:
     return min(size, 1 << (len(q) - 1).bit_length())
 
 
-def _block_inverses(pivots: np.ndarray, q: np.ndarray, toeplitz: np.ndarray) -> np.ndarray:
-    """Inverses of micro-block matrices, one per row of ``pivots`` and ``q``.
+def _block_inverses(
+    coefficients: Sequence[np.ndarray], starts: range, toeplitz: np.ndarray
+) -> np.ndarray:
+    """Inverses of the matrices of the micro-blocks that start at ``starts``.
 
-    Row r of ``pivots`` and ``q`` (shape (..., m), m a power of two) defines
-    the lower-triangular m x m matrix ``toeplitz + diag(pivots[r]) - S
-    diag(q[r])``: m steps of the general equation, with ``toeplitz`` the
-    weights at lags 1..m-1 below the diagonal and S the shift one row down.
+    ``coefficients`` is the per-step (pivots, q) of the solve, entry s - 1
+    for step s, of shape (n_max,) or, for a batch, (n_max, k).  The block
+    at start s covers the m = ``len(toeplitz)`` steps from s, m a power of
+    two, and its lower-triangular m x m matrix is ``toeplitz +
+    diag(pivots) - diag(q) S``: m steps of the general equation, with
+    ``toeplitz`` the weights at lags 1..m-1 below the diagonal and S the
+    shift one row down.  Steps past n_max only fill the last block's unused
+    corner.  The result has shape (len(starts), m, m), or (len(starts), k,
+    m, m) for a batch.  A constant-coefficient solve reuses the inverse of
+    its first block, ``starts = range(1, 2)``, for every block.
+
     The inverses are built by recursive doubling,
     [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]], in place along
     the diagonal: each level pairs the finished blocks of h rows into blocks
     of 2h rows, where every C is the same Toeplitz block but for q at its
-    lag-1 corner, so a level is two batched products over all rows.
+    lag-1 corner, so a level is two batched products over all blocks.
     """
-    m = pivots.shape[-1]
+    m = len(toeplitz)
+    first, rows = starts[0] - 1, len(starts) * m
+    chunks = []
+    for c, fill in zip(coefficients, (1.0, 0.0)):
+        chunk = c[first : first + rows]
+        if len(chunk) < rows:
+            chunk = np.concatenate((chunk, np.full((rows - len(chunk),) + chunk.shape[1:], fill)))
+        chunk = chunk.reshape((len(starts), m) + chunk.shape[1:])
+        # a batch's steps go last, as one problem's already are
+        chunks.append(chunk if chunk.ndim == 2 else np.moveaxis(chunk, 1, -1))
+    pivots, q = chunks
     inv = np.zeros(pivots.shape + (m,))
     flat, qs = inv.reshape(-1, m, m), q.reshape(-1, m)
     flat.reshape(-1, m * m)[:, :: m + 1] = 1.0 / pivots.reshape(-1, m)
@@ -236,24 +255,6 @@ def _block_inverses(pivots: np.ndarray, q: np.ndarray, toeplitz: np.ndarray) -> 
         np.matmul(blocks[..., h:, h:], ca, out=blocks[..., h:, :h])
         h *= 2
     return inv
-
-
-def _leaf_inverses(
-    coefficients: Sequence[np.ndarray], starts: range, toeplitz: np.ndarray
-) -> np.ndarray:
-    """The inverses of the micro-blocks at ``starts``, from per-step (pivots, q)."""
-    m = len(toeplitz)
-    first, rows = starts[0] - 1, len(starts) * m
-    blocks = []
-    for c, fill in zip(coefficients, (1.0, 0.0)):
-        chunk = c[first : first + rows]
-        if len(chunk) < rows:
-            # steps past n_max only fill the last micro-block's unused corner
-            chunk = np.concatenate((chunk, np.full((rows - len(chunk),) + chunk.shape[1:], fill)))
-        chunk = chunk.reshape((len(starts), m) + chunk.shape[1:])
-        # a batch's steps go last, as one problem's already are
-        blocks.append(chunk if chunk.ndim == 2 else np.moveaxis(chunk, 1, -1))
-    return _block_inverses(*blocks, toeplitz)
 
 
 def _solve_block(inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -421,14 +422,11 @@ def _solve_steps(
             # lag _NEAR + i - t is at most _NEAR
             crossing = np.triu(weights[_NEAR + np.subtract.outer(np.arange(_NEAR), np.arange(_NEAR))])
         if constant:
-            rows = (c[0][..., None].repeat(m, axis=-1) for c in (pivots, q))
-            shared = _block_inverses(*rows, toeplitz)
+            shared = _block_inverses((pivots, q), range(1, 2), toeplitz)[0]
         history = np.zeros(u.shape)
         spectra: dict = {}
-        # per-column views, in which one problem is a batch of one column,
-        # and the columns already non-finite, which substitution leaves out
+        # per-column views, in which one problem is a batch of one column
         u2, q2, g2, pivots2 = (c.reshape(len(c), -1) for c in (u, q, g, pivots))
-        dead = np.zeros(u2.shape[1], dtype=bool)
         for lo in range(0, n_max + 1, _LEAF):
             hi = min(lo + _LEAF, n_max + 1)
             if lo:
@@ -444,7 +442,7 @@ def _solve_steps(
                 history[lo : lo + _NEAR] += crossing[: hi - lo].dot(u[lo - _NEAR : lo])
             # the first leaf's first micro-block starts at step 1, past u0
             starts = range(max(lo, 1), hi, m)
-            inverses = [shared] * len(starts) if constant else _leaf_inverses((pivots, q), starts, toeplitz)
+            inverses = [shared] * len(starts) if constant else _block_inverses((pivots, q), starts, toeplitz)
             for s, inverse in zip(starts, inverses):
                 e = min(s + m, hi)
                 inverse = inverse[..., : e - s, : e - s]
@@ -460,13 +458,14 @@ def _solve_steps(
                     continue
                 # near overflow the block products can overflow, or give
                 # inf - inf, before the steps do, and spread an inf over the
-                # block: a live column that comes out non-finite is redone
-                # step by step, which alone finds its first non-finite step
+                # block: a column finite before the block that comes out
+                # non-finite is redone step by step, which alone finds its
+                # first non-finite step.  A column already non-finite stays
+                # so, as every step reads its whole history
                 behind = behind.reshape(e - s, -1)
-                for j in np.flatnonzero(~(dead | np.isfinite(u2[s:e]).all(axis=0))):
+                for j in np.flatnonzero(np.isfinite(u2[s - 1]) & ~np.isfinite(u2[s:e]).all(axis=0)):
                     steps = (c[s - 1 : e - 1, j] for c in (q2, g2, pivots2))
                     u2[s:e, j] = _substitute(weights, float(u2[s - 1, j]), *steps, behind[:, j])
-                    dead[j] = not np.isfinite(u2[e - 1, j])
             # free this leaf's inverses before the next leaf builds its own
             del inverses, inverse
     return u
@@ -485,13 +484,18 @@ def mittag_leffler_seq(c: CoefficientLike, nu: float, n_max: int) -> np.ndarray:
     (n_max + 1, k): one batch of the stepping core, whose history merges
     and micro-blocks serve every column, and each column gets the values
     its own call would give, up to the order of the sums.  A trace that
-    overflows is returned as it is.
+    overflows is returned as it is.  The weight row is formed before the
+    coefficients are checked, so a horizon too long to allocate raises
+    ``MemoryError`` at once, not after a pass over every entry of a
+    broadcast batch.
     """
     _check_unit_order(nu)
+    # a negative n_max is refused by coefficient_array, with its own message
+    weights = convolution_weights(nu, max(n_max, 0) + 1)
     carr = coefficient_array(c, n_max)
     zeros = np.zeros(n_max)
     # the base only names the step of a singular pivot, and p = 0 has none
-    return _solve_steps(zeros, carr, zeros, convolution_weights(nu, n_max + 1), 1.0, 0)
+    return _solve_steps(zeros, carr, zeros, weights, 1.0, 0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -505,6 +505,32 @@ def test_scan_rejects_infinite_range_parts(runner):
     assert "--nu-grid spec" in result.output
 
 
+_HUGE = "1000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["monomial", "--mu", "0.5", "--n-max", _HUGE],
+        ["solve", "--nu", "0.5", "--c", "-0.5", "--n-max", _HUGE],
+        ["solve", "--order", "1", "--c", "-0.5", "--n-max", _HUGE],
+        ["compare", "--nu", "0.5", "--c", "-0.5", "--n-max", _HUGE],
+        # the scan once checked every entry of its broadcast batch first,
+        # which did not end, before it allocated anything
+        ["scan", "--nu-grid", "0.5", "--c-grid", "-0.5", "--n-max", _HUGE],
+        # a range axis once became a list over range(10**300)
+        ["scan", "--c-grid", "0:1:1e-300"],
+    ],
+    ids=["monomial", "solve", "solve-order-1", "compare", "scan-n-max", "scan-axis"],
+)
+def test_sizes_that_cannot_be_allocated_exit_2(runner, argv):
+    # they once ended in a NumPy MemoryError traceback, or did not end
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output and "Traceback" not in result.output
+
+
 def test_non_finite_initial_values_are_invalid(runner):
     # they used to step into a non-finite u(0) and exit 5 as a divergence
     cases = [
