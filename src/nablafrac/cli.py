@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 invalid parameters (a non-finite initial value or
 scan range among them), malformed input, an unwritable output path, a size
 too large to allocate or a range axis of more than 10^4 points, 3 input too
 short for the requested operator, 4 singular step while solving,
-5 result overflowed.  Output is written by :mod:`nablafrac.formats` with 17
-significant digits, so identical invocations produce byte-identical files.
+5 result overflowed.  Output is written by :mod:`nablafrac.formats`: CSV
+with 17 significant digits, JSON in the shortest form that reads back to
+the same float64.  Identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ _EXIT_CODES = {DomainTooShortError: 3, SingularStepError: 4, DivergentSolutionEr
 # the most points of a start:stop:step axis; each c point costs a scan its
 # own block inverse and trace
 _MAX_AXIS_POINTS = 10**4
+
+# the --form option of solve and compare
+_FORM_OPTION = click.option(
+    "--form",
+    type=click.Choice([f.value for f in FirstOrderForm]),
+    default=FirstOrderForm.ON_U_LAG.value,
+    show_default=True,
+    help="Right-hand-side form: coefficient times u(t-1) or times u(t).",
+)
 
 
 @contextlib.contextmanager
@@ -229,13 +239,7 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
     "--n-max", type=click.IntRange(min=1), default=100, show_default=True, help="Number of steps."
 )
 @click.option("--base", type=int, default=0, show_default=True, help="Initial grid point a.")
-@click.option(
-    "--form",
-    type=click.Choice([f.value for f in FirstOrderForm]),
-    default=FirstOrderForm.ON_U_LAG.value,
-    show_default=True,
-    help="Right-hand-side form: coefficient times u(t-1) or times u(t).",
-)
+@_FORM_OPTION
 @click.option(
     "--order",
     type=click.Choice(["frac", "1"]),
@@ -287,12 +291,7 @@ def solve_cmd(
 @click.option("--u0", type=float, default=1.0, show_default=True)
 @click.option("--n-max", type=click.IntRange(min=20), default=5000, show_default=True)
 @click.option("--base", type=int, default=0, show_default=True)
-@click.option(
-    "--form",
-    type=click.Choice([f.value for f in FirstOrderForm]),
-    default=FirstOrderForm.ON_U_LAG.value,
-    show_default=True,
-)
+@_FORM_OPTION
 @click.option("--output", "-o", default="-", help="Two-trace CSV path ('-' for stdout).")
 @click.option("--verdict", "-v", "verdict_path", default="-", help="Verdict JSON path.")
 def compare_cmd(

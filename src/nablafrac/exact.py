@@ -57,13 +57,10 @@ def oracle_monomial(mu: RationalLike, n: int) -> Fraction:
 def oracle_weight_row(nu: RationalLike, max_lag: int) -> list[Fraction]:
     """Exact weights at lags 1..max_lag."""
     mu = -_as_fraction(nu) - 1
-    row: list[Fraction] = []
-    value = Fraction(1)
-    for lag in range(1, max_lag + 1):
-        if lag > 1:
-            value = value * (lag - 1 + mu) / (lag - 1)
-        row.append(value)
-    return row
+    row = [Fraction(1)]
+    for k in range(1, max_lag):
+        row.append(row[-1] * (k + mu) / k)
+    return row[:max_lag]
 
 
 def oracle_nabla_diff_n(values: Sequence[RationalLike], order: int) -> list[Fraction]:

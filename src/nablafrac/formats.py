@@ -6,7 +6,8 @@ byte-identical files that parse back losslessly, and other columns print with
 ``str`` (the scan passes its axes as ``repr`` strings, so a requested nu of 0.3
 reads back as ``0.3``).  :func:`write_document` writes every JSON document:
 ``kind`` first, arrays as lists, indent 2 and a trailing newline, the layout of
-``json.dump(indent=2)``.
+``json.dump(indent=2)``, with floats as ``float.__repr__``, the shortest form
+that reads back to the same float64.
 
 Both work one chunk of ``_CHUNK`` rows or list items at a time, and hold only
 one chunk's text at a time.  A JSON list chunk is one call of the C encoder

@@ -21,27 +21,39 @@ in floating point and in exact rational arithmetic.
 Because the direct weight row is nonzero at every lag for non-integer nu,
 the value (nabla^nu u)(t) depends on every sample u(a+1), ..., u(t): the
 operator has full memory t - a, in contrast to the two-point classical
-nabla.  Each operator output is therefore one whole convolution, of which
-only the first n terms are needed.  It is computed in ``np.longdouble`` by
-one near/far split at lag ``_BLOCK`` (256): one ``np.convolve`` of the first
-``_BLOCK`` weights sums every lag below it, and the longer lags come from
-the block-causal FFT merge that the solver's stepping core runs on its
-history (:func:`_far_lags`, with the same schedule on blocks of 256: at
-every multiple e of 256, the last 256 * 2^i points before e add to the next
-as many), so the whole head costs O(n log^2 n) beyond the near lags'
-O(n * 256).  A merge of b points feeds the next b, except the last one,
-which feeds only the count points left; it transforms b + count points
-rounded up to 2^k, 3 * 2^k or 5 * 2^k, at most 2b: 5120 points at
-n = 5000, not 8192.  Products, sums and the FFTs carry the extended
-precision (NumPy >= 2.0 transforms long double natively) and only the
-final values are rounded to float64.  An input of at most ``_BLOCK`` points
-has no far lags, so its head is that one ``np.convolve``, bit-identical to
-the unsplit head; longer ones agree with it to the long-double FFT's
-rounding, far below float64's.  Where ``np.longdouble`` is itself 64-bit,
-this is a float64 convolution of the input scaled by a power of two, so
-that an input near overflow does not overflow inside the merges.  An
-output that overflows float64 raises :class:`DivergentSolutionError` at its
-first non-finite point, not a warning.
+nabla.  Each operator output is therefore one causal convolution, of which
+only the first n terms, the head, are formed (:func:`_convolve_head`):
+
+* Near/far split.  One ``np.convolve`` of the first ``_BLOCK`` (256)
+  weights with all of the input sums every lag below ``_BLOCK``.  An input
+  of at most ``_BLOCK`` points has no other lag, so its head is that one
+  ``np.convolve``, bit-identical to the unsplit convolution.
+* Block-causal merges.  At every multiple e of ``_BLOCK``, with 2^i the
+  largest power of two dividing e / ``_BLOCK``, the last ``_BLOCK * 2^i``
+  points before e add their lags from ``_BLOCK`` on to the next as many
+  points, or to those left before n, by one real FFT (:func:`_far_lags`).
+  Each earlier block meets each later one at exactly one merge, no output
+  reads a later input, and the head costs O(n log^2 n) beyond the near
+  lags' O(256 n).  The solver's stepping core runs the same merge on the
+  same schedule over its history, on leaves of 512 points.
+* Transform length.  A merge of b points into the next b transforms 2b
+  points.  The last merge, which feeds only the count points left, takes
+  the smallest 2^k, 3 * 2^k or 5 * 2^k of at least b + count points,
+  never more than 2b: 5120 points at n = 5000, not 8192.
+* Accumulation dtype.  The operators sum in ``np.longdouble``: products,
+  sums and the FFTs carry its precision (NumPy >= 2.0 transforms long
+  double natively), and only the final values are rounded to float64.  A
+  head longer than ``_BLOCK`` agrees with the unsplit one to the
+  long-double FFT's rounding, far below float64's.  A solve's residual
+  column runs the same head in float64.
+* Power-of-two scaling.  A dtype with float64's exponent range (float64,
+  or a 64-bit ``np.longdouble``) sums the input scaled by a power of two,
+  its largest magnitude in [1/2, 1), and scales the result back, both
+  exact but for subnormals, so an input near overflow keeps its merges
+  finite.  A wider long double needs no scaling.
+
+An output that overflows float64 raises :class:`DivergentSolutionError` at
+its first non-finite point, not a warning.
 """
 
 from __future__ import annotations
@@ -65,9 +77,7 @@ __all__ = [
     "power_rule_check",
 ]
 
-# the near/far split of _convolve_head, and its smallest FFT merge block:
-# lags below it are summed by one np.convolve, so inputs of at most this many
-# points are summed bit for bit as the unsplit head
+# the near/far split of the heads, and their smallest merge block
 _BLOCK = 256
 
 
@@ -134,10 +144,7 @@ class GridFunction:
 
 
 def _transform_length(b: int, count: int) -> int:
-    """The smallest 2^k, 3 * 2^k or 5 * 2^k that is at least b + count.
-
-    For a power of two b and count <= b it is never above 2b.
-    """
+    """The FFT length of a merge: the smallest 2^k, 3 * 2^k or 5 * 2^k of at least b + count."""
     need = b + count
     return min(f << (-(-need // f) - 1).bit_length() for f in (1, 3, 5))
 
@@ -150,16 +157,14 @@ def _far_lags(
     Entry i is sum_j weights[b + i - j] source[j] over the lags
     b + i - j >= ``near``: the history that ``source`` adds to the point i
     after its end.  ``weights[d]`` is the weight at lag d, and a lag past
-    its end weighs 0.  It is one real FFT along axis 0, so a (b, k) source
-    is k columns at once, in the dtype of the inputs.  The transform length
-    L is the smallest 2^k, 3 * 2^k or 5 * 2^k of at least b + ``count``:
-    2b for a whole block, less for the partial merge at the end of a head
-    or a solve.  The kernel is ``weights[1:L]`` with the lags below ``near``
-    zeroed, so the product's entry b - 1 + i holds lag b + i - j, at most
-    b - 1 + ``count`` < L, and the circular wrap of the product's tail
-    lands only on its first b - 2 entries, which are dropped.  The kernel
-    depends on L alone, so ``spectra`` caches its spectrum by L, for one
-    weight row, one ``near`` and one ``source.ndim``.
+    its end weighs 0.  It is one real FFT of length L =
+    :func:`_transform_length` along axis 0, so a (b, k) source is k columns
+    at once, in the dtype of the inputs.  The kernel is ``weights[1:L]``
+    with the lags below ``near`` zeroed, so the product's entry b - 1 + i
+    holds lag b + i - j, at most b - 1 + ``count`` < L, and the circular
+    wrap of the product's tail lands only on its first b - 2 entries, which
+    are dropped.  The kernel depends on L alone, so ``spectra`` caches its
+    spectrum by L, for one weight row, one ``near`` and one ``source.ndim``.
     """
     b = len(source)
     size = _transform_length(b, count)
@@ -181,25 +186,12 @@ def _far_lags(
 def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=np.longdouble) -> np.ndarray:
     """First ``v.size`` terms of the convolution kernel * v, summed in ``dtype``.
 
-    Entry m is sum_{j<=m} kernel[m - j] v[j].  One ``np.convolve`` of the
-    first ``_BLOCK`` kernel entries with all of v sums every lag below
-    ``_BLOCK``, so at most ``_BLOCK`` points are the plain head of one
-    ``np.convolve``.  Every longer lag joins two different blocks of
-    ``_BLOCK`` points and comes from the stepping core's block-causal
-    schedule: at every multiple e of ``_BLOCK``, the last ``_BLOCK * 2^i``
-    points before e, with 2^i the largest power of two dividing
-    e / ``_BLOCK``, add their lags from ``_BLOCK`` on to the next as many
-    points, or to those left before n, by :func:`_far_lags`.  Each earlier
-    block meets each later one at exactly one merge, and no output reads a
-    later input.  The result is rounded to float64; an entry beyond its
-    range rounds to inf, which the caller's ``_require_finite`` reports.
-
-    A ``dtype`` with float64's exponent range (float64 itself, or a 64-bit
-    ``np.longdouble``) sums v scaled by a power of two, max|v| in [1/2, 1),
-    and scales the result back, both exact but for subnormals: an input
-    near overflow then keeps its merges finite, where the transforms' sums
-    of up to 2b terms would overflow first.  A wider long double needs no
-    scaling.
+    Entry m is sum_{j<=m} kernel[m - j] v[j], by the near/far split and the
+    block-causal merges of the module notes.  The result is rounded to
+    float64; an entry beyond its range rounds to inf, which the caller's
+    ``_require_finite`` reports.  A ``dtype`` with float64's exponent range
+    sums v scaled by a power of two, so that the merges of an input near
+    overflow stay finite.
     """
     n = v.size
     scaled = np.finfo(dtype).maxexp <= 1024

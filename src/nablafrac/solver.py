@@ -12,26 +12,35 @@ is exactly 1), into the explicit step equation
     u(t) = c(t) u(t - 1) - sum_{s=a}^{t-1} H_{-nu-1}(t, rho(s)) u(s).
 
 Every step reads all earlier samples (the memory property), so stepping with
-one full-history sum per step costs O(n^2).  The stepping core instead
-splits the history by divide and conquer: leaves of ``_LEAF`` (512) points
-sum their own history, and the nearest lags, directly, and each finished
-block adds the rest of its history to the following block by one FFT
-convolution, O(n log^2 n) in all.  That merge, ``grid._far_lags``, is the
-one the grid operators' heads run too; the last merge of a solve, which
-feeds only the points left before n_max, transforms as many points as that
-needs, rounded up to 2^k, 3 * 2^k or 5 * 2^k, not twice its block.  Every
-leaf advances in micro-blocks: one matrix product adds the history before
-the micro-block, and its own steps are one lower-triangular system, solved
-by an inverse formed before stepping and one refinement step.  A
-micro-block's size follows the problem's shape, as its fixed cost of a few
-array operations weighs against its products: 32 steps for a batch (the
-scan), whose every column applies its own inverse, 64 for one problem with
-per-step coefficients, whose inverses are formed leaf by leaf, and 128 for
-one with constant coefficients, whose one inverse is formed once.  A
-micro-block has two outcomes per column: values that come out finite are
-kept, and a column that does not is redone by forward substitution, step by
-step.  Solves of every length agree with the plain loop to within 1e-14
-max|u| on decaying solutions, and overflow at the same step.
+one full-history sum per step costs O(n^2).  The stepping core,
+:func:`_solve_steps`, costs O(n log^2 n) instead:
+
+* Leaves.  The offsets fall into leaves of ``_LEAF`` (512) points.  A
+  finished block adds its history beyond the ``_NEAR`` (64) nearest lags
+  to the block after it by one FFT convolution, ``grid._far_lags``, on the
+  block-causal schedule of the grid operators' heads (see
+  :mod:`nablafrac.grid`).
+* Crossing lags.  Every nearer or in-leaf lag is summed directly: each
+  leaf but the first starts with one dense product of the lags of at most
+  ``_NEAR`` that cross its edge.
+* Micro-blocks.  A leaf advances m steps at a time, the first leaf from
+  step 1, past u0, with m from :func:`_micro_size`.  One matrix product
+  adds the leaf's history before the micro-block, and its own steps are
+  one lower-triangular system, solved by an inverse formed before stepping
+  (:func:`_block_inverses`) and one refinement step
+  (:func:`_refined_solve`).  No Python runs per step.
+* Two outcomes per column.  Values that come out finite are kept: an
+  overflow or inf - inf anywhere in the block products reaches them as inf
+  or nan, so a finite value needs no margin below overflow.  The block
+  products of a growing trace can overflow before its steps do, so a
+  column finite before the block that comes out non-finite is redone by
+  forward substitution (:func:`_substitute`), step by step, which alone
+  finds its first non-finite step.  A column already non-finite stays so.
+* Guarantees.  Solves of every length agree with the plain loop, one
+  full-history dot product per step, to within 1e-14 max|u| on decaying
+  solutions, and overflow at the same step.  They differ from it only in
+  the order of their sums and the rounding of the block inverses and the
+  FFTs.
 
 The normalized solution (u0 = 1) is the discrete Mittag-Leffler-type
 sequence produced by :func:`mittag_leffler_seq`; by linearity every solution
@@ -56,23 +65,20 @@ general equation with the classical nabla on the left.  Its weight row
 (1 - z)^nu: the lag-2 weight -1 folds into q and no history term remains.
 One stepping core serves both orders.
 
-Every returned :class:`SolutionTrace` carries per-step residuals obtained by
-re-applying the difference operator to the computed solution, independently
-of the stepping core, plus the decay envelope H_{nu-1}(t, rho(a)) of
-:func:`envelope_sequence` for fractional solves.  A first-order solve
-re-applies :func:`nabla_diff`.  A fractional solve convolves the direct
-weight row that it stepped with (``convolution_weights``, formed once per
-solve) with the solution mounted at index a, i.e. on N_{rho(a)+1}, in
-float64 by the grid operators' head-only convolution (the lags below 256
-by one ``np.convolve``, the longer ones by the stepping core's FFT merges,
-O(n log^2 n) in all): a defect needs no long double, unlike the grid
-operators, and no term past the head is formed.  The head, as every
-float64 one, scales the solution by a power of two first and the result
-back after it, both exact, so a finite trace near overflow keeps finite
-residuals; a re-application that still overflows raises
-:class:`DivergentSolutionError`.
-On decaying solves the residuals agree with the long-double grid operator's
-to within about 1e-15 max|u|.
+Every returned :class:`SolutionTrace` carries a residual column: the
+absolute defect of each step, from re-applying the difference operator to
+the computed solution, independently of the stepping core.  A first-order
+solve re-applies :func:`nabla_diff`.  A fractional solve convolves the
+solution, mounted on N_{rho(a)+1}, with the weight row it stepped with, by
+the grid operators' head in float64: a defect needs no long double, and no
+term past the head is formed.  Up to 256 points that is one float64
+``np.convolve``, bit for bit.  Beyond, the low digits follow the order of
+the sums and the FFTs' rounding, and on decaying solves the residuals agree
+with the long-double operator's to within 1e-14 max|u|.  The float64
+head's scaling keeps the residuals of a finite trace near overflow finite;
+a re-application that still overflows raises
+:class:`DivergentSolutionError`.  A fractional trace also carries the decay
+envelope H_{nu-1}(t, rho(a)) of :func:`envelope_sequence`.
 """
 
 from __future__ import annotations
@@ -319,59 +325,17 @@ def _solve_steps(
     into q; it has no history term.
 
     For fractional orders the history sum_{j<n} w[n - j] u[j] is split by
-    divide and conquer (Hairer, Lubich and Schlichte, 1985).  The offsets
-    0..n_max fall into leaves of ``_LEAF`` points.  When a leaf ends at
-    offset e, the block of the last ``_LEAF * 2^i`` points before e, with
-    2^i the largest power of two dividing e / ``_LEAF``, adds the history at
-    lags beyond ``_NEAR`` to the next as many points, or to those left up to
-    n_max, by one FFT convolution (:func:`grid._far_lags`, the merge the
-    grid operators' heads use too, whose transform shrinks with the points
-    it feeds): the left-half-into-right-half step of a recursive halving,
-    in loop form.
-    The FFT's rounding scales with the norm of the kernel, which the first
-    lags dominate (lag 1 weighs -nu); leaving them to the direct sums keeps
-    that rounding from piling up over the slowly decaying memory of orders
-    near 1.  Each column is scaled by its own power of two before the
-    transform and back after it (exact), so a column near overflow neither
-    overflows in the transform nor sets the scale of the others.  Every
-    other lag is summed directly, the same way in every leaf: each leaf but
-    the first starts with one dense product that adds the lags of at most
-    ``_NEAR`` crossing its edge, then the leaf advances m steps at a time
-    (the first leaf from step 1, past u0).  One matrix product adds the
-    in-leaf history before the micro-block to all of its steps.  The size m
-    is picked by :func:`_micro_size` from the problem's shape: each
-    micro-block costs a few array operations whatever m is, while its
-    products grow with m, and how fast depends on the shape.  A batch keeps
-    32 steps, as each of its k columns applies its own inverse (k m^2 per
-    block); one problem with per-step coefficients takes 64, as its inverses
-    cost about m^3 / 3 per block; one with constant coefficients takes 128,
-    as its one inverse is formed once per solve.
+    divide and conquer (Hairer, Lubich and Schlichte, 1985), as the module
+    notes lay out.  The FFT merges run the heads' schedule on ``_LEAF``
+    points, see the grid module.  Two choices the code does not show:
 
-    The micro-block's m steps are then one lower-triangular system L x = b:
-    the pivots 1 - p on the diagonal, w1 - q below it and the weight w_k k
-    places below, with b the forcing, q u(t - 1) for the first step and
-    every lag reaching before the block.  L depends on the coefficients
-    alone, so :func:`_block_inverses` inverts it before stepping: once per
-    column for constant coefficients, and a leaf's micro-blocks at a time
-    for per-step ones.  The block is x = L^-1 b followed by one refinement
-    step x -= L^-1 (L x - b) (:func:`_refined_solve`), whose residual takes
-    the in-block lags, the pivots and q u(t - 1) each on its own, never the
-    rounded entry w1 - q; no Python runs per step.  Each column then has one
-    of two outcomes.  Values that come out finite are kept: an overflow or
-    inf - inf anywhere in the block products reaches x as inf or nan, so a
-    finite x needs no margin below overflow.  On a growing trace the block
-    products can overflow before the steps do and spread an inf over the
-    block, so a column that comes out non-finite is redone by forward
-    substitution (:func:`_substitute`), one column in Python floats, which
-    alone finds the first non-finite step.  Columns already non-finite at
-    the block start are left out; one problem is a batch of one column.
-
-    The cost is O(n_max log^2 n_max) in place of O(n_max^2), and the
-    interpreter pays a few array operations per micro-block, not per step.
-    The values differ from the plain loop only by the order of their sums
-    and the rounding of the block inverses and of the FFTs, within 1e-14 *
-    max|u| on decaying solutions, and overflow at the same step.
-    ``weights=None`` steps the same float recurrence with no history.
+    * Lags up to ``_NEAR`` are summed directly, never by a merge.  The FFT's
+      rounding scales with the norm of the kernel, which the first lags
+      dominate (lag 1 weighs -nu), so this keeps that rounding from piling
+      up over the slowly decaying memory of orders near 1.
+    * Each column is scaled by its own power of two before a merge and back
+      after it (exact), so a column near overflow neither overflows in the
+      transform nor sets the scale of the others.
     """
     n_max = len(q)
     columns = np.shape(q)[1:]
@@ -398,8 +362,7 @@ def _solve_steps(
             return u
         # the block matrices depend on the coefficients alone: one inverse per
         # column serves every block of a constant-coefficient solve, per-step
-        # coefficients get one stack of inverses per leaf.  Their size m, the
-        # steps per micro-block, follows from that and the batch shape
+        # coefficients get one stack of inverses per leaf
         constant = bool((p == p[0]).all() and (q == q[0]).all())
         m = _micro_size(q, constant)
         # every column of a batch gets its own rows of the coefficients
@@ -456,12 +419,10 @@ def _solve_steps(
                 # passes it and the per-column test costs a few more calls
                 if np.isfinite(x).all():
                     continue
-                # near overflow the block products can overflow, or give
-                # inf - inf, before the steps do, and spread an inf over the
-                # block: a column finite before the block that comes out
-                # non-finite is redone step by step, which alone finds its
-                # first non-finite step.  A column already non-finite stays
-                # so, as every step reads its whole history
+                # a column finite before the block that comes out non-finite
+                # is redone step by step (the module notes' two outcomes); a
+                # column already non-finite stays so, as every step reads its
+                # whole history
                 behind = behind.reshape(e - s, -1)
                 for j in np.flatnonzero(np.isfinite(u2[s - 1]) & ~np.isfinite(u2[s:e]).all(axis=0)):
                     steps = (c[s - 1 : e - 1, j] for c in (q2, g2, pivots2))
@@ -558,10 +519,7 @@ def _solve(
 ) -> SolutionTrace:
     """Solve (nabla^nu u)(t) = p(t)u(t) + q(t)u(t-1) + g(t); nu=None is the classical nabla.
 
-    The residuals re-apply the operator to the stepped solution:
-    :func:`nabla_diff`, or the float64 head of the stepped weight row, which
-    scales u by a power of two and back (see ``grid._convolve_head``), so a
-    trace near overflow keeps finite residuals.
+    The trace carries the residual column of the module notes.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -580,7 +538,7 @@ def _solve(
     if nu is None:
         applied = nabla_diff(GridFunction(base, u)).values
     else:
-        # a float64 convolution head, scaled inside: a defect needs no long double
+        # the float64 head: a defect needs no long double
         applied = _convolve_head(weights, u, float)
         _require_finite(applied, base)
     residuals = np.zeros(u.size)

@@ -24,7 +24,7 @@ n^(-0.1) at nu = 0.9).
 
 The module steps equations through public solver functions only: each
 report steps :func:`mittag_leffler_seq` or a solve, and a scan steps each
-order's coefficients as one (n_max, k) batch of :func:`mittag_leffler_seq`.
+order as one batch (see :func:`stability_scan`).
 A batch given to ``bound_check``, or to the solves behind
 ``compare_orders``, is refused with a ``ValueError`` before it is stepped.
 
@@ -184,6 +184,11 @@ class StabilityReport:
     values: np.ndarray
     envelope: np.ndarray
 
+    def __post_init__(self) -> None:
+        # the report owns its arrays, so they are frozen in place, not copied
+        for arr in (self.criterion_holds, self.bound_ok, self.values, self.envelope):
+            arr.setflags(write=False)
+
     @property
     def criterion_all(self) -> bool:
         return bool(np.all(self.criterion_holds))
@@ -295,19 +300,17 @@ def stability_scan(nu_grid: Sequence[float], c_grid: Sequence[float], n_max: int
 
     All coefficients of one order are stepped as one batch: one
     :func:`mittag_leffler_seq` call on the (n_max, k) array whose every
-    row is the c grid, a broadcast view of one row.  Each column gets the
-    values its own call would give it, up to the order of the sums.  The
-    batch shares the stepping core's divide-and-conquer history and its
-    micro-blocks, one matrix product per micro-block and one FFT
-    convolution along the step axis per merge for all columns, and each
-    column solves its micro-blocks with its own block inverse, formed once
-    per order, so the cost per order is O(n_max log^2 n_max).  The order's
-    traces are then classified by one :func:`decay_classify` call and
-    fitted by one :func:`tail_exponent` call on the (n_max + 1, k) batch:
-    the classes are those of the per-column calls, and the tails differ
-    from them only in rounding (a few 1e-13 at n_max 2000).  Every trace
-    is classified and fitted over the default window.
-    Cells are returned in row-major order (nu outer, c inner).
+    row is the c grid, a broadcast view of one row.  The batch shares the
+    stepping core's history merges and micro-blocks, and each column
+    solves its micro-blocks with its own block inverse, formed once per
+    order.  Each column gets the values its own call would give it, up to
+    the order of the sums.  The order's traces are then classified by one
+    :func:`decay_classify` call and fitted by one :func:`tail_exponent`
+    call on the (n_max + 1, k) batch: the classes are those of the
+    per-column calls, and the tails differ from them only in rounding (a
+    few 1e-13 at n_max 2000).  Every trace is classified and fitted over
+    the default window.  Cells are returned in row-major order (nu outer,
+    c inner).
     """
     nus = [float(nu) for nu in nu_grid]
     for nu in nus:

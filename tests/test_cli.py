@@ -487,6 +487,8 @@ def test_scan_parameter_errors(runner):
     assert runner.invoke(main, ["scan", "--nu-grid", "0.5,1.0"]).exit_code == 2
     assert runner.invoke(main, ["scan", "--c-grid", "0:1"]).exit_code == 2
     assert runner.invoke(main, ["scan", "--c-grid", "0:1:-0.5"]).exit_code == 2
+    result = runner.invoke(main, ["scan", "--c-grid", "1:0:0.5"])
+    assert result.exit_code == 2 and "stop lies before start" in result.output
     assert runner.invoke(main, ["scan", "--c-grid", "a,b"]).exit_code == 2
     assert runner.invoke(main, ["scan", "--n-max", "5"]).exit_code == 2
 

@@ -38,6 +38,8 @@ def test_negative_integer_order_vanishes_identically():
     assert np.all(monomial_sequence(-2.0, 8) == 0.0)
     assert monomial_sequence(-1.0, 5)[-1] == 0.0
     assert monomial_sequence(-3.0, 1)[-1] == 0.0
+    # the direct weights at an integer order are the monomials of order -nu - 1
+    assert np.array_equal(convolution_weights(2.0, 4), np.zeros(4))
 
 
 def test_order_zero_is_the_unit_step():

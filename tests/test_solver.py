@@ -131,6 +131,14 @@ def test_sequence_validation():
         mittag_leffler_seq(0.0, 1.0, 10)
     with pytest.raises(ValueError):
         mittag_leffler_seq(0.0, 0.5, -1)
+    # no step: the initial value alone, for one problem or a batch
+    assert np.array_equal(mittag_leffler_seq(-0.5, 0.5, 0), [1.0])
+    assert mittag_leffler_seq(np.zeros((0, 3)), 0.5, 0).shape == (1, 3)
+    # a solve needs one step; the CLI's --n-max refuses 0 before the library sees it
+    with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+        solve_lagged(-0.5, 0.5, 1.0, 0)
+    with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+        solve_first_order(-0.5, "on_u_t", 1.0, 0)
 
 
 # --- lagged solve -------------------------------------------------------
@@ -280,6 +288,15 @@ def test_trace_is_immutable():
     with pytest.raises(ValueError):
         trace.values[0] = 2.0
     assert len(trace) == 6
+
+
+def test_report_is_immutable():
+    # a write would leave bound_ok stale, so the report refuses it, as the trace does
+    report = bound_check(-0.5, 0.5, 10)
+    for name in ("criterion_holds", "bound_ok", "values", "envelope"):
+        with pytest.raises(ValueError):
+            getattr(report, name)[0] = 9.0
+    assert report.values[0] == 1.0 and report.bound_all
 
 
 # --- general solve ------------------------------------------------------

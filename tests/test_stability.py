@@ -316,6 +316,11 @@ def test_scan_matches_per_cell_sequences():
 def test_scan_validates_orders():
     with pytest.raises(ValueError):
         stability_scan([0.5, 1.0], [-0.5], 100)
+    # classification needs two windows, so a trace of at least three points
+    with pytest.raises(ValueError, match="n_max must be >= 2, got 1"):
+        bound_check(-0.5, 0.5, 1)
+    with pytest.raises(ValueError, match="n_max must be >= 2, got 1"):
+        stability_scan([0.5], [-0.5], 1)
 
 
 def test_scan_holds_one_order_of_traces_at_a_time():
