@@ -40,7 +40,12 @@ def _as_fraction(x: RationalLike) -> Fraction:
 
 
 def oracle_monomial(mu: RationalLike, n: int) -> Fraction:
-    """Exact h(n) with h(0) = 0, h(1) = 1, h(k+1) = h(k)(k + mu)/k."""
+    """Exact h(n) with h(0) = 0, h(1) = 1, h(k+1) = h(k)(k + mu)/k.
+
+    With mu = m/d, h(n) is the product of (k d + m) over the product of k d for
+    k = 1..n-1, formed as two integers and reduced once, so long offsets cost
+    big-integer products instead of a gcd per step.
+    """
     mu = _as_fraction(mu)
     if mu < 0 and mu.denominator == 1:
         raise ValueError(f"order {mu} is a negative integer; the recurrence degenerates")
@@ -48,10 +53,8 @@ def oracle_monomial(mu: RationalLike, n: int) -> Fraction:
         raise ValueError(f"offset must be nonnegative, got {n}")
     if n == 0:
         return Fraction(0)
-    value = Fraction(1)
-    for k in range(1, n):
-        value = value * (k + mu) / k
-    return value
+    m, d = mu.numerator, mu.denominator
+    return Fraction(math.prod(k * d + m for k in range(1, n)), math.factorial(n - 1) * d ** (n - 1))
 
 
 def oracle_weight_row(nu: RationalLike, max_lag: int) -> list[Fraction]:

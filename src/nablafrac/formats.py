@@ -10,29 +10,45 @@ reads back as ``0.3``).  :func:`write_document` writes every JSON document:
 that reads back to the same float64.
 
 Both work one chunk of ``_CHUNK`` rows or list items at a time, and hold only
-one chunk's text at a time.  A JSON list chunk is one call of the C encoder
-with the indented item separator.
+one chunk's text at a time.  A CSV chunk whose columns are all numeric 1-D
+arrays or ranges within 17 digits, and a JSON list that is a float array, an
+integer array or a range within 17 digits, are formatted in NumPy, byte for
+byte as ``'%.17g' % x``, ``float.__repr__`` and ``str``; a JSON list's items
+are joined by the indented item separator.  Any other JSON list (bool arrays,
+larger integers, Python lists) is one call of the C encoder per chunk.
 
-A CSV chunk whose columns are all numeric 1-D arrays or ranges within 17 digits
-is formatted in NumPy, byte for byte as ``'%.17g' % x`` and ``str``.  Each
-field is a column of uint32 words of ASCII bytes, 0 where unused: eight for a
-float (sign, "0." and up to three zeros, 17 digits with one point slot, the
-exponent), a sign word and up to five four-digit words for an integer.  The
-chunk's words are transposed into rows with the separators, and one
-``bytes.translate`` deletes the zeros.  A float's digits follow Grisu3's design
-(Loitsch, *Printing floating-point numbers quickly and accurately*, PLDI 2010),
-a fast path certified per element with an exact fallback: k comes from
-``log10``, corrected once when y = |x|·10^(16 - k) falls outside
-[10^16, 10^17); y is a double-double, Veltkamp's TwoProduct of |x| and 10^s
-held as (hi, lo); the nearest integer D of y gives the 17 digits, through a
-table of the 10000 four-digit groups.  The error of y is below 2^-45, so
-``'%.17g' % x`` is left only the elements whose fraction is within 2^-30 of .5
-(exact ties among them), whose y is a hair under 10^16, or whose |x| lies
-outside [1e-290, 1e290] (subnormals among them); it stays the tests' oracle.
-Zero, -0, nan and ±inf come from a small table.  The tables are built on first
-use, from Python integers, so importing the CLI does not pay for them.  A
-table with any other column is formatted by one ``%`` per chunk against a row
-template repeated per row (``'%.17g' % x`` is ``format(x, ".17g")``).
+Each field is a column of uint32 words of ASCII bytes, 0 where unused: eight
+for a float (sign, "0." and up to three zeros, 17 digits with one point slot,
+the exponent), a sign word and up to five four-digit words for an integer.  The
+float columns of a chunk are formatted in one batch, so NumPy's per-call cost is
+paid once a chunk.  The chunk's words are transposed into rows with the
+separators, and one ``bytes.translate`` deletes the zeros.  A float's digits
+follow Grisu3's design (Loitsch, *Printing floating-point numbers quickly and
+accurately with integers*, PLDI 2010), a fast path certified per element with
+an exact fallback: k comes from ``log10``, corrected once when
+y = |x|·10^(16 - k) falls outside [10^16, 10^17); y is a double-double,
+Veltkamp's TwoProduct of |x| and 10^s held as (hi, lo); the nearest integer D
+of y gives the 17 digits, through a table of the 10000 four-digit groups.  The
+error of y is below 2^-45, so the per-value formatter is left only the elements
+whose fraction is within 2^-30 of .5 (exact ties among them), whose D misses
+[10^16, 10^17) (y a hair under 10^16), or whose |x| lies outside
+[1e-290, 1e290] (subnormals among them); it stays the tests' oracle.
+
+``float.__repr__``'s shortest digits come from the same frame.  x's rounding
+interval there is y ± ulp/2·10^(16 - k), ulp/4 on the low side when x is a
+power of two, under 23 wide.  The candidates of 16 and 15 digits are the
+multiples of 10 and 100 next to y: the shortest one strictly inside the
+interval wins, the nearer of two.  At most one multiple of 100 fits, so one
+inside is also the shortest candidate, and the layout strips its zeros.  A
+candidate within 2^-30 of an interval end, or halfway between two, leaves the
+element to ``float.__repr__``.  The layout is ``repr``'s: exponent form below
+1e-4 and from 1e16, and ``.0`` after an integral fixed number.
+
+Zero, -0, nan and ±inf come from a small table, as CSV and as JSON print them.
+The tables are built on first use, from Python integers, so importing the CLI
+does not pay for them.  A table with any other column is formatted by one
+``%`` per chunk against a row template repeated per row (``'%.17g' % x`` is
+``format(x, ".17g")``).
 """
 
 from __future__ import annotations
@@ -72,9 +88,15 @@ class GridCsvError(ValueError):
 # rows of a CSV chunk, items of a JSON list chunk
 _CHUNK = 1024
 # the items of an indent-2 list one level down, as json.dump(indent=2) lays them out
-_LIST_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+_ITEM_SEPARATOR = ",\n    "
+_LIST_ENCODER = json.JSONEncoder(separators=(_ITEM_SEPARATOR, ": "))
 # the words of a field that hold its sign and of the separators
 _MINUS, _COMMA, _NEWLINE = np.frombuffer(b"-\0\0\0,\0\0\0\n\0\0\0", np.uint32)
+_ITEM_END = np.frombuffer(_ITEM_SEPARATOR.encode().ljust(8, b"\0"), np.uint32)
+# the digit place before each four-digit group, the first group's place 0
+_GROUP_AT = np.arange(0, 20, 4)[:, None]
+# the places of a shorter candidate for repr's digits, in the 17-digit frame
+_TENS = np.array([[10], [100]])
 # one parsed grid CSV row
 _ROW = np.dtype([("index", np.int64), ("value", np.float64)])
 # np.loadtxt reads the ASCII separators \x1c-\x1f, and many non-ASCII
@@ -86,11 +108,11 @@ def write_table(stream: IO[str], header: str, *columns: Collection) -> None:
     """Write a CSV document: the header line, then one row per column entry."""
     # rows stop at the shortest column; a chunk of rows is formatted, then written
     count = min(map(len, columns), default=0)
-    fields = list(map(_fields, columns))
+    values = list(map(_values, columns))
     stream.write(header + "\n")
-    if all(fields):
+    if all(values):
         for lo in range(0, count, _CHUNK):
-            stream.write(_text([f(lo, min(lo + _CHUNK, count)) for f in fields]))
+            stream.write(_text(_fields([v(lo, min(lo + _CHUNK, count)) for v in values])))
         return
     # a table with other columns formats each chunk by one % against a row template
     row = ",".join("%.17g" if isinstance(col, np.ndarray) else "%s" for col in columns) + "\n"
@@ -99,36 +121,48 @@ def write_table(stream: IO[str], header: str, *columns: Collection) -> None:
         stream.write(row * (len(chunk) // len(columns)) % chunk)
 
 
-def _text(columns: list[np.ndarray]) -> str:
-    """Columns of fields as CSV rows, ``,`` between the fields and a newline after each row."""
+def _text(columns: list[np.ndarray], end: np.ndarray = _NEWLINE) -> str:
+    """Columns of fields as rows, ``,`` between the fields and the words ``end`` after each row."""
+    count = columns[0].shape[1]
+    comma = np.broadcast_to(_COMMA, (1, count))
     # word rows that are 0 in every field are left out
-    used = [words.any(axis=1) for words in columns]
-    table = np.empty((columns[0].shape[1], sum(map(np.count_nonzero, used)) + len(columns)), np.uint32)
-    at = 0
-    for words, rows in zip(columns, used):
-        count = np.count_nonzero(rows)
-        table[:, at : at + count] = words[rows].T
-        table[:, at + count] = _COMMA
-        at += count + 1
-    table[:, -1] = _NEWLINE
+    rows = [part for words in columns for part in (words[words.any(axis=1)], comma)]
+    rows[-1] = np.broadcast_to(np.reshape(end, (-1, 1)), (np.size(end), count))
+    table = np.concatenate(rows)
     # the table goes before the translate: at most two copies of the chunk are alive
-    text = table.tobytes()
+    text = table.T.tobytes()
     del table
     return text.translate(None, b"\0").decode("ascii")
 
 
-def _fields(column: Collection):
-    """A function of (lo, hi) giving the fields of rows lo..hi, or None for the % path.
+def _values(column: Collection, shortest: bool = False):
+    """A function of (lo, hi) giving rows lo..hi as float64 or int64, or None for the % path.
 
-    Numeric 1-D arrays print as ``'%.17g' % float(x)``, ranges within 17 digits as ``str``.
+    Numeric 1-D arrays print as ``'%.17g' % float(x)``, so they give float64, and
+    ranges within 17 digits print as ``str``, so they give int64.  With ``shortest``,
+    as JSON prints their items: float arrays give float64 (``float.__repr__``), integer
+    arrays and ranges within 17 digits int64, and anything else None.
     """
-    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind in "biuf":
-        if column.dtype.itemsize <= 8:
-            return lambda lo, hi: _float_words(np.asarray(column[lo:hi], np.float64))
+    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.itemsize <= 8:
+        kind = column.dtype.kind
+        if kind == "f" or kind in "biu" and not shortest:
+            return lambda lo, hi: np.asarray(column[lo:hi], np.float64)
+        if kind in "iu" and max(-int(column.min(initial=0)), int(column.max(initial=0))) < 10**17:
+            return lambda lo, hi: np.asarray(column[lo:hi], np.int64)
     if isinstance(column, range) and (not column or max(abs(column[0]), abs(column[-1])) < 10**17):
         start, step = column.start, column.step
-        return lambda lo, hi: _int_words(np.arange(start + lo * step, start + hi * step, step, dtype=np.int64))
+        return lambda lo, hi: np.arange(start + lo * step, start + hi * step, step, dtype=np.int64)
     return None
+
+
+def _fields(values: list[np.ndarray], shortest: bool = False) -> list[np.ndarray]:
+    """The fields of each column of a chunk: int64 as ``str``, all float64 columns
+    in one batch."""
+    floats = [v for v in values if v.dtype.kind == "f"]
+    if floats:
+        # the batch's (8, n) block of each float column, in column order
+        blocks = iter(_float_words(np.concatenate(floats), shortest).reshape(8, len(floats), -1).transpose(1, 0, 2))
+    return [next(blocks) if v.dtype.kind == "f" else _int_words(v) for v in values]
 
 
 def _words(text: bytes) -> np.ndarray:
@@ -143,11 +177,12 @@ def _tables() -> SimpleNamespace:
     ``scale``: 10^s for s = -274..308 as rows hi, hi's Veltkamp halves and lo.  Per
     four-digit group: ``digits``, its ASCII digits as a word; ``lead``, its leading
     zeros (20 for 0); ``end``, where its significant digits end (-16 for 0).  Per
-    decimal exponent k = -330..330, ``exponent``: words 0, 1, 6 and 7 of a field,
-    which hold "0." and up to three zeros below 1 and the exponent in exponent form.
-    ``leading``: the first digit, with the point after it or not; ``keep`` and
-    ``tail``: masks of the first and the last n bytes of a word; ``special``: the
-    first words of 0, -0, nan, inf and -inf, the only words they use.
+    decimal exponent k = -330..330, ``exponent``: a field's eight words with "0." and
+    up to three zeros for k = -4..-1 and the exponent for k outside -4..0, so a fixed
+    number takes the entry of min(k, 0).  ``leading``: the first digit, with the
+    point after it or not; ``keep`` and ``tail``: masks of the first and the last n
+    bytes of a word; ``special``: the fields of 0, -0, nan, inf and -inf as CSV and
+    as JSON print them.
     """
     scale = np.empty((4, 583))
     for i, s in enumerate(range(-274, 309)):
@@ -168,20 +203,21 @@ def _tables() -> SimpleNamespace:
     # a mask at index n + 20 keeps n bytes, n clipped to 0..4
     masks = [min(max(n, 0), 4) for n in range(-20, 25)]
     exponent = b"".join(
-        b"\0" + (b"0.000"[: 1 - k] if -4 <= k < 0 else b"").ljust(7, b"\0")
-        + b"\0" + (b"" if -4 <= k < 17 else b"e%+03d" % k).ljust(7, b"\0")
+        b"\0" + (b"0.000"[: 1 - k] if -4 <= k < 0 else b"").ljust(23, b"\0")
+        + b"\0" + (b"" if -4 <= k <= 0 else b"e%+03d" % k).ljust(7, b"\0")
         for k in range(-330, 331)
     )
+    special = [["0", "-0", "nan", "inf", "-inf"], ["0.0", "-0.0", "NaN", "Infinity", "-Infinity"]]
     tables = SimpleNamespace(
         scale=scale,
         digits=(np.ascontiguousarray(places.T) + ord("0")).view(np.uint32).ravel(),
         lead=lead,
         end=end,
-        exponent=_words(exponent).reshape(-1, 4).T.copy(),
+        exponent=_words(exponent).reshape(-1, 8).T.copy(),
         leading=_words(b"".join(b"\0\0%c%s" % (48 + d, dot) for d in range(10) for dot in (b"\0", b"."))),
         keep=_words(b"".join(b"\xff" * n + b"\0" * (4 - n) for n in masks)),
         tail=_words(b"".join(b"\0" * (4 - n) + b"\xff" * n for n in masks)),
-        special=_words(b"0\0\0\0-0\0\0nan\0inf\0-inf"),
+        special=np.array([_words("".join(t.ljust(32, "\0") for t in row).encode()).reshape(5, 8).T for row in special]),
     )
     # every caller shares them
     for table in vars(tables).values():
@@ -189,14 +225,14 @@ def _tables() -> SimpleNamespace:
     return tables
 
 
-def _groups(d: np.ndarray, count: int = 5) -> list[np.ndarray]:
+def _groups(d: np.ndarray, count: int = 5) -> np.ndarray:
     """The last ``count`` of the five four-digit groups of non-negative int64s below
-    10^17, whose first group is a single digit; the first group returned holds the rest."""
+    10^17, whose first group is a single digit, as rows; the first row holds the rest."""
     groups = []
     for place in (10**16, 10**12, 10**8, 10**4)[5 - count :]:
         groups.append(d // place)
         d = d - groups[-1] * place
-    return groups + [d]
+    return np.array(groups + [d])
 
 
 def _int_words(values: np.ndarray) -> np.ndarray:
@@ -205,18 +241,18 @@ def _int_words(values: np.ndarray) -> np.ndarray:
     magnitude = np.abs(values)
     # only the groups the largest value needs
     groups = _groups(magnitude, 1 + (len(str(magnitude.max(initial=0))) - 1) // 4)
+    at = _GROUP_AT[: len(groups)]
     # the leading zeros go, the last digit stays
-    first = functools.reduce(np.minimum, [4 * i + tables.lead[g] for i, g in enumerate(groups)])
+    first = np.minimum((tables.lead.take(groups) + at).min(axis=0), 4 * len(groups) - 1)
     out = np.empty((1 + len(groups), values.size), np.uint32)
     out[0] = np.where(values < 0, _MINUS, 0)
-    for i, g in enumerate(groups):
-        out[i + 1] = tables.digits[g] & tables.tail[4 * i + 24 - np.minimum(first, 4 * len(groups) - 1)]
+    out[1:] = tables.digits.take(groups) & tables.tail.take(at + 24 - first)
     return out
 
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a·10^(16 - k) as a double-double y + lo, |lo| <= ulp(y) / 2, to about 2^-100 relative."""
-    hi, upper, lower, lo = (row.take(290 - k) for row in _tables().scale)
+    hi, upper, lower, lo = _tables().scale.take(290 - k, axis=1)
     product = a * hi
     c = 134217729.0 * a
     a_upper = c - (c - a)
@@ -227,71 +263,112 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, tail - (y - product)
 
 
-def _float_words(x: np.ndarray) -> np.ndarray:
-    """``'%.17g' % x`` of each float64 as eight words of ASCII bytes, 0 where unused."""
+def _decimal(a: np.ndarray, shortest: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exponent k and 17-digit integer D of finite non-zero a, a ~ D·10^(k - 16) with
+    10^16 <= D < 10^17, and whether D is certainly ``a`` rounded to 17 digits, or with
+    ``shortest`` certainly ``float.__repr__``'s digits padded with zeros."""
+    # subnormals and exponents past 290 are not certified; a stand-in at the
+    # nearer end of that range keeps k in the table
+    b = np.fmin(np.fmax(a, 1e-290), 1e290)
+    certain = b == a
+    k = np.floor(np.log10(b)).astype(np.int64)
+    y, lo = _scaled(b, k)
+    # log10 can put k off by one next to a power of ten
+    wrong = np.flatnonzero((y < 1e16) | (y >= 1e17))
+    if wrong.size:
+        k[wrong] += np.where(y[wrong] < 1e16, -1, 1)
+        y[wrong], lo[wrong] = _scaled(b[wrong], k[wrong])
+    nearest = np.rint(lo)
+    r = lo - nearest
+    d = y.astype(np.int64) + nearest.astype(np.int64)
+    # y + lo is off by under 2^-45, so only a fraction near .5 (exact ties among
+    # them) can round either way; D + r must lie in [10^16, 10^17)
+    certain &= (np.abs(r) < 0.5 - 2.0**-30) & (d < 10**17) & (d >= 10**16 + (r < 0))
+    if shortest:
+        _shorten(b, y, k, d, r, certain)
+    # an uncertain D is never read; 10^16 keeps every table index in range
+    return k, np.where(certain, d, 10**16), certain
+
+
+def _shorten(
+    a: np.ndarray, y: np.ndarray, k: np.ndarray, d: np.ndarray, r: np.ndarray, certain: np.ndarray
+) -> None:
+    """Shorten the digits D of a, y ~ a·10^(16 - k) = D + r, in place to those of
+    ``float.__repr__`` (see the module docstring).  An element that a comparison
+    within 2^-30 decides is no longer certain; a carry to 10^17 moves k up."""
+    # the interval's half-widths: half an ulp of a is the power of two at or below a,
+    # a's exponent bits, over 2^53; a quarter of an ulp below a power of two
+    bits = a.view(np.uint64)
+    power = bits & 0x7FF0000000000000
+    above = (power - (53 << 52)).view(np.float64) * (y / a)
+    below = np.where(bits == power, above / 2, above)
+    # D - m is the multiple of 10 or 100 at or below D
+    m = d % _TENS
+    down = m + r
+    # > 0: the multiple below inside, the multiple above inside, the one above nearer
+    gap = np.empty((3, *down.shape))
+    np.subtract(below, down, out=gap[0])
+    np.subtract(down, _TENS - above, out=gap[1])
+    np.subtract(down, _TENS / 2, out=gap[2])
+    inside, up, nearer = gap > 0
+    certain &= (np.abs(gap, out=gap) > 2.0**-30).all(axis=(0, 1))
+    up &= ~inside | nearer
+    inside |= up
+    # now D - m is the candidate at each place
+    m -= up * _TENS
+    d -= np.where(inside[1], m[1], m[0] * inside[0])
+    carry = d == 10**17
+    k += carry
+    d[carry] = 10**16
+
+
+def _float_words(x: np.ndarray, shortest: bool = False) -> np.ndarray:
+    """``'%.17g' % x``, or with ``shortest`` JSON's ``float.__repr__``, of each float64 as
+    eight words of ASCII bytes, 0 where unused; zeros, nan and ±inf from a table."""
     a = np.abs(x)
     finite = (a > 0) & (a < np.inf)
     if finite.all():
-        return _finite_words(x, a)
-    out = np.zeros((8, x.size), np.uint32)
-    out[0] = _tables().special.take(np.where(np.isnan(x), 2, np.where(a == np.inf, 3, 0) + np.signbit(x)))
+        return _finite_words(x, a, shortest)
+    kind = np.where(np.isnan(x), 2, 3 * np.isinf(x) + np.signbit(x))
+    out = _tables().special[int(shortest)].take(kind, axis=1)
     if finite.any():
-        out[:, finite] = _finite_words(x[finite], a[finite])
+        out[:, finite] = _finite_words(x[finite], a[finite], shortest)
     return out
 
 
-def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exponent k and 17-digit integer D of finite non-zero a, a ~ D·10^(k - 16) with
-    10^16 <= D < 10^17, and whether D is certainly ``a`` rounded to 17 digits."""
-    # subnormals and exponents past 290 are not certified; a stand-in keeps k in the table
-    certain = (a >= 1e-290) & (a <= 1e290)
-    a = np.where(certain, a, 1.0)
-    k = np.floor(np.log10(a)).astype(np.int64)
-    y, lo = _scaled(a, k)
-    # log10 can put k off by one next to a power of ten
-    wrong = np.flatnonzero((y < 1e16) | (y >= 1e17))
-    k[wrong] += np.where(y[wrong] < 1e16, -1, 1)
-    y[wrong], lo[wrong] = _scaled(a[wrong], k[wrong])
-    nearest = np.rint(lo)
-    # y + lo is off by under 2^-45, so only a fraction near .5 (exact ties among
-    # them) or a value a hair under 10^16 can round either way
-    certain &= (np.abs(np.abs(lo - nearest) - 0.5) > 2.0**-30) & (y < 1e17) & ((y > 1e16) | (y == 1e16) & (lo >= 0))
-    # an uncertain D is never read; 10^16 keeps every table index in range
-    return k, np.where(certain, y.astype(np.int64) + nearest.astype(np.int64), 10**16), certain
-
-
-def _finite_words(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The fields of finite non-zero x, a = |x|: certified digits, else ``'%.17g' % x``.
+def _finite_words(x: np.ndarray, a: np.ndarray, shortest: bool) -> np.ndarray:
+    """The fields of finite non-zero x, a = |x|: certified digits, else ``'%.17g' % x``
+    or, with ``shortest``, ``float.__repr__(x)``.
 
     Bytes 0-7 of a field hold the sign, "0." and up to three zeros, the first digit
     and a point; bytes 8-23 the other 16 digits; byte 24 the last digit when the point
     falls among them; bytes 25-29 the exponent.
     """
     tables = _tables()
-    k, d, certain = _decimal(a)
+    k, d, certain = _decimal(a, shortest)
     groups = _groups(d)
     # %g strips the zeros after the last significant digit but keeps a fixed
     # number's integer digits; the point follows digit k, or the first digit in
-    # exponent form (below 1e-4 and from 1e17), when a digit follows it
-    last = functools.reduce(np.maximum, [4 * i - 4 + tables.end[g] for i, g in enumerate(groups) if i], 0)
-    fixed = (k >= -4) & (k < 17)
-    shown = np.where(fixed, np.maximum(last, k), last)
+    # exponent form (below 1e-4 and from 1e17), when a digit follows it; repr
+    # takes exponent form from 1e16 and ends an integral fixed number in ".0"
+    last = (tables.end.take(groups[1:]) + _GROUP_AT[:4]).max(axis=0, initial=0)
+    fixed = (k >= -4) & (k < 17 - shortest)
+    shown = np.where(fixed, np.maximum(last, k + shortest), last)
     point = np.where(fixed, k, 0)
-    out = np.empty((8, x.size), np.uint32)
-    out[[0, 1, 6, 7]] = tables.exponent.take(k + 330, axis=1)
+    out = tables.exponent.take(np.where(fixed, np.minimum(k, 0), k) + 330, axis=1)
     out[0] |= np.where(x < 0, _MINUS, 0)
-    out[1] |= tables.leading[2 * groups[0] + ((point == 0) & (last > 0))]
-    for i in range(1, 5):
-        out[i + 1] = tables.digits[groups[i]] & tables.keep[shown - 4 * i + 24]
-    inner = np.flatnonzero((point > 0) & (point < last))
+    out[1] |= tables.leading[2 * groups[0] + ((point == 0) & (shown > 0))]
+    out[2:6] = tables.digits.take(groups[1:]) & tables.keep.take(shown + 20 - _GROUP_AT[:4])
+    inner = np.flatnonzero((point > 0) & (point < shown))
     if inner.size:
         # the point among the digits: the digits after it move one byte on
         rows, after = out[:, inner].T.copy().view(np.uint8), point[inner, None]
         place = np.arange(17)
         rows[:, 8:25] = np.where(place < after, rows[:, 8:25], np.where(place == after, ord("."), rows[:, 7:24]))
         out[:, inner] = rows.view(np.uint32).T
+    fallback = float.__repr__ if shortest else "%.17g".__mod__
     for i in np.flatnonzero(~certain):
-        out[:, i] = _words(("%.17g" % x[i]).encode().ljust(32, b"\0"))
+        out[:, i] = _words(fallback(x[i]).encode().ljust(32, b"\0"))
     return out
 
 
@@ -299,16 +376,23 @@ def _write_list(stream: IO[str], items) -> None:
     """Write a flat list, range or 1-D array as json.dump(indent=2) lays out a field's list."""
     if isinstance(items, np.ndarray) and items.ndim != 1:
         raise TypeError(f"write_document takes flat arrays, got shape {items.shape}")
+    # numbers in NumPy where they can be, the rest through the C encoder
+    values = _values(items, shortest=True)
     # ranges and arrays of numbers cannot nest; lists and other arrays are checked
     flat = isinstance(items, range) or isinstance(items, np.ndarray) and items.dtype.kind in "biuf"
     opening = "[\n    "
     for lo in range(0, len(items), _CHUNK):
-        chunk = items[lo : lo + _CHUNK]
-        chunk = chunk.tolist() if isinstance(chunk, np.ndarray) else list(chunk)
-        if not flat and any(issubclass(t, (list, tuple, dict)) for t in set(map(type, chunk))):
-            raise TypeError("write_document takes flat lists, got a nested value")
-        stream.write(opening + _LIST_ENCODER.encode(chunk)[1:-1])
-        opening = ",\n    "
+        if values:
+            fields = _fields([values(lo, min(lo + _CHUNK, len(items)))], shortest=True)
+            text = _text(fields, _ITEM_END)[: -len(_ITEM_SEPARATOR)]
+        else:
+            chunk = items[lo : lo + _CHUNK]
+            chunk = chunk.tolist() if isinstance(chunk, np.ndarray) else list(chunk)
+            if not flat and any(issubclass(t, (list, tuple, dict)) for t in set(map(type, chunk))):
+                raise TypeError("write_document takes flat lists, got a nested value")
+            text = _LIST_ENCODER.encode(chunk)[1:-1]
+        stream.write(opening + text)
+        opening = _ITEM_SEPARATOR
     stream.write("[]" if opening == "[\n    " else "\n  ]")
 
 

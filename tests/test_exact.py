@@ -29,6 +29,27 @@ def test_monomial_frozen_values():
     assert oracle_monomial(3, 4) == 20
 
 
+def _monomial_by_steps(mu, n):
+    """The recurrence one reduced step at a time, as the oracle once computed it."""
+    value = F(0) if n == 0 else F(1)
+    for k in range(1, n):
+        value = value * (k + mu) / k
+    return value
+
+
+@pytest.mark.parametrize("mu", [F(-1, 2), F(7, 10), F(-13, 7), F(1, 1000), F(22, 3), F(0), F(3)])
+def test_monomial_products_match_the_step_by_step_recurrence(mu):
+    assert [oracle_monomial(mu, n) for n in range(60)] == [_monomial_by_steps(mu, n) for n in range(60)]
+
+
+def test_monomial_closed_forms_at_a_long_offset():
+    # h(n) is 1 for mu = 0, n for mu = 1 and n(n+1)/2 for mu = 2
+    n = 5000
+    assert oracle_monomial(0, n) == 1
+    assert oracle_monomial(1, n) == n
+    assert oracle_monomial(2, n) == n * (n + 1) // 2
+
+
 def test_monomial_rejects_bad_input():
     with pytest.raises(ValueError):
         oracle_monomial(-2, 3)

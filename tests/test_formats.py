@@ -160,6 +160,76 @@ def test_exact_ties_take_the_fallback(value, tie):
     _assert_same(_text(write_table, "x", values), _text(_table_oracle, "x", values))
 
 
+# --- the shortest float formatter ---------------------------------------------
+
+
+def _assert_json_same(**fields):
+    _assert_same(_text(write_document, "k", **fields), _text(_document_oracle, "k", **fields))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_any_bit_pattern_prints_as_float_repr(bits):
+    _assert_json_same(x=np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def test_a_million_random_bit_patterns_print_as_float_repr():
+    _assert_json_same(x=np.random.default_rng(21).integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64))
+
+
+def test_powers_their_neighbours_and_the_extremes_print_as_float_repr():
+    # a power of two's interval is a quarter ulp below it; repr changes layout at 1e-4 and 1e16
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024), [float(f"1e{e}") for e in range(-323, 309)]])
+    edges = [5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e15, 1e16, 1e17]
+    values = np.concatenate([powers, edges])
+    neighbours = [np.nextafter(values, 0), np.nextafter(values, np.inf), [1.7976931348623157e308]]
+    values = np.concatenate([values, *neighbours])
+    # integral values print with ".0" up to 1e16
+    integral = np.concatenate([np.arange(-3000.0, 3000.0), 2.0**53 + np.arange(-8.0, 9.0), 1e15 + np.arange(-8, 9)])
+    values = np.concatenate([values, -values, integral, [0.1, 1 / 3, 0.0, -0.0, np.nan, np.inf, -np.inf]])
+    _assert_json_same(x=values)
+
+
+@pytest.mark.parametrize(
+    "value, fallback",
+    [
+        (9007199254740994.0, True),
+        (2.0**-24, True),
+        (1e23, True),
+        (1234567890123456.75, True),
+        (0.5, False),
+        (0.1, False),
+        (1 / 3, False),
+        (2.5e-8, False),
+    ],
+)
+def test_interval_ends_and_halfway_candidates_take_the_fallback(value, fallback):
+    # the 16-digit candidate above 2^53 + 2 is its interval end, and 1e23 is one itself
+    # (a tie between two float64s that Python reads as this one); 2^-24's 17 digits end
+    # in a 5, halfway between two 16-digit candidates; 1234567890123456.75 is a 17-digit tie
+    values = np.array([value, -value])
+    k, digits, certain = nablafrac.formats._decimal(np.abs(values), shortest=True)
+    assert certain.all() != fallback
+    _assert_json_same(x=values)
+
+
+def test_other_arrays_keep_their_json_text():
+    # float32 and float16 items print as the float64 they convert to, integers
+    # within 17 digits in NumPy, and bools and larger integers through the encoder
+    arrays = dict(
+        f32=np.array([0.1, 1 / 3, 1e-8, 3e38, -0.0, np.nan, np.inf], np.float32),
+        f16=np.array([0.1, 65504, -2.5, 6e-8], np.float16),
+        u64=np.array([0, 1, 2**63, 2**64 - 1, 10**17 - 1], np.uint64),
+        u64_small=np.array([0, 7, 10**17 - 1], np.uint64),
+        b=np.array([True, False, True]),
+        i64=np.array([10**17 - 1, -(10**17) + 1, 10**17, -(2**63), 2**63 - 1], np.int64),
+        i64_small=np.array([10**17 - 1, -(10**17) + 1, 0, -1, 9], np.int64),
+        i8=np.array([-128, 0, 127], np.int8),
+    )
+    for n in (0, 1, _CHUNK + 1):
+        _assert_json_same(**{key: np.resize(value, n) for key, value in arrays.items()})
+
+
 def test_importing_the_cli_builds_no_table_and_loads_no_fractions():
     # the tables are built on first use, so the CLI's start-up does not pay for them
     code = (
