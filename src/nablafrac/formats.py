@@ -425,8 +425,9 @@ def read_grid_csv(stream: IO[str]) -> GridFunction:
     """Parse ``index,value`` rows into a GridFunction.
 
     Comment lines starting with ``#`` and blank lines are skipped, so output
-    of :func:`write_grid_csv` round-trips.  Indices must be consecutive and
-    ascending; errors name the offending line number.
+    of :func:`write_grid_csv` round-trips, and one leading byte-order mark
+    (U+FEFF) is dropped.  Indices must be consecutive and ascending; errors
+    name the offending line number.
 
     After the header, the rows of an ASCII text are parsed in bulk by
     ``np.loadtxt`` into an int64 index and a float64 value, and checked by
@@ -437,7 +438,8 @@ def read_grid_csv(stream: IO[str]) -> GridFunction:
     ``int`` and ``float`` read and NumPy does not: ``_`` digit separators,
     non-ASCII digits, whitespace-only lines and indices past int64.
     """
-    text = stream.read()
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+    text = stream.read().removeprefix("\ufeff")
     lines = io.StringIO(text)
     # the header is the first line that is neither blank nor a comment
     for number, line in enumerate(iter(lines.readline, ""), 1):

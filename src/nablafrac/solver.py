@@ -23,6 +23,10 @@ one full-history sum per step costs O(n^2).  The stepping core,
 * Crossing lags.  Every nearer or in-leaf lag is summed directly: each
   leaf but the first starts with one dense product of the lags of at most
   ``_NEAR`` that cross its edge.
+* One trace-sized array.  The merges and the crossing products add into
+  the rows of the trace not yet stepped, which start at zero: a row holds
+  its pending history until its micro-block reads it and overwrites it
+  with the solution, so the history has no array of its own.
 * Micro-blocks.  A leaf advances m steps at a time, the first leaf from
   step 1, past u0, with m from :func:`_micro_size`.  One matrix product
   adds the leaf's history before the micro-block, and its own steps are
@@ -336,6 +340,11 @@ def _solve_steps(
     * Each column is scaled by its own power of two before a merge and back
       after it (exact), so a column near overflow neither overflows in the
       transform nor sets the scale of the others.
+    * ``u`` starts at zero and its unstepped rows are the pending history:
+      merges and crossing products add into ``u[lo : lo + count]``, and a
+      micro-block reads ``u[s:e]`` as its history before it writes the
+      solution there.  A separate history array would add the same sums in
+      the same order, so the values are the same bit for bit.
     """
     n_max = len(q)
     columns = np.shape(q)[1:]
@@ -346,7 +355,8 @@ def _solve_steps(
     if singular.any():
         first = tuple(np.argwhere(singular)[0])
         raise SingularStepError(base + 1 + int(first[0]), float(pivots[first]))
-    u = np.empty((n_max + 1,) + columns, dtype=float)
+    # rows not yet stepped hold their pending history (see the docstring)
+    u = np.zeros((n_max + 1,) + columns)
     u[0] = u0
     # an overflowing trace is reported by its callers (DivergentSolutionError,
     # or the scan's unbounded class), not by NumPy warnings
@@ -386,7 +396,6 @@ def _solve_steps(
             crossing = np.triu(weights[_NEAR + np.subtract.outer(np.arange(_NEAR), np.arange(_NEAR))])
         if constant:
             shared = _block_inverses((pivots, q), range(1, 2), toeplitz)[0]
-        history = np.zeros(u.shape)
         spectra: dict = {}
         # per-column views, in which one problem is a batch of one column
         u2, q2, g2, pivots2 = (c.reshape(len(c), -1) for c in (u, q, g, pivots))
@@ -399,18 +408,19 @@ def _solve_steps(
                 _, exponent = np.frexp(np.max(np.abs(source), axis=0))
                 count = min(block, n_max + 1 - lo)
                 far = _far_lags(np.ldexp(source, -exponent), weights, _NEAR + 1, count, spectra)
-                history[lo : lo + count] += np.ldexp(far, exponent, out=far)
+                u[lo : lo + count] += np.ldexp(far, exponent, out=far)
                 # the merge's transform buffer is not kept through the leaf
                 del far
-                history[lo : lo + _NEAR] += crossing[: hi - lo].dot(u[lo - _NEAR : lo])
+                u[lo : lo + _NEAR] += crossing[: hi - lo].dot(u[lo - _NEAR : lo])
             # the first leaf's first micro-block starts at step 1, past u0
             starts = range(max(lo, 1), hi, m)
             inverses = [shared] * len(starts) if constant else _block_inverses((pivots, q), starts, toeplitz)
             for s, inverse in zip(starts, inverses):
                 e = min(s + m, hi)
                 inverse = inverse[..., : e - s, : e - s]
-                # every lag reaching before the micro-block
-                behind = history[s:e] + strip[: e - s, span - (s - lo) : span].dot(u[lo:s])
+                # every lag reaching before the micro-block: the rows' pending
+                # history and the leaf's lags before them
+                behind = u[s:e] + strip[: e - s, span - (s - lo) : span].dot(u[lo:s])
                 b = g[s - 1 : e - 1] - behind
                 b[0] += q[s - 1] * u[s - 1]
                 block = (inverse, toeplitz[: e - s, : e - s], pivots[s - 1 : e - 1], q[s : e - 1])

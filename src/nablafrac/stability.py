@@ -30,8 +30,10 @@ A batch given to ``bound_check``, or to the solves behind
 
 ``tail_stat`` reports the measured algebraic tail exponent: the log-log
 slope of |u(n)| over the last window (about nu - 1 for envelope-like traces,
-0 for oscillating or constant ones).  It is diagnostic only; no acceptance
-claim is made about it.
+0 for oscillating or constant ones).  It is the least-squares slope in
+closed form, masked to the window's usable points (see
+:func:`tail_exponent`), with no ``np.polyfit`` and so no LAPACK call.  It is
+diagnostic only; no acceptance claim is made about it.
 """
 
 from __future__ import annotations
@@ -144,27 +146,33 @@ def tail_exponent(trace: Sequence[float] | np.ndarray, window: int) -> float | n
     A window with a non-finite sample (inf or nan) gives nan: an overflowed
     trace has no algebraic tail.  Otherwise zero samples and the n = 0
     sample are excluded, and at least two usable points are needed for a
-    slope.  An (n, k) trace gives an array of k slopes, one per column:
-    every column whose window is positive and finite throughout is fitted
-    by one ``np.polyfit`` over all of them, the other finite ones one at a
-    time without their zero samples.
+    slope.  An (n, k) trace gives an array of k slopes, one per column.
+
+    The slope is the least-squares one in closed form, each column about
+    its own means over its usable points, x = log n and y = log |u(n)|:
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2.  An excluded point
+    enters every sum as an exact zero.  Each column is reduced as one
+    contiguous row, so a batch gives each column, bit for bit, what its own
+    call gives.
     """
     arr, single = _columns(trace)
     if window < 1 or len(arr) < window:
         raise ValueError(f"window {window} does not fit a trace of length {len(arr)}")
     n = np.arange(len(arr))[-window:]
-    v = arr[-window:]
-    usable = n > 0
-    x, y = np.log(n[usable]), v[usable]
-    finite = np.isfinite(v).all(axis=0)
-    clean = finite & np.all(y > 0.0, axis=0) & (len(x) >= 2)
-    slopes = np.full(arr.shape[1], np.nan)
-    if clean.any():
-        slopes[clean] = np.polyfit(x, np.log(y[:, clean]), 1)[0]
-    for j in np.flatnonzero(finite & ~clean):
-        mask = (v[:, j] > 0.0) & usable
-        if int(mask.sum()) >= 2:
-            slopes[j] = np.polyfit(np.log(n[mask]), np.log(v[mask, j]), 1)[0]
+    # the window's columns as rows
+    v = np.ascontiguousarray(arr[-window:].T)
+    usable = (v > 0.0) & (n > 0)
+    count = usable.sum(axis=1)
+    # log 1 = 0 fills every excluded point
+    x = np.log(np.where(usable, n, 1))
+    y = np.log(np.where(usable, v, 1.0))
+    # a column with fewer than two usable points divides 0 by 0, and one
+    # with an inf sample subtracts inf from inf
+    with np.errstate(invalid="ignore"):
+        dx = x - (x.sum(axis=1) / count)[:, None]
+        dx[~usable] = 0.0
+        slopes = (dx * (y - (y.sum(axis=1) / count)[:, None])).sum(axis=1) / (dx * dx).sum(axis=1)
+    slopes[~np.isfinite(v).all(axis=1) | (count < 2)] = np.nan
     return float(slopes[0]) if single else slopes
 
 
@@ -306,11 +314,10 @@ def stability_scan(nu_grid: Sequence[float], c_grid: Sequence[float], n_max: int
     order.  Each column gets the values its own call would give it, up to
     the order of the sums.  The order's traces are then classified by one
     :func:`decay_classify` call and fitted by one :func:`tail_exponent`
-    call on the (n_max + 1, k) batch: the classes are those of the
-    per-column calls, and the tails differ from them only in rounding (a
-    few 1e-13 at n_max 2000).  Every trace is classified and fitted over
-    the default window.  Cells are returned in row-major order (nu outer,
-    c inner).
+    call on the (n_max + 1, k) batch, which give each trace bit for bit
+    the class and the tail that calls on that trace alone give.  Every
+    trace is classified and fitted over the default window.  Cells are
+    returned in row-major order (nu outer, c inner).
     """
     nus = [float(nu) for nu in nu_grid]
     for nu in nus:

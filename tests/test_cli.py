@@ -278,6 +278,18 @@ def test_solve_coefficient_csv_matches_constant(runner, tmp_path):
     assert out_const.read_text() == out_file.read_text()
 
 
+def test_grid_csv_with_a_byte_order_mark_reads_as_without(runner, tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    _write_grid(plain, 1, np.linspace(-0.5, 0.1, 40))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for argv in (["apply", "--op", "sum", "--nu", "0.5", "--input"], ["solve", "--nu", "0.5", "--n-max", "40", "--c"]):
+        want = runner.invoke(main, argv + [str(plain)])
+        got = runner.invoke(main, argv + [str(marked)])
+        assert want.exit_code == got.exit_code == 0, got.output
+        assert got.output == want.output
+
+
 def test_solve_coefficient_csv_alignment_errors(runner, tmp_path):
     wrong_base = tmp_path / "c0.csv"
     _write_grid(wrong_base, 0, np.full(40, -0.3))
@@ -751,7 +763,7 @@ n,t,u_first_order,u_fractional
   "first_order": "bounded_nonvanishing",
   "fractional": "bounded_nonvanishing",
   "first_order_tail": 0.0,
-  "fractional_tail": -0.49358904095727435
+  "fractional_tail": -0.4935890409572688
 }
 """,
     ),
@@ -759,10 +771,10 @@ n,t,u_first_order,u_fractional
         ["scan", "--nu-grid", "0.3,0.6", "--c-grid", "-0.5,0.1", "--n-max", "20"],
         """\
 nu,c,decay_class,tail_stat
-0.3,-0.5,tends_to_zero,-1.0121797910390369
-0.3,0.1,tends_to_zero,-0.52069084316271308
-0.6,-0.5,tends_to_zero,-1.4325773272870497
-0.6,0.1,bounded_nonvanishing,0.29979734477627229
+0.3,-0.5,tends_to_zero,-1.0121797910390193
+0.3,0.1,tends_to_zero,-0.52069084316271574
+0.6,-0.5,tends_to_zero,-1.4325773272870415
+0.6,0.1,bounded_nonvanishing,0.29979734477627679
 """,
     ),
 ]

@@ -472,3 +472,17 @@ def test_read_grid_csv_matches_the_row_by_row_reader(text):
 )
 def test_read_grid_csv_edge_cases_match_the_row_by_row_reader(text):
     assert _outcome(read_grid_csv, text) == _outcome(_read_rows, text)
+
+
+def test_read_grid_csv_drops_one_leading_byte_order_mark(monkeypatch):
+    # a spreadsheet's "CSV UTF-8" export starts with U+FEFF; the text after
+    # it is still ASCII, so the bulk parse reads it, with no row-by-row pass
+    text = "# note\nindex,value\n1,2.5\n2,-3\n"
+    want = _outcome(read_grid_csv, text)
+    monkeypatch.setattr(nablafrac.formats, "_parse_rows", None)
+    assert _outcome(read_grid_csv, "\ufeff" + text) == want
+    monkeypatch.undo()
+    # only one leading mark is dropped, so a second one names the header
+    assert _outcome(read_grid_csv, "\ufeff\ufeffindex,value\n1,2.5\n") == (
+        "error", "line 1: expected header 'index,value', got '\\ufeffindex,value'"
+    )

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import tracemalloc
 import weakref
 from fractions import Fraction as F
 
@@ -839,6 +840,22 @@ def test_long_solves_free_their_buffers_without_the_cycle_collector():
         gc.enable()
     assert all(freed)
     assert cyclic == 0
+
+
+def test_batch_keeps_its_pending_history_in_the_trace():
+    # the default scan grid's batch: the unstepped rows of the trace hold
+    # the history, so the peak is the trace plus the merge transforms (3.94
+    # traces), not a second trace-sized history array as well (4.94)
+    cs = np.round(np.arange(-2.0, 0.5001, 0.05), 10)
+    coeffs = np.broadcast_to(cs, (2000, cs.size))
+    mittag_leffler_seq(coeffs, 0.5, 2000)
+    tracemalloc.start()
+    try:
+        trace = mittag_leffler_seq(coeffs, 0.5, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * trace.nbytes
 
 
 # --- oracle agreement ---------------------------------------------------

@@ -3,8 +3,10 @@
 import io
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
+import numpy.linalg._linalg
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from nablafrac import (
     envelope_sequence,
     mittag_leffler_seq,
     monomial_sequence,
+    solve_first_order,
     solve_general,
     solve_lagged,
     stability_scan,
@@ -115,9 +118,8 @@ def test_tail_exponent_degenerate_cases():
 @pytest.mark.parametrize("n_max", [20, 2000])
 def test_batched_classes_and_tails_match_per_column_calls(n_max):
     # the default scan grid, one (n_max + 1, 51) batch per order: the classes
-    # are the same comparisons of the same maxima, and the one batched
-    # polyfit differs from the per-column fits only in rounding, none at
-    # all with the default window of 2 points at n_max 20
+    # are the same comparisons of the same maxima, and the batch fits each
+    # column's tail as one row, as the per-column call does
     cs = np.round(np.arange(-2.0, 0.5001, 0.05), 10)
     win = default_window(n_max + 1)
     coeffs = np.broadcast_to(cs, (n_max, cs.size))
@@ -156,6 +158,72 @@ def test_batched_tails_fit_irregular_columns_on_their_own():
     classes = decay_classify(batch, win)
     assert classes == [decay_classify(column, win) for column in columns]
     assert classes[2:4] == [DecayClass.UNBOUNDED] * 2 and classes[5] is DecayClass.TENDS_TO_ZERO
+
+
+def _exact_tail(trace, window):
+    """The least-squares slope, in rationals, of the float log n and log |u| that tail_exponent fits."""
+    n = np.arange(len(trace))[-window:]
+    v = np.abs(trace[-window:])
+    keep = (v > 0.0) & (n > 0)
+    x = [Fraction(t) for t in np.log(n[keep]).tolist()]
+    y = [Fraction(t) for t in np.log(v[keep]).tolist()]
+    xm, ym = sum(x) / len(x), sum(y) / len(y)
+    return float(sum((a - xm) * (b - ym) for a, b in zip(x, y)) / sum((a - xm) ** 2 for a in x))
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.5, 0.9])
+def test_tails_are_the_exact_least_squares_slope(nu):
+    # the default scan grid at n_max 2000 (window 200), each column against
+    # the rational slope of the same floats, where a fit through LAPACK was
+    # off by up to 1e-13; the batch gives each column its own call's tail
+    cs = np.round(np.arange(-2.0, 0.5001, 0.05), 10)
+    traces = mittag_leffler_seq(np.broadcast_to(cs, (2000, cs.size)), nu, 2000)
+    win = default_window(2001)
+    tails = tail_exponent(traces, win)
+    fitted = 0
+    for tail, column in zip(tails, traces.T):
+        if np.isfinite(column).all():
+            fitted += 1
+            want = _exact_tail(column, win)
+            assert abs(tail - want) <= 1e-14 * abs(want), (nu, tail, want)
+        else:
+            assert np.isnan(tail)
+    assert fitted >= 40
+    assert tails.tobytes() == np.array([tail_exponent(column, win) for column in traces.T]).tobytes()
+
+
+def test_tails_of_windows_with_zero_samples_are_exact():
+    # 0.4^n underflows through the subnormals to zero inside the window;
+    # zeros planted in a decaying trace leave the fit as well
+    geometric = solve_first_order(-0.6, "on_u_lag", 1.0, 829).values
+    holed = envelope_sequence(0.3, 2999)
+    holed[-300::7] = 0.0
+    cases = [(geometric, 83), (holed, 300), (holed, 3000)]
+    # default-grid columns with zeros planted in their last window
+    cs = np.round(np.arange(-2.0, 0.5001, 0.05), 10)
+    traces = mittag_leffler_seq(np.broadcast_to(cs, (2000, cs.size)), 0.5, 2000)
+    traces[-200::13] = 0.0
+    win = default_window(2001)
+    cases += [(column, win) for column in traces.T if np.isfinite(column).all()]
+    for trace, window in cases:
+        v = trace[-window:]
+        assert (v == 0.0).any() and (v > 0.0).sum() >= 2
+        want = _exact_tail(trace, window)
+        assert want != 0.0
+        assert abs(tail_exponent(trace, window) - want) <= 1e-14 * abs(want)
+
+
+def test_tails_need_no_lapack(monkeypatch):
+    class NoLapack:
+        def __getattr__(self, name):
+            raise AssertionError(f"LAPACK routine {name} called")
+
+    # np.polyfit binds np.linalg.lstsq at import, so the LAPACK routines
+    # behind every np.linalg function, lstsq's among them, are refused
+    monkeypatch.setattr(numpy.linalg._linalg, "_umath_linalg", NoLapack())
+    cells = stability_scan([0.3, 0.8], [-1.0, -0.2, 0.1], 400)
+    assert sum(np.isfinite(cell.tail_stat) for cell in cells) >= 4
+    assert np.isfinite(bound_check(-0.4, 0.5, 400).tail_stat)
 
 
 def test_three_dimensional_traces_are_rejected():
