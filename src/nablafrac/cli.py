@@ -64,7 +64,13 @@ _EXIT_CODES = {DomainTooShortError: 3, SingularStepError: 4, DivergentSolutionEr
 # own block inverse and trace
 _MAX_AXIS_POINTS = 10**4
 
-# the --form option of solve and compare
+# the operators of apply that take an order, in the order --op lists them
+_OPERATORS = {"sum": nabla_sum, "diff-direct": nabla_frac_diff_direct, "diff-composed": nabla_frac_diff_composed}
+
+# options that several commands share
+_C_OPTION = click.option("--c", "c_spec", required=True, help="Coefficient: constant, preset, or CSV path.")
+_U0_OPTION = click.option("--u0", type=float, default=1.0, show_default=True, help="Initial value u(base).")
+_BASE_OPTION = click.option("--base", type=int, default=0, show_default=True, help="Initial grid point a.")
 _FORM_OPTION = click.option(
     "--form",
     type=click.Choice([f.value for f in FirstOrderForm]),
@@ -72,6 +78,10 @@ _FORM_OPTION = click.option(
     show_default=True,
     help="Right-hand-side form: coefficient times u(t-1) or times u(t).",
 )
+_FORMAT_OPTION = click.option(
+    "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True, help="Output format."
+)
+_OUTPUT_OPTION = click.option("--output", "-o", default="-", help="Output path ('-' for stdout).")
 
 
 @contextlib.contextmanager
@@ -177,8 +187,8 @@ def main() -> None:
 @click.option(
     "--n-max", type=click.IntRange(min=0), required=True, help="Largest offset to emit."
 )
-@click.option("--output", "-o", default="-", help="Output path ('-' for stdout).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_OUTPUT_OPTION
+@_FORMAT_OPTION
 def monomial_cmd(mu: float, n_max: int, output: str, fmt: str) -> None:
     """Emit the Taylor monomial values at offsets 0..N-MAX as n,value rows."""
     with _library_errors():
@@ -194,14 +204,16 @@ def monomial_cmd(mu: float, n_max: int, output: str, fmt: str) -> None:
 @main.command("apply")
 @click.option(
     "--op",
-    type=click.Choice(["sum", "diff-direct", "diff-composed", "nabla"]),
+    type=click.Choice([*_OPERATORS, "nabla"]),
     required=True,
     help="Operator to apply.",
 )
 @click.option("--nu", type=float, default=None, help="Order (required except for nabla).")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--output", "-o", default="-", help="Output path ('-' for stdout).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@click.option(
+    "--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Grid CSV to read."
+)
+@_OUTPUT_OPTION
+@_FORMAT_OPTION
 def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str) -> None:
     """Apply a nabla operator to a grid CSV (header index,value).
 
@@ -214,14 +226,7 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
         raise click.UsageError("--nu does not apply to --op nabla, which has order 1")
     grid = _read_grid(input_path)
     with _library_errors():
-        if op == "sum":
-            result = nabla_sum(grid, nu)
-        elif op == "diff-direct":
-            result = nabla_frac_diff_direct(grid, nu)
-        elif op == "diff-composed":
-            result = nabla_frac_diff_composed(grid, nu)
-        else:
-            result = nabla_diff(grid)
+        result = nabla_diff(grid) if op == "nabla" else _OPERATORS[op](grid, nu)
     with _open_outputs(output) as (stream,):
         if fmt == "json":
             index = range(result.base, result.last + 1)
@@ -233,12 +238,12 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
 
 @main.command("solve")
 @click.option("--nu", type=float, default=None, help="Fractional order in (0, 1).")
-@click.option("--c", "c_spec", required=True, help="Coefficient: constant, preset, or CSV path.")
-@click.option("--u0", type=float, default=1.0, show_default=True, help="Initial value u(base).")
+@_C_OPTION
+@_U0_OPTION
 @click.option(
     "--n-max", type=click.IntRange(min=1), default=100, show_default=True, help="Number of steps."
 )
-@click.option("--base", type=int, default=0, show_default=True, help="Initial grid point a.")
+@_BASE_OPTION
 @_FORM_OPTION
 @click.option(
     "--order",
@@ -247,8 +252,8 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
     show_default=True,
     help="Solve the fractional equation or its first-order comparison.",
 )
-@click.option("--output", "-o", default="-", help="Output path ('-' for stdout).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_OUTPUT_OPTION
+@_FORMAT_OPTION
 def solve_cmd(
     nu: float | None,
     c_spec: str,
@@ -287,13 +292,13 @@ def solve_cmd(
 
 @main.command("compare")
 @click.option("--nu", type=float, required=True, help="Fractional order in (0, 1).")
-@click.option("--c", "c_spec", required=True, help="Coefficient: constant, preset, or CSV path.")
-@click.option("--u0", type=float, default=1.0, show_default=True)
-@click.option("--n-max", type=click.IntRange(min=20), default=5000, show_default=True)
-@click.option("--base", type=int, default=0, show_default=True)
+@_C_OPTION
+@_U0_OPTION
+@click.option("--n-max", type=click.IntRange(min=20), default=5000, show_default=True, help="Number of steps.")
+@_BASE_OPTION
 @_FORM_OPTION
-@click.option("--output", "-o", default="-", help="Two-trace CSV path ('-' for stdout).")
-@click.option("--verdict", "-v", "verdict_path", default="-", help="Verdict JSON path.")
+@_OUTPUT_OPTION
+@click.option("--verdict", "-v", "verdict_path", default="-", help="Verdict JSON path ('-' for stdout).")
 def compare_cmd(
     nu: float,
     c_spec: str,
@@ -306,16 +311,16 @@ def compare_cmd(
 ) -> None:
     """Solve first-order and fractional versions side by side.
 
-    Writes an n,t,u_first_order,u_fractional CSV and a JSON verdict with both
-    decay classifications.
+    Writes an n,t,u_first_order,u_fractional CSV to --output and a JSON
+    verdict with both decay classifications to --verdict.
     """
     coeff = _resolve_coefficients(c_spec, base)
     with _library_errors():
         comparison = compare_orders(coeff, nu, form, u0, n_max, base)
     with _open_outputs(output, verdict_path) as (table, verdict):
-        n, t = range(n_max + 1), range(base, base + n_max + 1)
-        first, frac = comparison.first_order.values, comparison.fractional.values
-        write_table(table, "n,t,u_first_order,u_fractional", n, t, first, frac)
+        first, frac = comparison.first_order, comparison.fractional
+        n, t = range(len(first)), range(first.base, first.last + 1)
+        write_table(table, "n,t,u_first_order,u_fractional", n, t, first.values, frac.values)
         # one path for both gets the table, then the verdict, as stdout does
         table.flush()
         write_document(verdict, **comparison.verdict())
@@ -334,8 +339,8 @@ def compare_cmd(
     show_default=True,
     help="Constant coefficients: comma list or start:stop:step.",
 )
-@click.option("--n-max", type=click.IntRange(min=20), default=2000, show_default=True)
-@click.option("--output", "-o", default="-", help="Output path ('-' for stdout).")
+@click.option("--n-max", type=click.IntRange(min=20), default=2000, show_default=True, help="Steps per cell.")
+@_OUTPUT_OPTION
 def scan_cmd(nu_grid: str, c_grid: str, n_max: int, output: str) -> None:
     """Classify decay over a (nu, c) grid; emits nu,c,decay_class,tail_stat.
 

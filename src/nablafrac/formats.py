@@ -506,7 +506,7 @@ def _parse_rows(lines: Iterable[str], first: int) -> GridFunction:
 
 def write_trace_csv(trace: SolutionTrace, stream: IO[str]) -> None:
     """Write ``n,t,u,residual,envelope`` rows; first-order traces read ``nan`` as envelope."""
-    n, t = range(len(trace)), range(trace.base, trace.base + len(trace))
+    n, t = range(len(trace)), range(trace.base, trace.last + 1)
     envelope = np.full(len(trace), np.nan) if trace.envelope is None else trace.envelope
     write_table(stream, "n,t,u,residual,envelope", n, t, trace.values, trace.residuals, envelope)
 
@@ -517,7 +517,7 @@ def write_trace_json(trace: SolutionTrace, stream: IO[str], **metadata) -> None:
         "base": trace.base,
         "nu": trace.nu,
         "n": range(len(trace)),
-        "t": range(trace.base, trace.base + len(trace)),
+        "t": range(trace.base, trace.last + 1),
         "u": trace.values,
         "residual": trace.residuals,
         "envelope": trace.envelope,

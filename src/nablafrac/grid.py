@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monomial import _check_positive_order, convolution_weights, monomial_limit_sequence
+from .monomial import _check_positive_order, _is_negative_integer, _recurrence_tail, convolution_weights
 
 __all__ = [
     "DivergentSolutionError",
@@ -100,16 +100,11 @@ def _require_finite(values: np.ndarray, base: int) -> None:
         raise DivergentSolutionError(base + int(bad[0]), float(values[bad[0]]))
 
 
-def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"grid values must be one-dimensional, got shape {arr.shape}")
-    if arr.size < 1:
-        raise ValueError("grid values must contain at least one value")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("grid values must be finite everywhere")
-    arr.setflags(write=False)
-    return arr
+def _integral_base(base) -> int:
+    """``base`` as an int; a base that is not an integer is refused, not truncated."""
+    if not float(base).is_integer():
+        raise ValueError(f"base must be an integer, got {base}")
+    return int(base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,15 +112,27 @@ class GridFunction:
     """Real samples u(base), u(base+1), ..., u(base + len - 1).
 
     Operators return this type too, with ``base`` at the first grid point
-    where their output is defined.
+    where their output is defined, and a solve returns its subclass
+    :class:`~nablafrac.solver.SolutionTrace`.  ``base`` must be an integer:
+    a float such as 2.0 or a NumPy integer is taken as its int, and 1.5
+    raises ``ValueError``.  ``values`` is a read-only float64 copy, finite,
+    one-dimensional and not empty.
     """
 
     base: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base", int(self.base))
-        object.__setattr__(self, "values", _frozen_array(self.values))
+        object.__setattr__(self, "base", _integral_base(self.base))
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError(f"grid values must be one-dimensional, got shape {values.shape}")
+        if values.size < 1:
+            raise ValueError("grid values must contain at least one value")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("grid values must be finite everywhere")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -226,9 +233,7 @@ def nabla_diff_n(u: GridFunction, order: int) -> GridFunction:
         raise DomainTooShortError(
             f"order-{order} difference needs at least {order + 1} points, got {len(u)}"
         )
-    values = u.values
-    for _ in range(order):
-        values = np.diff(values)
+    values = np.diff(u.values, order)
     _require_finite(values, u.base + order)
     return GridFunction(u.base + order, values)
 
@@ -244,7 +249,7 @@ def nabla_sum(u: GridFunction, nu: float) -> GridFunction:
     """
     _check_positive_order(nu)
     # kernel[lag - 1] = H_{nu-1} at offset lag
-    kernel = monomial_limit_sequence(nu - 1.0, len(u))[1:]
+    kernel = _recurrence_tail(nu - 1.0, len(u))
     out = np.concatenate(([0.0], _convolve_head(kernel, u.values)))
     _require_finite(out, u.base - 1)
     return GridFunction(u.base - 1, out)
@@ -295,12 +300,12 @@ def power_rule_check(mu: float, nu: float, n_max: int) -> float:
     limiting lag-1 value when mu - nu is a negative integer (the zero
     convention only holds from offset 2 there).
     """
-    if not math.isfinite(mu) or (mu < 0 and float(mu).is_integer()):
+    if not math.isfinite(mu) or _is_negative_integer(mu):
         raise ValueError(f"sampled order must not be a negative integer, got mu = {mu}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    samples = monomial_limit_sequence(mu, n_max)[1:]
+    samples = _recurrence_tail(mu, n_max)
     applied = nabla_frac_diff_direct(GridFunction(1, samples), nu)
-    reference = monomial_limit_sequence(mu - nu, n_max)[1:]
+    reference = _recurrence_tail(mu - nu, n_max)
     return float(np.max(np.abs(applied.values - reference)))
 

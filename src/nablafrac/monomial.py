@@ -58,11 +58,6 @@ def _is_negative_integer(mu: float) -> bool:
     return mu < 0 and float(mu).is_integer()
 
 
-def _check_order(mu: float) -> None:
-    if not math.isfinite(mu):
-        raise ValueError(f"monomial order must be finite, got {mu}")
-
-
 def _check_positive_order(nu: float) -> None:
     if not math.isfinite(nu) or nu <= 0:
         raise ValueError(f"order must be positive and finite, got {nu}")
@@ -106,7 +101,8 @@ def monomial_limit_sequence(mu: float, n_max: int) -> np.ndarray:
     0, 1, -1, 0, ...  This is the reference the power rule holds against at
     every offset; the zero convention only matches it from offset 2 on.
     """
-    _check_order(mu)
+    if not math.isfinite(mu):
+        raise ValueError(f"monomial order must be finite, got {mu}")
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     return np.concatenate(([0.0], _recurrence_tail(mu, n_max)))

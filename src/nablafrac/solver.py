@@ -95,8 +95,8 @@ import math
 
 import numpy as np
 
-from .grid import GridFunction, _convolve_head, _far_lags, _require_finite, nabla_diff
-from .monomial import convolution_weights, monomial_limit_sequence
+from .grid import GridFunction, _convolve_head, _far_lags, _integral_base, _require_finite, nabla_diff
+from .monomial import _recurrence_tail, convolution_weights
 
 __all__ = [
     "SINGULAR_PIVOT_TOL",
@@ -188,7 +188,7 @@ def envelope_sequence(nu: float, n_max: int) -> np.ndarray:
     _check_unit_order(nu)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    return monomial_limit_sequence(nu - 1.0, n_max + 1)[1:]
+    return _recurrence_tail(nu - 1.0, n_max + 1)
 
 
 def _micro_size(q: np.ndarray, constant: bool) -> int:
@@ -470,28 +470,28 @@ def mittag_leffler_seq(c: CoefficientLike, nu: float, n_max: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SolutionTrace:
-    """Solution values on {base, ..., base + n_max} with diagnostics.
+class SolutionTrace(GridFunction):
+    """A solution on {base, ..., base + n_max}: a grid function with diagnostics.
 
-    ``residuals[n]`` is the absolute defect of the governing equation at
-    t = base + n (0 at n = 0, where the initial condition sits instead).
-    ``envelope`` and ``nu`` are None for first-order solves.
+    A solution lives on N_base as the operators' inputs do, so a trace is a
+    :class:`~nablafrac.grid.GridFunction` with its base, values and checks:
+    ``nabla_frac_diff_direct(trace, trace.nu)`` re-applies a fractional
+    solve's own operator.  ``residuals[n]`` is the absolute defect of the
+    governing equation at t = base + n (0 at n = 0, where the initial
+    condition sits instead).  ``envelope`` and ``nu`` are None for
+    first-order solves.  Every array is read-only.
     """
 
-    base: int
-    values: np.ndarray
     residuals: np.ndarray
     envelope: np.ndarray | None
     nu: float | None
 
     def __post_init__(self) -> None:
-        for name in ("values", "residuals") + (("envelope",) if self.envelope is not None else ()):
+        super().__post_init__()
+        for name in ("residuals",) + (("envelope",) if self.envelope is not None else ()):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
     @property
     def max_residual(self) -> float:
@@ -535,6 +535,7 @@ def _solve(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not math.isfinite(u0):
         raise ValueError(f"u0 must be finite, got {u0}")
+    base = _integral_base(base)
     p, q, g = (coefficient_array(x, n_max) for x in (p, q, g))
     if max(p.ndim, q.ndim, g.ndim) > 1:
         raise ValueError("a solve takes scalar or one-dimensional coefficients; only mittag_leffler_seq steps a batch")

@@ -4,6 +4,7 @@ import io
 import json
 import warnings
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -122,6 +123,14 @@ def test_apply_nabla_rejects_an_order(runner, tmp_path):
     plain = runner.invoke(main, args)
     assert plain.exit_code == 0
     assert json.loads(plain.output)["nu"] is None
+
+
+def test_apply_lists_its_operators_in_order(runner, tmp_path):
+    path = tmp_path / "g.csv"
+    _write_grid(path, 0, [1.0, 3.0, 6.0])
+    result = runner.invoke(main, ["apply", "--op", "diff", "--nu", "0.5", "--input", str(path)])
+    assert result.exit_code == 2
+    assert "'diff' is not one of 'sum', 'diff-direct', 'diff-composed', 'nabla'" in result.output
 
 
 def test_apply_output_reingests(runner, tmp_path):
@@ -792,6 +801,19 @@ def test_outputs_are_pinned_byte_for_byte(runner, tmp_path, argv, expected):
     result = runner.invoke(main, [str(path) if arg == "INPUT" else arg for arg in argv])
     assert result.exit_code == 0
     assert result.output == expected
+
+
+def test_every_option_has_help_text(runner):
+    missing = [
+        f"{command.name} {option.opts[0]}"
+        for command in (main, *main.commands.values())
+        for option in command.params
+        if isinstance(option, click.Option) and not option.help
+    ]
+    assert missing == []
+    for name in main.commands:
+        result = runner.invoke(main, [name, "--help"])
+        assert result.exit_code == 0 and "--output" in result.output
 
 
 def test_version_flag(runner):

@@ -93,6 +93,16 @@ def test_grid_function_validation():
         GridFunction(0, [1.0, float("nan")])
 
 
+def test_grid_function_refuses_a_base_that_is_not_an_integer():
+    # a fractional base used to be truncated without a word: 1.5 became 1
+    for base in (1.5, -0.25, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="base must be an integer"):
+            GridFunction(base, [1.0, 2.0])
+    for base in (2.0, np.int64(2), np.float64(2.0)):
+        u = GridFunction(base, [1.0, 2.0])
+        assert type(u.base) is int and (u.base, u.last) == (2, 3)
+
+
 # --- classical differences ----------------------------------------------
 
 

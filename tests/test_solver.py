@@ -27,6 +27,7 @@ from nablafrac import (
     envelope_sequence,
     mittag_leffler_seq,
     monomial_sequence,
+    nabla_diff,
     nabla_frac_diff_direct,
     solve_first_order,
     solve_general,
@@ -196,7 +197,7 @@ def test_residuals_match_the_long_double_operator(nu, n_max):
     g = rng.uniform(-1.0, 1.0, size=n_max)
     trace = solve_general(LinearProblem(nu, 2, p=p, q=q, g=g, u0=1.5), n_max)
     u = trace.values
-    applied = nabla_frac_diff_direct(GridFunction(2, u), nu).values
+    applied = nabla_frac_diff_direct(trace, trace.nu).values
     want = np.abs(applied[1:] - (p * u[1:] + q * u[:-1] + g))
     assert trace.residuals[0] == 0.0
     assert np.max(np.abs(trace.residuals[1:] - want)) <= 1e-14 * np.max(np.abs(u))
@@ -244,7 +245,7 @@ def test_residual_head_is_one_convolution_up_to_a_block(n_max):
     unblocked = np.abs(np.ldexp(full[1 : n_max + 1], exponent) - rhs)
     if n_max + 1 <= _BLOCK:
         assert np.array_equal(trace.residuals[1:], unblocked)
-    applied = nabla_frac_diff_direct(GridFunction(2, u), nu).values
+    applied = nabla_frac_diff_direct(trace, trace.nu).values
     want = np.abs(applied[1:] - rhs)
     assert np.max(np.abs(trace.residuals[1:] - want)) <= 1e-14 * np.max(np.abs(u))
 
@@ -255,7 +256,7 @@ def test_residuals_match_the_long_double_operator_far_past_a_block():
     nu, n_max = 0.7, 20000
     trace = solve_lagged(-0.4, nu, 1.0, n_max)
     u = trace.values
-    applied = nabla_frac_diff_direct(GridFunction(0, u), nu).values
+    applied = nabla_frac_diff_direct(trace, trace.nu).values
     want = np.abs(applied[1:] - (-0.4) * u[:-1])
     assert np.max(np.abs(trace.residuals[1:] - want)) <= 1e-14 * np.max(np.abs(u))
 
@@ -286,9 +287,58 @@ def test_homogeneity_in_the_initial_value(lam):
 
 def test_trace_is_immutable():
     trace = solve_lagged(-0.3, 0.5, 1.0, 5)
-    with pytest.raises(ValueError):
-        trace.values[0] = 2.0
+    for name in ("values", "residuals", "envelope"):
+        with pytest.raises(ValueError):
+            getattr(trace, name)[0] = 2.0
     assert len(trace) == 6
+
+
+def test_a_trace_is_a_grid_function():
+    # a solution lives on N_base as the operators' inputs do: it has their
+    # domain, and the operator of its own equation takes it as it is
+    fractional = solve_lagged(-0.3, 0.5, 1.0, 5, base=2)
+    first = solve_first_order(0.2, "on_u_t", 1.0, 5, base=2)
+    for trace in (fractional, first):
+        assert isinstance(trace, GridFunction)
+        assert (trace.base, trace.last, len(trace)) == (2, 7, 6)
+        assert trace.value_at(2) == 1.0 and trace.value_at(7) == trace.values[-1]
+        with pytest.raises(IndexError, match="zero-extended"):
+            trace.value_at(8)
+    applied = nabla_frac_diff_direct(fractional, fractional.nu)
+    assert applied.base == 2
+    u = fractional.values
+    assert np.max(np.abs(np.abs(applied.values[1:] + 0.3 * u[:-1]) - fractional.residuals[1:])) <= 1e-14
+    assert np.array_equal(np.abs(nabla_diff(first).values - 0.2 * first.values[1:]), first.residuals[1:])
+
+
+_SOLVES_AT_BASE = [
+    lambda base: solve_lagged(-0.3, 0.5, 1.0, 3, base=base),
+    lambda base: solve_general(LinearProblem(0.5, base, p=-0.1, q=-0.3, g=0.5, u0=1.0), 3),
+    lambda base: solve_first_order(0.2, "on_u_lag", 1.0, 3, base=base),
+    lambda base: solve_first_order(0.2, "on_u_t", 1.0, 3, base=base),
+]
+
+
+@pytest.mark.parametrize("solve", _SOLVES_AT_BASE, ids=["lagged", "general", "first-lag", "first-t"])
+def test_solves_refuse_a_base_that_is_not_an_integer_before_stepping(monkeypatch, solve):
+    # the trace of a solve at base 1.5 could not be written out
+    stepped = []
+    monkeypatch.setattr(solver, "_solve_steps", lambda *args: stepped.append(args))
+    with pytest.raises(ValueError, match="base must be an integer"):
+        solve(1.5)
+    assert not stepped
+
+
+@pytest.mark.parametrize("solve", _SOLVES_AT_BASE, ids=["lagged", "general", "first-lag", "first-t"])
+def test_solves_take_an_integral_base_as_an_int(solve):
+    want = io.StringIO()
+    write_trace_csv(solve(2), want)
+    for base in (2.0, np.int64(2)):
+        trace = solve(base)
+        assert type(trace.base) is int and trace.base == 2
+        got = io.StringIO()
+        write_trace_csv(trace, got)
+        assert got.getvalue() == want.getvalue()
 
 
 def test_report_is_immutable():
