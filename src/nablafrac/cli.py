@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+from dataclasses import replace
 
 import click
 
@@ -42,8 +43,6 @@ from .solver import (
     FirstOrderForm,
     LinearProblem,
     SingularStepError,
-    _check_unit_order,
-    solve_first_order,
     solve_general,
 )
 from .stability import compare_orders, stability_scan
@@ -272,15 +271,11 @@ def solve_cmd(
     """
     coeff = _resolve_coefficients(c_spec, base)
     with _library_errors():
-        if nu is not None:
-            _check_unit_order(nu)
-        if order == "1":
-            trace = solve_first_order(coeff, form, u0, n_max, base)
-        else:
-            if nu is None:
-                raise click.UsageError("--nu is required for the fractional solve")
-            p, q = FirstOrderForm(form).split(coeff)
-            trace = solve_general(LinearProblem(nu, base, p=p, q=q, g=0.0, u0=u0), n_max)
+        if order == "frac" and nu is None:
+            raise click.UsageError("--nu is required for the fractional solve")
+        # a given --nu is checked at either order
+        problem = LinearProblem(nu, base, *FirstOrderForm(form).split(coeff), 0.0, u0)
+        trace = solve_general(problem if order == "frac" else replace(problem, nu=None), n_max)
     with _open_outputs(output) as (stream,):
         if fmt == "json":
             write_trace_json(

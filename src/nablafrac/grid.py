@@ -53,7 +53,12 @@ only the first n terms, the head, are formed (:func:`_convolve_head`):
   finite.  A wider long double needs no scaling.
 
 An output that overflows float64 raises :class:`DivergentSolutionError` at
-its first non-finite point, not a warning.
+its first non-finite point, not a warning.  No output reads a weight past
+its own lag, even one that overflowed: the kernel rows of large orders can
+pass float64's range, and a merge holding such a weight would spread it
+over all of its outputs, so the head stops short of the first non-finite
+weight, and the output at its lag is its own non-finite sum.  The first
+non-finite point is then the unsplit convolution's.
 """
 
 from __future__ import annotations
@@ -198,20 +203,29 @@ def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=np.longdouble) -> np
     float64; an entry beyond its range rounds to inf, which the caller's
     ``_require_finite`` reports.  A ``dtype`` with float64's exponent range
     sums v scaled by a power of two, so that the merges of an input near
-    overflow stay finite.
+    overflow stay finite.  A kernel whose row overflowed has a first
+    non-finite weight, at lag L: the entries before L are the head of the
+    finite weights, entry L is its own sum and non-finite, and the entries
+    past it are nan.
     """
     n = v.size
+    kernel = kernel[:n]
+    # m is the lag of the first non-finite weight, if the row overflowed
+    finite = np.isfinite(kernel)
+    m = n if finite.all() else int(finite.argmin())
     scaled = np.finfo(dtype).maxexp <= 1024
     if scaled:
         _, exponent = np.frexp(np.max(np.abs(v)))
         v = np.ldexp(v, -exponent)
-    kernel, v = kernel[:n].astype(dtype), v.astype(dtype)
-    out = np.convolve(kernel[:_BLOCK], v)[:n]
+    kernel, v = kernel.astype(dtype), v.astype(dtype)
+    out = np.convolve(kernel[: min(_BLOCK, m)], v[:m])[:m]
     spectra: dict = {}
-    for e in range(_BLOCK, n, _BLOCK):
+    for e in range(_BLOCK, m, _BLOCK):
         blocks = e // _BLOCK
         b = _BLOCK * (blocks & -blocks)
-        out[e : e + b] += _far_lags(v[e - b : e], kernel, _BLOCK, min(b, n - e), spectra)
+        out[e : e + b] += _far_lags(v[e - b : e], kernel[:m], _BLOCK, min(b, m - e), spectra)
+    if m < n:
+        out = np.concatenate((out, [kernel[m::-1].dot(v[: m + 1])], np.full(n - m - 1, np.nan)))
     out = out.astype(float)
     return np.ldexp(out, exponent, out=out) if scaled else out
 

@@ -64,10 +64,11 @@ deliberately kept separate, since they produce different solutions:
 ``on_u_lag`` is (nabla u)(t) = c(t) u(t-1) with step factor 1 + c(t), and
 ``on_u_t`` is (nabla u)(t) = c(t) u(t) with step factor 1/(1 - c(t)).
 :meth:`FirstOrderForm.split` maps c onto (p, q), so both forms are the
-general equation with the classical nabla on the left.  Its weight row
-(1, -1) is the nu = 1 member of the direct weights, the coefficients of
-(1 - z)^nu: the lag-2 weight -1 folds into q and no history term remains.
-One stepping core serves both orders.
+general equation with the classical nabla on the left: a
+:class:`LinearProblem` of order None.  Its weight row (1, -1) is the
+nu = 1 member of the direct weights, the coefficients of (1 - z)^nu: the
+lag-2 weight -1 folds into q and no history term remains.  One problem
+type, one solve body and one stepping core serve both orders.
 
 Every returned :class:`SolutionTrace` carries a residual column: the
 absolute defect of each step, from re-applying the difference operator to
@@ -500,14 +501,15 @@ class SolutionTrace(GridFunction):
 
 @dataclass(frozen=True, eq=False)
 class LinearProblem:
-    """General linear lagged problem based at rho(base).
+    """General linear lagged problem based at rho(base), at order ``nu``.
 
-    Coefficients may be scalars or sequences over t = base+1, base+2, ...;
-    they are normalized at solve time, so a problem can be solved for any
-    horizon its sequences cover.
+    ``nu`` None is the classical nabla, the first-order comparison equation;
+    an order that is given must lie in (0, 1).  Coefficients may be scalars
+    or sequences over t = base+1, base+2, ...; they are normalized at solve
+    time, so a problem can be solved for any horizon its sequences cover.
     """
 
-    nu: float
+    nu: float | None
     base: int
     p: CoefficientLike
     q: CoefficientLike
@@ -515,28 +517,22 @@ class LinearProblem:
     u0: float
 
     def __post_init__(self) -> None:
-        _check_unit_order(self.nu)
+        if self.nu is not None:
+            _check_unit_order(self.nu)
 
 
-def _solve(
-    p: CoefficientLike,
-    q: CoefficientLike,
-    g: CoefficientLike,
-    nu: float | None,
-    u0: float,
-    n_max: int,
-    base: int,
-) -> SolutionTrace:
-    """Solve (nabla^nu u)(t) = p(t)u(t) + q(t)u(t-1) + g(t); nu=None is the classical nabla.
+def _solve(problem: LinearProblem, n_max: int) -> SolutionTrace:
+    """The body of every solve: ``problem`` to a trace of n_max steps.
 
     The trace carries the residual column of the module notes.
     """
+    nu, u0 = problem.nu, problem.u0
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not math.isfinite(u0):
         raise ValueError(f"u0 must be finite, got {u0}")
-    base = _integral_base(base)
-    p, q, g = (coefficient_array(x, n_max) for x in (p, q, g))
+    base = _integral_base(problem.base)
+    p, q, g = (coefficient_array(x, n_max) for x in (problem.p, problem.q, problem.g))
     if max(p.ndim, q.ndim, g.ndim) > 1:
         raise ValueError("a solve takes scalar or one-dimensional coefficients; only mittag_leffler_seq steps a batch")
     # one weight row serves the stepping and the re-application
@@ -562,19 +558,20 @@ def solve_lagged(
     c: CoefficientLike, nu: float, u0: float, n_max: int, base: int = 0
 ) -> SolutionTrace:
     """Solve (nabla^nu_{rho(a)} u)(t) = c(t) u(t-1), u(a) = u0, a = base."""
-    _check_unit_order(nu)
-    return _solve(0.0, c, 0.0, nu, u0, n_max, base)
+    return _solve(LinearProblem(nu, base, 0.0, c, 0.0, u0), n_max)
 
 
 def solve_general(problem: LinearProblem, n_max: int) -> SolutionTrace:
     """Solve (nabla^nu_{rho(a)} u)(t) = p(t)u(t) + q(t)u(t-1) + g(t), u(a) = u0.
 
-    Each step solves for u(t) through the pivot 1 - p(t); raises
-    :class:`SingularStepError` when the pivot is numerically zero and
-    :class:`DivergentSolutionError` when the solution overflows.  With
-    p = 0, g = 0 this reduces exactly (bit for bit) to :func:`solve_lagged`.
+    Order None solves the same equation with the classical nabla on the
+    left, as :func:`solve_first_order` does.  Each step solves for u(t)
+    through the pivot 1 - p(t); raises :class:`SingularStepError` when the
+    pivot is numerically zero and :class:`DivergentSolutionError` when the
+    solution overflows.  With p = 0, g = 0 this reduces exactly (bit for
+    bit) to :func:`solve_lagged`.
     """
-    return _solve(problem.p, problem.q, problem.g, problem.nu, problem.u0, n_max, problem.base)
+    return _solve(problem, n_max)
 
 
 def solve_first_order(
@@ -590,7 +587,8 @@ def solve_first_order(
     ``on_u_lag`` steps u(t) = (1 + c(t)) u(t-1) + g(t); ``on_u_t`` steps
     u(t) = (u(t-1) + g(t)) / (1 - c(t)) and raises SingularStepError when
     1 - c(t) is numerically zero.  The classical nabla sees only the previous
-    point: memory 2, against the fractional operators' full memory.
+    point: memory 2, against the fractional operators' full memory.  It is
+    the problem of order None with the (p, q) of :meth:`FirstOrderForm.split`.
     """
     p, q = FirstOrderForm(form).split(c)
-    return _solve(p, q, 0.0 if g is None else g, None, u0, n_max, base)
+    return _solve(LinearProblem(None, base, p, q, 0.0 if g is None else g, u0), n_max)

@@ -39,7 +39,7 @@ diagnostic only; no acceptance claim is made about it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import math
@@ -55,7 +55,6 @@ from .solver import (
     coefficient_array,
     envelope_sequence,
     mittag_leffler_seq,
-    solve_first_order,
     solve_general,
 )
 
@@ -268,17 +267,16 @@ def compare_orders(
     n_max: int,
     base: int = 0,
 ) -> OrderComparison:
-    """Solve the first-order equation and its fractional counterpart.
+    """Solve one problem at two orders: the classical nabla and order ``nu``.
 
-    The counterpart keeps the same right-hand side: ``on_u_lag`` pairs with
-    the lagged fractional equation, ``on_u_t`` with the undelayed one
-    (p = c).  Both decay classes and tails are taken over the default
-    window.
+    The problem keeps the right-hand side of ``form``: ``on_u_lag`` is the
+    lagged equation, ``on_u_t`` the undelayed one (p = c).  Its first-order
+    trace is the same problem with order None.  Both decay classes and
+    tails are taken over the default window.
     """
     form = FirstOrderForm(form)
-    p, q = form.split(c)
-    problem = LinearProblem(nu, base, p=p, q=q, g=0.0, u0=u0)
-    first = solve_first_order(c, form, u0, n_max, base)
+    problem = LinearProblem(nu, base, *form.split(c), 0.0, u0)
+    first = solve_general(replace(problem, nu=None), n_max)
     frac = solve_general(problem, n_max)
     win = default_window(len(first))
     return OrderComparison(

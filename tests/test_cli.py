@@ -777,6 +777,42 @@ n,t,u_first_order,u_fractional
 """,
     ),
     (
+        ["compare", "--nu", "0.5", "--c", "demo-oscillation", "--form", "on_u_t", "--n-max", "20"],
+        """\
+n,t,u_first_order,u_fractional
+0,0,1,1
+1,1,-1,-0.5
+2,2,1,0.125
+3,3,-1,-0.0625
+4,4,1,0.0078125
+5,5,-1,-0.01171875
+6,6,1,-0.0029296875
+7,7,-1,-0.00439453125
+8,8,1,-0.002899169921875
+9,9,-1,-0.0026702880859375
+10,10,1,-0.002201080322265625
+11,11,-1,-0.0019359588623046875
+12,12,1,-0.0016906261444091797
+13,13,-1,-0.0015028715133666992
+14,14,1,-0.0013440549373626709
+15,15,-1,-0.0012124925851821899
+16,16,1,-0.0011006738059222698
+17,17,-1,-0.0010051669087260962
+18,18,1,-0.00092266435967758298
+19,19,-1,-0.00085087152547203004
+20,20,1,-0.00078792049680487253
+{
+  "kind": "comparison_verdict",
+  "nu": 0.5,
+  "form": "on_u_t",
+  "first_order": "bounded_nonvanishing",
+  "fractional": "tends_to_zero",
+  "first_order_tail": 0.0,
+  "fractional_tail": -1.4985186039006038
+}
+""",
+    ),
+    (
         ["scan", "--nu-grid", "0.3,0.6", "--c-grid", "-0.5,0.1", "--n-max", "20"],
         """\
 nu,c,decay_class,tail_stat
@@ -793,7 +829,7 @@ nu,c,decay_class,tail_stat
     "argv, expected",
     _PINNED_OUTPUTS,
     ids=["monomial-json", "apply-json", "apply-csv", "solve-json", "solve-first-order-csv",
-         "compare", "scan"],
+         "compare", "compare-on-u-t", "scan"],
 )
 def test_outputs_are_pinned_byte_for_byte(runner, tmp_path, argv, expected):
     path = tmp_path / "u.csv"

@@ -512,6 +512,46 @@ def test_overflowing_output_raises_at_its_first_point(operator, values, t):
     assert not np.isfinite(info.value.value)
 
 
+def _uniform(n, first=None, sign=1.0):
+    v = sign * np.random.default_rng(0).uniform(-1.0, 1.0, size=n)
+    if first is not None:
+        v[0] = first
+    return v
+
+
+@pytest.mark.parametrize(
+    "operator, nu, v",
+    [
+        # the sum's kernel row overflows at lag 685, its output first at 683
+        ("sum", 400.5, np.ones(1000)),
+        ("sum", 400.5, -np.ones(1000)),
+        ("sum", 300.5, _uniform(2000)),
+        # the direct weights overflow at lag 338: inf, -inf, and nan where
+        # the weight meets v[0] = 0
+        ("direct", 1200.5, _uniform(400)),
+        ("direct", 1200.5, _uniform(400, sign=-1.0)),
+        ("direct", 1200.5, _uniform(400, first=0.0)),
+    ],
+    ids=["sum-inf", "sum-minus-inf", "sum-merged", "direct-inf", "direct-minus-inf", "direct-nan"],
+)
+def test_an_overflowed_kernel_row_names_the_first_point_of_the_full_convolution(operator, nu, v):
+    # an overflowed weight must not spread through the FFT merges to outputs
+    # that never read it: the first non-finite point and its kind (inf, -inf
+    # or nan) are those of the unsplit long-double convolution
+    if operator == "sum":
+        kernel, apply = monomial_sequence(nu - 1.0, v.size)[1:], nabla_sum
+    else:
+        kernel, apply = convolution_weights(nu, v.size), nabla_frac_diff_direct
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = np.convolve(kernel.astype(np.longdouble), v.astype(np.longdouble))[: v.size].astype(float)
+    first = int(np.flatnonzero(~np.isfinite(full))[0])
+    with pytest.raises(DivergentSolutionError) as info:
+        apply(GridFunction(1, v), nu)
+    # both operators put the head's entry i at t = 1 + i
+    assert info.value.t == 1 + first
+    assert repr(info.value.value) == repr(float(full[first]))
+
+
 # --- CSV ----------------------------------------------------------------
 
 

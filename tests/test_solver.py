@@ -428,8 +428,50 @@ def test_singular_threshold_is_sharp():
 
 
 def test_problem_validates_order():
-    with pytest.raises(ValueError):
-        LinearProblem(1.5, 0, p=0.0, q=0.0, g=0.0, u0=1.0)
+    for nu in (1.5, 0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError):
+            LinearProblem(nu, 0, p=0.0, q=0.0, g=0.0, u0=1.0)
+
+
+def _outcome(solve):
+    """A trace's base and bytes, or the type, step and message of its error."""
+    try:
+        trace = solve()
+    except (SingularStepError, DivergentSolutionError) as exc:
+        return type(exc), exc.t, str(exc)
+    return trace.base, trace.values.tobytes(), trace.residuals.tobytes(), trace.envelope, trace.nu
+
+
+@pytest.mark.parametrize("form", list(FirstOrderForm))
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("decaying", {}),
+        # c = 1 at t = 9 is a zero pivot of on_u_t and a doubling of on_u_lag
+        ("singular", {FirstOrderForm.ON_U_T: SingularStepError}),
+        # a step factor near 1e12 or near 2: both forms overflow
+        ("overflowing", dict.fromkeys(FirstOrderForm, DivergentSolutionError)),
+    ],
+    ids=["decaying", "singular", "overflowing"],
+)
+def test_a_problem_of_order_none_is_the_first_order_solve(form, forced, case, error):
+    # the classical nabla is the general problem at order None, bit for bit,
+    # at a base other than 0, and it fails at the same step with the same error
+    n, rng = 1100, np.random.default_rng(43)
+    c = {
+        "decaying": rng.uniform(-1.5, 0.5, size=n),
+        "singular": np.r_[rng.uniform(-1.5, 0.5, size=5), 1.0, rng.uniform(-1.5, 0.5, size=n - 6)],
+        "overflowing": np.full(n, 1.0 - 1e-12),
+    }[case]
+    g = rng.uniform(-1.0, 1.0, size=n) if forced else None
+    problem = LinearProblem(None, 3, *form.split(c), 0.0 if g is None else g, 2.0)
+    got = _outcome(lambda: solve_general(problem, n))
+    assert got == _outcome(lambda: solve_first_order(c, form, 2.0, n, 3, g))
+    if form in error:
+        assert got[0] is error[form]
+    else:
+        assert got[0] == 3 and got[3:] == (None, None)
 
 
 # --- first-order forms --------------------------------------------------
