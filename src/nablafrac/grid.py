@@ -105,11 +105,15 @@ def _require_finite(values: np.ndarray, base: int) -> None:
         raise DivergentSolutionError(base + int(bad[0]), float(values[bad[0]]))
 
 
-def _integral_base(base) -> int:
-    """``base`` as an int; a base that is not an integer is refused, not truncated."""
-    if not float(base).is_integer():
-        raise ValueError(f"base must be an integer, got {base}")
-    return int(base)
+def _integral(value, name: str) -> int:
+    """``value`` as an int; one that is not an integer is refused, not truncated.
+
+    2.0 and ``np.int64(2)`` are taken as the int 2; 2.5 raises a
+    ``ValueError`` that names the argument ``name``.
+    """
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +132,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base", _integral_base(self.base))
+        object.__setattr__(self, "base", _integral(self.base, "base"))
         values = np.array(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError(f"grid values must be one-dimensional, got shape {values.shape}")
@@ -186,8 +190,9 @@ def _far_lags(
         lags[: near - 1] = 0
         kernel = spectra[size] = np.fft.rfft(lags, size).reshape((-1,) + (1,) * (source.ndim - 1))
     # in place where it can be, and a caller's scaled copy of the source
-    # freed before the inverse: a batch's transforms are the largest
-    # temporaries of a solve
+    # freed before the inverse: the spectrum and the inverse's output, each
+    # about the source and its outputs together, are a merge's largest
+    # temporaries
     spectrum = np.fft.rfft(source, size, axis=0)
     del source
     spectrum *= kernel

@@ -17,9 +17,10 @@ one full-history sum per step costs O(n^2).  The stepping core,
 
 * Leaves.  The offsets fall into leaves of ``_LEAF`` (512) points.  A
   finished block adds its history beyond the ``_NEAR`` (64) nearest lags
-  to the block after it by one FFT convolution, ``grid._far_lags``, on the
+  to the block after it by FFT convolution, ``grid._far_lags``, on the
   block-causal schedule of the grid operators' heads (see
-  :mod:`nablafrac.grid`).
+  :mod:`nablafrac.grid`), ``_MERGE_COLUMNS`` (8) columns of a batch at a
+  time.
 * Crossing lags.  Every nearer or in-leaf lag is summed directly: each
   leaf but the first starts with one dense product of the lags of at most
   ``_NEAR`` that cross its edge.
@@ -96,7 +97,7 @@ import math
 
 import numpy as np
 
-from .grid import GridFunction, _convolve_head, _far_lags, _integral_base, _require_finite, nabla_diff
+from .grid import GridFunction, _convolve_head, _far_lags, _integral, _require_finite, nabla_diff
 from .monomial import _recurrence_tail, convolution_weights
 
 __all__ = [
@@ -119,6 +120,8 @@ SINGULAR_PIVOT_TOL = 1e-13
 # lags that every step sums directly, also across a leaf boundary
 _LEAF = 512
 _NEAR = 64
+# the columns of a batch that one far-lag merge transforms at once
+_MERGE_COLUMNS = 8
 
 CoefficientLike = Union[float, Sequence[float], np.ndarray]
 
@@ -332,7 +335,7 @@ def _solve_steps(
     For fractional orders the history sum_{j<n} w[n - j] u[j] is split by
     divide and conquer (Hairer, Lubich and Schlichte, 1985), as the module
     notes lay out.  The FFT merges run the heads' schedule on ``_LEAF``
-    points, see the grid module.  Two choices the code does not show:
+    points, see the grid module.  Choices the code does not show:
 
     * Lags up to ``_NEAR`` are summed directly, never by a merge.  The FFT's
       rounding scales with the norm of the kernel, which the first lags
@@ -341,6 +344,12 @@ def _solve_steps(
     * Each column is scaled by its own power of two before a merge and back
       after it (exact), so a column near overflow neither overflows in the
       transform nor sets the scale of the others.
+    * A merge runs on ``_MERGE_COLUMNS`` columns at a time, each chunk
+      transformed and added into its own columns of ``u`` before the next
+      is scaled, so a merge's spectrum and transform output are a fraction
+      of the trace, not a trace each.  A column's transform is the same in
+      any chunk, so the values do not depend on the chunk width; one
+      problem is one chunk of one column.
     * ``u`` starts at zero and its unstepped rows are the pending history:
       merges and crossing products add into ``u[lo : lo + count]``, and a
       micro-block reads ``u[s:e]`` as its history before it writes the
@@ -405,13 +414,16 @@ def _solve_steps(
             if lo:
                 leaves = lo // _LEAF
                 block = _LEAF * (leaves & -leaves)
-                source = u[lo - block : lo]
-                _, exponent = np.frexp(np.max(np.abs(source), axis=0))
                 count = min(block, n_max + 1 - lo)
-                far = _far_lags(np.ldexp(source, -exponent), weights, _NEAR + 1, count, spectra)
-                u[lo : lo + count] += np.ldexp(far, exponent, out=far)
-                # the merge's transform buffer is not kept through the leaf
-                del far
+                # a few columns per merge, each scaled on its own (see the
+                # docstring)
+                for j in range(0, u2.shape[1], _MERGE_COLUMNS):
+                    source = u2[lo - block : lo, j : j + _MERGE_COLUMNS]
+                    _, exponent = np.frexp(np.max(np.abs(source), axis=0))
+                    far = _far_lags(np.ldexp(source, -exponent), weights, _NEAR + 1, count, spectra)
+                    u2[lo : lo + count, j : j + _MERGE_COLUMNS] += np.ldexp(far, exponent, out=far)
+                    # the merge's transform buffer is not kept past its chunk
+                    del far
                 u[lo : lo + _NEAR] += crossing[: hi - lo].dot(u[lo - _NEAR : lo])
             # the first leaf's first micro-block starts at step 1, past u0
             starts = range(max(lo, 1), hi, m)
@@ -531,7 +543,7 @@ def _solve(problem: LinearProblem, n_max: int) -> SolutionTrace:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not math.isfinite(u0):
         raise ValueError(f"u0 must be finite, got {u0}")
-    base = _integral_base(problem.base)
+    base = _integral(problem.base, "base")
     p, q, g = (coefficient_array(x, n_max) for x in (problem.p, problem.q, problem.g))
     if max(p.ndim, q.ndim, g.ndim) > 1:
         raise ValueError("a solve takes scalar or one-dimensional coefficients; only mittag_leffler_seq steps a batch")

@@ -46,6 +46,7 @@ import math
 
 import numpy as np
 
+from .grid import _integral
 from .solver import (
     CoefficientLike,
     FirstOrderForm,
@@ -101,8 +102,13 @@ def criterion_check(c: CoefficientLike, nu: float) -> np.ndarray:
 
 
 def _columns(trace: Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool]:
-    """|trace| as an (n, k) array of k columns, and whether it was one column."""
-    arr = np.abs(np.asarray(trace, dtype=float))
+    """The trace as an (n, k) array of k columns, and whether it was one column.
+
+    The array keeps its signs and is the caller's float64 array itself, not
+    a copy: the classifiers take |u| of the windows they read, never of the
+    whole batch.
+    """
+    arr = np.asarray(trace, dtype=float)
     if arr.ndim not in (1, 2):
         raise ValueError(f"trace must be one-dimensional or (n, k), got shape {arr.shape}")
     return (arr[:, None], True) if arr.ndim == 1 else (arr, False)
@@ -116,20 +122,27 @@ def decay_classify(
     The trace must span at least two windows.  An identically zero trace
     classifies tends_to_zero; a trace with a non-finite sample, unbounded.
     An (n, k) trace holds k traces as columns and gives a list of k
-    classes, each the class of its column alone.
+    classes, each the class of its column alone.  ``window`` is an integer:
+    2.0 or ``np.int64(2)`` is taken as 2, and 2.5 raises ``ValueError``.
     """
     arr, single = _columns(trace)
+    # an integral float or NumPy integer is its int, as a base is
+    window = _integral(window, "window")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if len(arr) < 2 * window:
         raise ValueError(f"trace of length {len(arr)} is shorter than two windows of {window}")
-    global_max = arr.max(axis=0)
-    last_max = arr[-window:].max(axis=0)
-    head_max = arr[:window].max(axis=0)
-    first = np.where(arr[0] > 0.0, arr[0], global_max)
+    # max |u| as the larger of max u and -min u: exact, nan wherever a
+    # column holds a nan and inf wherever it holds an inf, as the maximum of
+    # |u| is, with no copy of the batch
+    global_max = np.maximum(arr.max(axis=0), -arr.min(axis=0))
+    last_max = np.abs(arr[-window:]).max(axis=0)
+    head_max = np.abs(arr[:window]).max(axis=0)
+    first = np.abs(arr[0])
+    first = np.where(first > 0.0, first, global_max)
     # a non-finite column's maxima may be nan, which compare false: the
-    # finiteness test alone decides it
-    unbounded = ~np.isfinite(arr).all(axis=0) | (last_max > 10.0 * first)
+    # finiteness of its global maximum alone decides it
+    unbounded = ~np.isfinite(global_max) | (last_max > 10.0 * first)
     vanishing = (global_max == 0.0) | ((last_max < 0.5 * head_max) & (last_max < 0.1 * global_max))
     classes = [
         DecayClass.UNBOUNDED if up else
@@ -146,6 +159,7 @@ def tail_exponent(trace: Sequence[float] | np.ndarray, window: int) -> float | n
     trace has no algebraic tail.  Otherwise zero samples and the n = 0
     sample are excluded, and at least two usable points are needed for a
     slope.  An (n, k) trace gives an array of k slopes, one per column.
+    ``window`` is an integer, taken as :func:`decay_classify` takes it.
 
     The slope is the least-squares one in closed form, each column about
     its own means over its usable points, x = log n and y = log |u(n)|:
@@ -155,11 +169,12 @@ def tail_exponent(trace: Sequence[float] | np.ndarray, window: int) -> float | n
     call gives.
     """
     arr, single = _columns(trace)
+    window = _integral(window, "window")
     if window < 1 or len(arr) < window:
         raise ValueError(f"window {window} does not fit a trace of length {len(arr)}")
     n = np.arange(len(arr))[-window:]
-    # the window's columns as rows
-    v = np.ascontiguousarray(arr[-window:].T)
+    # |u| over the window, its columns as contiguous rows
+    v = np.abs(arr[-window:].T, order="C")
     usable = (v > 0.0) & (n > 0)
     count = usable.sum(axis=1)
     # log 1 = 0 fills every excluded point
@@ -316,6 +331,11 @@ def stability_scan(nu_grid: Sequence[float], c_grid: Sequence[float], n_max: int
     the class and the tail that calls on that trace alone give.  Every
     trace is classified and fitted over the default window.  Cells are
     returned in row-major order (nu outer, c inner).
+
+    One order's batch is the largest array a scan holds: the merges
+    transform a few of its columns at a time, and the classifiers take
+    |u| of the windows they read only, so an order peaks at about 2.2
+    times its batch, the block inverses and one merge chunk beside it.
     """
     nus = [float(nu) for nu in nu_grid]
     for nu in nus:

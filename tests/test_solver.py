@@ -936,8 +936,9 @@ def test_long_solves_free_their_buffers_without_the_cycle_collector():
 
 def test_batch_keeps_its_pending_history_in_the_trace():
     # the default scan grid's batch: the unstepped rows of the trace hold
-    # the history, so the peak is the trace plus the merge transforms (3.94
-    # traces), not a second trace-sized history array as well (4.94)
+    # the history, so the peak is the trace, the block inverses and one
+    # chunk's merge transforms (2.22 traces; 3.94 when a merge transformed
+    # every column at once), not a second trace-sized history array as well
     cs = np.round(np.arange(-2.0, 0.5001, 0.05), 10)
     coeffs = np.broadcast_to(cs, (2000, cs.size))
     mittag_leffler_seq(coeffs, 0.5, 2000)
@@ -948,6 +949,22 @@ def test_batch_keeps_its_pending_history_in_the_trace():
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * trace.nbytes
+
+
+@pytest.mark.parametrize("width", [1, 3, 64])
+def test_merge_chunk_width_changes_no_value(monkeypatch, width):
+    # each column is scaled and transformed on its own inside a chunk, so
+    # the columns a merge takes at once change no value, bit for bit: a
+    # batch of per-step coefficients with a column that grows to 1e217 and
+    # one that overflows, and one problem, over the merges of 2100 points
+    n_max = 2100
+    ramp = np.linspace(-0.9, -0.1, n_max)
+    coeffs = np.column_stack([ramp * (k + 1) / 9 for k in range(15)] + [np.full(n_max, 0.5), np.full(n_max, 40.0)])
+    want = mittag_leffler_seq(coeffs, 0.6, n_max), mittag_leffler_seq(ramp, 0.6, n_max)
+    assert solver._MERGE_COLUMNS not in (width, 1) and not np.isfinite(want[0][:, -1]).all()
+    monkeypatch.setattr(solver, "_MERGE_COLUMNS", width)
+    got = mittag_leffler_seq(coeffs, 0.6, n_max), mittag_leffler_seq(ramp, 0.6, n_max)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 # --- oracle agreement ---------------------------------------------------

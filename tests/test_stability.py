@@ -226,6 +226,118 @@ def test_tails_need_no_lapack(monkeypatch):
     assert np.isfinite(bound_check(-0.4, 0.5, 400).tail_stat)
 
 
+def _abs_first(arr, window):
+    """Classes and tails by the formulas that take |u| of the whole array first."""
+    a = np.abs(arr)
+    global_max = a.max(axis=0)
+    last_max = a[-window:].max(axis=0)
+    head_max = a[:window].max(axis=0)
+    first = np.where(a[0] > 0.0, a[0], global_max)
+    unbounded = ~np.isfinite(a).all(axis=0) | (last_max > 10.0 * first)
+    vanishing = (global_max == 0.0) | ((last_max < 0.5 * head_max) & (last_max < 0.1 * global_max))
+    classes = [
+        DecayClass.UNBOUNDED if up else DecayClass.TENDS_TO_ZERO if down else DecayClass.BOUNDED_NONVANISHING
+        for up, down in zip(unbounded, vanishing)
+    ]
+    n = np.arange(len(a))[-window:]
+    v = np.ascontiguousarray(a[-window:].T)
+    usable = (v > 0.0) & (n > 0)
+    count = usable.sum(axis=1)
+    x = np.log(np.where(usable, n, 1))
+    y = np.log(np.where(usable, v, 1.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dx = x - (x.sum(axis=1) / count)[:, None]
+        dx[~usable] = 0.0
+        tails = (dx * (y - (y.sum(axis=1) / count)[:, None])).sum(axis=1) / (dx * dx).sum(axis=1)
+    tails[~np.isfinite(v).all(axis=1) | (count < 2)] = np.nan
+    return classes, tails
+
+
+def test_classes_and_tails_of_awkward_columns_match_the_abs_first_formulas():
+    # signs, non-finite samples, zeros of both signs and subnormals, in the
+    # head window, in the middle and in the last window: the maxima come
+    # from max u and -min u and |u| of the windows only, which must give
+    # what |u| of the whole array gave
+    n, win = 300, 30
+    tiny = np.nextafter(0.0, 1.0)
+
+    def planted(i, value):
+        column = _DECAYING[:n].copy()
+        column[i] = value
+        return column
+
+    inf_then_nan = _DECAYING[:n].copy()
+    inf_then_nan[100], inf_then_nan[n - 5] = np.inf, np.nan
+    nan_then_inf = _DECAYING[:n].copy()
+    nan_then_inf[100], nan_then_inf[150] = np.nan, -np.inf
+    columns = [
+        planted(150, np.nan), planted(150, np.inf), planted(150, -np.inf),
+        planted(0, np.nan), planted(n - 1, -np.inf), inf_then_nan, nan_then_inf,
+        -_DECAYING[:n], -(_GROWING[:n]), -np.ones(n), _OSCILLATING[:n] * -_DECAYING[:n],
+        np.zeros(n), np.full(n, -0.0), np.where(np.arange(n) % 2, -0.0, 0.0),
+        np.full(n, tiny), np.full(n, -tiny), tiny * _OSCILLATING[:n] * np.arange(n),
+        np.concatenate(([1.0], np.full(n - 1, -tiny))), np.concatenate(([-0.0], np.full(n - 1, 1e-310))),
+        _DECAYING[:n], _GROWING[:n],
+    ]
+    batch = np.stack(columns, axis=1)
+    for window in (win, 1, n // 2):
+        want_classes, want_tails = _abs_first(batch, window)
+        classes, tails = decay_classify(batch, window), tail_exponent(batch, window)
+        assert classes == want_classes == [decay_classify(column, window) for column in columns]
+        assert tails.tobytes() == want_tails.tobytes()
+        assert tails.tobytes() == np.array([tail_exponent(column, window) for column in columns]).tobytes()
+    classes, tails = decay_classify(batch, win), tail_exponent(batch, win)
+    assert classes[:7] == [DecayClass.UNBOUNDED] * 7
+    assert classes[11:14] == [DecayClass.TENDS_TO_ZERO] * 3
+    assert np.flatnonzero(np.isnan(tails[:7])).tolist() == [4, 5] and abs(tails[15]) < 1e-20
+
+
+@pytest.mark.parametrize("func", [decay_classify, tail_exponent])
+def test_windows_are_taken_as_ints_and_fractions_refused(func):
+    # an integral float or NumPy integer is the int, as a base is
+    want = func(_DECAYING, _WINDOW)
+    for window in (float(_WINDOW), np.int64(_WINDOW), np.float32(_WINDOW)):
+        assert func(_DECAYING, window) == want
+    for window in (2.5, 40.25, np.float64(0.5), np.nan, np.inf):
+        with pytest.raises(ValueError, match="window must be an integer, got"):
+            func(_DECAYING, window)
+
+
+def test_classification_allocates_a_fraction_of_the_batch():
+    # the default scan grid's (2001, 51) batch: |u| is taken of the windows
+    # read, not of the batch (1.13 and 1.64 batches beyond it when it was)
+    cs = np.round(np.arange(-2.0, 0.5001, 0.05), 10)
+    traces = mittag_leffler_seq(np.broadcast_to(cs, (2000, cs.size)), 0.5, 2000)
+    win = default_window(2001)
+    for func in (decay_classify, tail_exponent):
+        func(traces, win)
+        tracemalloc.start()
+        try:
+            func(traces, win)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * traces.nbytes, func.__name__
+
+
+def test_one_scan_order_peaks_under_two_and_a_half_traces():
+    # the merges transform a few columns at a time and the classifiers copy
+    # no batch, so the trace itself, the block inverses and one chunk's
+    # merge buffers are the peak (2.22 traces; 3.95 with whole-batch merges
+    # and |u| of the batch)
+    cs = np.round(np.arange(-2.0, 0.5001, 0.05), 10)
+    trace_bytes = 2001 * cs.size * 8
+    stability_scan([0.5], cs, 2000)
+    for nu in (0.1, 0.5, 0.9):
+        tracemalloc.start()
+        try:
+            stability_scan([nu], cs, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * trace_bytes, nu
+
+
 def test_three_dimensional_traces_are_rejected():
     for func in (decay_classify, tail_exponent):
         with pytest.raises(ValueError, match="trace must be one-dimensional"):
