@@ -189,6 +189,8 @@ def _far_lags(
         lags = weights[1:size].copy()
         lags[: near - 1] = 0
         kernel = spectra[size] = np.fft.rfft(lags, size).reshape((-1,) + (1,) * (source.ndim - 1))
+        # not held through the transforms below, which set a merge's peak
+        del lags
     # in place where it can be, and a caller's scaled copy of the source
     # freed before the inverse: the spectrum and the inverse's output, each
     # about the source and its outputs together, are a merge's largest

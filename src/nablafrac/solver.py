@@ -33,7 +33,10 @@ one full-history sum per step costs O(n^2).  The stepping core,
   adds the leaf's history before the micro-block, and its own steps are
   one lower-triangular system, solved by an inverse formed before stepping
   (:func:`_block_inverses`) and one refinement step
-  (:func:`_refined_solve`).  No Python runs per step.
+  (:func:`_refined_solve`).  Both products take strided windows of one
+  lag strip, at most ``_LEAF + 1`` lags wide, by ``np.matmul``, which
+  hands BLAS the row stride and copies no operand.  No Python runs per
+  step.
 * Two outcomes per column.  Values that come out finite are kept: an
   overflow or inf - inf anywhere in the block products reaches them as inf
   or nan, so a finite value needs no margin below overflow.  The block
@@ -158,27 +161,25 @@ def coefficient_array(c: CoefficientLike, n_max: int) -> np.ndarray:
     """Normalize a coefficient to an array of n_max steps along axis 0.
 
     Entry i corresponds to the step at t = a + 1 + i.  A sequence must supply
-    at least n_max finite entries; scalars broadcast.  An (n, k) array holds
-    k problems as columns and gives (n_max, k).  A float64 sequence or batch
+    at least n_max finite entries.  A scalar gives a read-only broadcast
+    view of n_max entries, one value in memory.  An (n, k) array holds k
+    problems as columns and gives (n_max, k).  A float64 sequence or batch
     is returned as a view, not a copy, so the scan's broadcast batch stays
     one row of memory.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     arr = np.asarray(c, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n_max, float(arr))
-    elif arr.ndim <= 2:
-        if len(arr) < n_max:
-            raise ValueError(f"coefficient sequence has {len(arr)} entries, need {n_max}")
-        arr = arr[:n_max]
-    else:
+    if arr.ndim > 2:
         raise ValueError(f"coefficients must be scalar, one-dimensional or (n, k), got shape {arr.shape}")
+    if arr.ndim and len(arr) < n_max:
+        raise ValueError(f"coefficient sequence has {len(arr)} entries, need {n_max}")
     # min and max see any inf or nan and, unlike isfinite, form no
-    # temporary the size of a batch
+    # temporary the size of a batch; a scalar is checked before it is
+    # broadcast, as a pass over its view would visit all n_max entries
     if not np.isfinite([arr.min(initial=0.0), arr.max(initial=0.0)]).all():
         raise ValueError("coefficients must be finite")
-    return arr
+    return arr[:n_max] if arr.ndim else np.broadcast_to(arr, n_max)
 
 
 def envelope_sequence(nu: float, n_max: int) -> np.ndarray:
@@ -273,7 +274,7 @@ def _block_inverses(
 
 def _solve_block(inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``inverse @ b`` for one problem, or column by column for a batch of inverses."""
-    return inverse.dot(b) if b.ndim == 1 else np.matmul(inverse, b.T[..., None])[..., 0].T
+    return inverse @ b if b.ndim == 1 else np.matmul(inverse, b.T[..., None])[..., 0].T
 
 
 def _refined_solve(
@@ -286,7 +287,7 @@ def _refined_solve(
     the rounded entry w1 - q.
     """
     x = _solve_block(inverse, b)
-    r = toeplitz.dot(x)
+    r = toeplitz @ x
     r += pivots * x
     r[1:] -= q * x[:-1]
     r -= b
@@ -350,6 +351,14 @@ def _solve_steps(
       of the trace, not a trace each.  A column's transform is the same in
       any chunk, so the values do not depend on the chunk width; one
       problem is one chunk of one column.
+    * The lag strip is a sliding view of the weights with a negative
+      stride, which BLAS cannot take, so it is copied once per solve.  It
+      keeps the ``back + m`` columns that micro-blocks read: ``back``, the
+      first leaf's last block start, is the most leaf rows a block reads
+      before it, ``_LEAF + 1 - m`` for a full leaf.  Each product then
+      takes a window of it with ``@``: ``ndarray.dot`` would copy every
+      window that is not contiguous first, up to 385 KiB a block, for the
+      same bits.
     * ``u`` starts at zero and its unstepped rows are the pending history:
       merges and crossing products add into ``u[lo : lo + count]``, and a
       micro-block reads ``u[s:e]`` as its history before it writes the
@@ -360,11 +369,14 @@ def _solve_steps(
     columns = np.shape(q)[1:]
     # p or g given as one column serves every column of a batch
     p, g = (x.reshape(x.shape + (1,) * (q.ndim - x.ndim)) for x in (p, g))
-    pivots = 1.0 - p
+    # a p broadcast along the steps, as coefficient_array gives a scalar,
+    # has its one row of pivots formed and checked, and broadcast in turn
+    pivots = 1.0 - (p[:1] if p.strides[0] == 0 else p)
     singular = np.abs(pivots) < SINGULAR_PIVOT_TOL
     if singular.any():
         first = tuple(np.argwhere(singular)[0])
         raise SingularStepError(base + 1 + int(first[0]), float(pivots[first]))
+    pivots = np.broadcast_to(pivots, p.shape)
     # rows not yet stepped hold their pending history (see the docstring)
     u = np.zeros((n_max + 1,) + columns)
     u[0] = u0
@@ -387,19 +399,21 @@ def _solve_steps(
         m = _micro_size(q, constant)
         # every column of a batch gets its own rows of the coefficients
         pivots, q, g = np.broadcast_arrays(pivots, q, g)
-        # the longest leaf.  reach[m + k] is the weight at lag k, 0 at lags
-        # below 1 and past n_max
-        span = min(n_max + 1, _LEAF)
-        reach = np.zeros(span + 2 * m)
-        reach[m + 1 : m + 1 + n_max] = weights[1 : span + m]
-        # strip[i, t], the weight at lag span + i - t, takes u[s - span + t]
+        # back, the first leaf's last block start, is the most leaf rows a
+        # micro-block reads before it (a later leaf's blocks start one row
+        # earlier in their leaf).  reach[m + k] is the weight at lag k, 0 at
+        # lags below 1 and past n_max
+        back = range(1, min(n_max + 1, _LEAF), m)[-1]
+        reach = np.zeros(back + 2 * m)
+        reach[m + 1 : m + 1 + n_max] = weights[1 : back + m]
+        # strip[i, t], the weight at lag back + i - t, takes u[s - back + t]
         # to step s + i; its last m columns, the lags i - j below the
         # diagonal, are the Toeplitz part of a micro-block's matrix
         strip = np.ndarray(
-            (m, span + m), buffer=reach, offset=(span + m) * reach.itemsize,
+            (m, back + m), buffer=reach, offset=(back + m) * reach.itemsize,
             strides=(reach.itemsize, -reach.itemsize),
         ).copy()
-        toeplitz = strip[:, span:]
+        toeplitz = strip[:, back:]
         if n_max >= _LEAF:
             # crossing[i, t] takes u[lo - _NEAR + t] to step lo + i where the
             # lag _NEAR + i - t is at most _NEAR
@@ -433,7 +447,7 @@ def _solve_steps(
                 inverse = inverse[..., : e - s, : e - s]
                 # every lag reaching before the micro-block: the rows' pending
                 # history and the leaf's lags before them
-                behind = u[s:e] + strip[: e - s, span - (s - lo) : span].dot(u[lo:s])
+                behind = u[s:e] + strip[: e - s, back - (s - lo) : back] @ u[lo:s]
                 b = g[s - 1 : e - 1] - behind
                 b[0] += q[s - 1] * u[s - 1]
                 block = (inverse, toeplitz[: e - s, : e - s], pivots[s - 1 : e - 1], q[s : e - 1])
@@ -477,7 +491,7 @@ def mittag_leffler_seq(c: CoefficientLike, nu: float, n_max: int) -> np.ndarray:
     # a negative n_max is refused by coefficient_array, with its own message
     weights = convolution_weights(nu, max(n_max, 0) + 1)
     carr = coefficient_array(c, n_max)
-    zeros = np.zeros(n_max)
+    zeros = coefficient_array(0.0, n_max)
     # the base only names the step of a singular pivot, and p = 0 has none
     return _solve_steps(zeros, carr, zeros, weights, 1.0, 0)
 

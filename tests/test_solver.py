@@ -21,6 +21,7 @@ from nablafrac import (
     SingularStepError,
     bound_check,
     coefficient_array,
+    compare_orders,
     convolution_weights,
     decay_classify,
     default_window,
@@ -63,6 +64,20 @@ def test_coefficient_array_broadcasts_and_truncates():
     cut = coefficient_array(batch, 6)
     assert cut.shape == (6, 3) and np.shares_memory(cut, batch)
     assert np.array_equal(cut, batch[:6])
+
+
+def test_scalar_coefficient_is_a_read_only_broadcast_view():
+    arr = coefficient_array(0.3, 7)
+    assert arr.shape == (7,) and arr.strides == (0,) and not arr.flags.writeable
+    assert np.array_equal(arr, np.full(7, 0.3))
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0] = 1.0
+    # the scalar is checked before it is broadcast, so no pass walks the
+    # view: a horizon no array could hold returns at once
+    huge = coefficient_array(-0.5, 10**15)
+    assert huge.shape == (10**15,) and huge.strides == (0,) and huge[-1] == -0.5
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        coefficient_array(float("nan"), 3)
 
 
 def test_coefficient_array_validation():
@@ -949,6 +964,26 @@ def test_batch_keeps_its_pending_history_in_the_trace():
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * trace.nbytes
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [lambda: solve_lagged(-0.5, 0.6, 1.0, 5000), lambda: compare_orders(0.0, 0.5, "on_u_lag", 1.0, 5000)],
+    ids=["solve_lagged", "compare_orders"],
+)
+def test_short_solves_copy_no_block_operands(solve):
+    # the micro-blocks' products read strided views of the lag strip, which
+    # keeps only the columns they read, and constant coefficients stay
+    # broadcast: about 0.98 and 1.06 MB, against 1.57 and 1.66 MB when
+    # every block copied its strip and Toeplitz windows
+    solve()
+    tracemalloc.start()
+    try:
+        solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
 
 
 @pytest.mark.parametrize("width", [1, 3, 64])
