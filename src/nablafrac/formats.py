@@ -85,11 +85,20 @@ class GridCsvError(ValueError):
     """A grid CSV stream is malformed; the message names the offending line."""
 
 
+def _python_scalar(x):
+    """A NumPy scalar as the Python scalar JSON writes: a floating one as float."""
+    if isinstance(x, np.generic):
+        # np.longdouble(x).item() would stay a long double
+        return float(x) if isinstance(x, np.floating) else x.item()
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 # rows of a CSV chunk, items of a JSON list chunk
 _CHUNK = 1024
 # the items of an indent-2 list one level down, as json.dump(indent=2) lays them out
 _ITEM_SEPARATOR = ",\n    "
-_LIST_ENCODER = json.JSONEncoder(separators=(_ITEM_SEPARATOR, ": "))
+# writes every key, scalar and Python list chunk of a JSON document
+_LIST_ENCODER = json.JSONEncoder(separators=(_ITEM_SEPARATOR, ": "), default=_python_scalar)
 # the words of a field that hold its sign and of the separators
 _MINUS, _COMMA, _NEWLINE = np.frombuffer(b"-\0\0\0,\0\0\0\n\0\0\0", np.uint32)
 _ITEM_END = np.frombuffer(_ITEM_SEPARATOR.encode().ljust(8, b"\0"), np.uint32)
@@ -400,17 +409,18 @@ def write_document(stream: IO[str], kind: str, **fields) -> None:
     """Write a JSON document: ``kind`` first, then the fields in order.
 
     Values are scalars, strings, None, or flat lists, ranges and 1-D arrays
-    of them; a nested list or a dict raises ``TypeError``.
+    of them; a nested list or a dict raises ``TypeError``.  A NumPy scalar
+    is written as its Python scalar, a floating one of any width as a float.
     """
     opening = "{\n  "
     for key, value in {"kind": kind, **fields}.items():
-        stream.write(opening + json.dumps(key) + ": ")
+        stream.write(opening + _LIST_ENCODER.encode(key) + ": ")
         if isinstance(value, (list, range, np.ndarray)):
             _write_list(stream, value)
         elif isinstance(value, (tuple, dict)):
             raise TypeError(f"write_document takes flat fields, got {type(value).__name__} for {key!r}")
         else:
-            stream.write(json.dumps(value))
+            stream.write(_LIST_ENCODER.encode(value))
         opening = ",\n  "
     stream.write("\n}\n")
 

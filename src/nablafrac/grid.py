@@ -151,6 +151,13 @@ class GridFunction:
         return self.base + len(self) - 1
 
     def value_at(self, t: int) -> float:
+        """u(t).
+
+        ``t`` is taken as ``base`` is: 2.0 is 2, and 2.5 raises ``ValueError``.
+        A t outside the domain raises ``IndexError``: a grid function is never
+        zero-extended.
+        """
+        t = _integral(t, "t")
         if not self.base <= t <= self.last:
             raise IndexError(
                 f"t = {t} outside the domain [{self.base}, {self.last}]; "

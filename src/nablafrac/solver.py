@@ -77,16 +77,17 @@ type, one solve body and one stepping core serve both orders.
 Every returned :class:`SolutionTrace` carries a residual column: the
 absolute defect of each step, from re-applying the difference operator to
 the computed solution, independently of the stepping core.  A first-order
-solve re-applies :func:`nabla_diff`.  A fractional solve convolves the
-solution, mounted on N_{rho(a)+1}, with the weight row it stepped with, by
-the grid operators' head in float64: a defect needs no long double, and no
-term past the head is formed.  Up to 256 points that is one float64
-``np.convolve``, bit for bit.  Beyond, the low digits follow the order of
-the sums and the FFTs' rounding, and on decaying solves the residuals agree
-with the long-double operator's to within 1e-14 max|u|.  The float64
-head's scaling keeps the residuals of a finite trace near overflow finite;
-a re-application that still overflows raises
-:class:`DivergentSolutionError`.  A fractional trace also carries the decay
+solve takes the classical difference of its trace, as :func:`nabla_diff`
+does.  A fractional solve convolves the solution, mounted on
+N_{rho(a)+1}, with the weight row it stepped with, by the grid operators'
+head in float64: a defect needs no long double, and no term past the head
+is formed.  Up to 256 points that is one float64 ``np.convolve``, bit for
+bit.  Beyond, the low digits follow the order of the sums and the FFTs'
+rounding, and on decaying solves the residuals agree with the long-double
+operator's to within 1e-14 max|u|.  The float64 head's scaling keeps the
+residuals of a finite trace near overflow finite.  At either order, a
+re-application that still overflows raises :class:`DivergentSolutionError`
+at its first non-finite point.  A fractional trace also carries the decay
 envelope H_{nu-1}(t, rho(a)) of :func:`envelope_sequence`.
 """
 
@@ -100,7 +101,7 @@ import math
 
 import numpy as np
 
-from .grid import GridFunction, _convolve_head, _far_lags, _integral, _require_finite, nabla_diff
+from .grid import GridFunction, _convolve_head, _far_lags, _integral, _require_finite
 from .monomial import _recurrence_tail, convolution_weights
 
 __all__ = [
@@ -565,17 +566,15 @@ def _solve(problem: LinearProblem, n_max: int) -> SolutionTrace:
     weights = None if nu is None else convolution_weights(nu, n_max + 1)
     u = _solve_steps(p, q, g, weights, u0, base)
     _require_finite(u, base)
-    # independent re-application; the direct operator based at rho(base)
-    # consumes the solution mounted on N_base = N_{rho(base)+1}, and only its
-    # last n_max values (t = base+1, ...) are equations, as with nabla_diff
-    if nu is None:
-        applied = nabla_diff(GridFunction(base, u)).values
-    else:
-        # the float64 head: a defect needs no long double
-        applied = _convolve_head(weights, u, float)
-        _require_finite(applied, base)
+    # independent re-application at t = base+1, ...: the classical nabla,
+    # or the direct operator based at rho(base) on the solution mounted on
+    # N_base = N_{rho(base)+1}, whose float64 head (a defect needs no long
+    # double) starts with the finite u0 at t = base
+    with np.errstate(over="ignore", invalid="ignore"):
+        applied = np.diff(u) if nu is None else _convolve_head(weights, u, float)[1:]
+    _require_finite(applied, base + 1)
     residuals = np.zeros(u.size)
-    residuals[1:] = np.abs(applied[-n_max:] - (p * u[1:] + q * u[:-1] + g))
+    residuals[1:] = np.abs(applied - (p * u[1:] + q * u[:-1] + g))
     envelope = None if nu is None else envelope_sequence(nu, n_max)
     return SolutionTrace(base, u, residuals, envelope, nu)
 

@@ -15,12 +15,12 @@ global maximum, the last window must drop below 0.5x the initial window's
 maximum and 0.1x the global maximum to classify ``tends_to_zero``, and a
 last-window maximum above 10x the first sample, or any non-finite sample
 (an overflowed trace), classifies ``unbounded``.
-``bound_check``, ``compare_orders`` and ``stability_scan`` classify over the
-default window, a tenth of the trace; only ``decay_classify`` and
-``tail_exponent`` take the caller's window.  Algebraic tails n^(nu-1) are
-slow, so classification runs want n_max >= 2000; close to nu = 1 no
-desk-scale horizon can pass the 0.1x clause (the envelope decays like
-n^(-0.1) at nu = 0.9).
+``bound_check``, ``compare_orders`` and ``stability_scan`` take both the
+class and the tail of every trace over the default window, a tenth of the
+trace; only ``decay_classify`` and ``tail_exponent`` take the caller's
+window.  Algebraic tails n^(nu-1) are slow, so classification runs want
+n_max >= 2000; close to nu = 1 no desk-scale horizon can pass the 0.1x
+clause (the envelope decays like n^(-0.1) at nu = 0.9).
 
 The module steps equations through public solver functions only: each
 report steps :func:`mittag_leffler_seq` or a solve, and a scan steps each
@@ -86,6 +86,16 @@ class DecayClass(str, enum.Enum):
 def default_window(trace_len: int) -> int:
     """Default classification window: a tenth of the trace, at least 1."""
     return max(1, trace_len // 10)
+
+
+def _default_evidence(trace: np.ndarray) -> tuple[DecayClass | list[DecayClass], float | np.ndarray]:
+    """The decay class and the tail of a trace over the default window.
+
+    An (n, k) batch gives a list of k classes and an array of k tails, as
+    :func:`decay_classify` and :func:`tail_exponent` give them.
+    """
+    window = default_window(len(trace))
+    return decay_classify(trace, window), tail_exponent(trace, window)
 
 
 def criterion_check(c: CoefficientLike, nu: float) -> np.ndarray:
@@ -237,13 +247,13 @@ def bound_check(c: CoefficientLike, nu: float, n_max: int) -> StabilityReport:
     values = mittag_leffler_seq(c, nu, n_max)
     envelope = envelope_sequence(nu, n_max)
     bound_ok = np.abs(values) <= envelope + BOUND_SLACK * (1.0 + envelope)
-    win = default_window(values.size)
+    decay_class, tail_stat = _default_evidence(values)
     return StabilityReport(
         nu=nu,
         criterion_holds=criterion_holds,
         bound_ok=bound_ok,
-        decay_class=decay_classify(values, win),
-        tail_stat=tail_exponent(values, win),
+        decay_class=decay_class,
+        tail_stat=tail_stat,
         values=values,
         envelope=envelope,
     )
@@ -293,16 +303,17 @@ def compare_orders(
     problem = LinearProblem(nu, base, *form.split(c), 0.0, u0)
     first = solve_general(replace(problem, nu=None), n_max)
     frac = solve_general(problem, n_max)
-    win = default_window(len(first))
+    first_order_class, first_order_tail = _default_evidence(first.values)
+    fractional_class, fractional_tail = _default_evidence(frac.values)
     return OrderComparison(
         nu=nu,
         form=form,
         first_order=first,
         fractional=frac,
-        first_order_class=decay_classify(first.values, win),
-        fractional_class=decay_classify(frac.values, win),
-        first_order_tail=tail_exponent(first.values, win),
-        fractional_tail=tail_exponent(frac.values, win),
+        first_order_class=first_order_class,
+        fractional_class=fractional_class,
+        first_order_tail=first_order_tail,
+        fractional_tail=fractional_tail,
     )
 
 
@@ -343,17 +354,15 @@ def stability_scan(nu_grid: Sequence[float], c_grid: Sequence[float], n_max: int
     cs = coefficient_array(c_grid, len(c_grid))
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    win = default_window(n_max + 1)
     # one row of memory for every order; a 2-D c grid makes a 3-D batch,
     # which mittag_leffler_seq refuses before it steps
     coeffs = np.broadcast_to(cs, (n_max,) + cs.shape)
     cells = []
     for nu in nus:
-        traces = mittag_leffler_seq(coeffs, nu, n_max)
-        tails = tail_exponent(traces, win).tolist()
-        cells += map(ScanCell, [nu] * len(cs), cs.tolist(), decay_classify(traces, win), tails)
-        # free this order's traces before the next order steps its own
-        del traces
+        # this order's traces are freed when the call returns, before the
+        # next order steps its own
+        classes, tails = _default_evidence(mittag_leffler_seq(coeffs, nu, n_max))
+        cells += map(ScanCell, [nu] * len(cs), cs.tolist(), classes, tails.tolist())
     return cells
 
 

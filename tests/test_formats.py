@@ -16,8 +16,18 @@ from hypothesis import example, given, settings, strategies as st
 import nablafrac.cli
 import nablafrac.formats
 from nablafrac.cli import main
-from nablafrac.formats import _CHUNK, GridCsvError, read_grid_csv, write_document, write_table
+from nablafrac.formats import (
+    _CHUNK,
+    GridCsvError,
+    read_grid_csv,
+    write_document,
+    write_report_json,
+    write_table,
+    write_trace_json,
+)
 from nablafrac.grid import GridFunction
+from nablafrac.solver import solve_lagged
+from nablafrac.stability import bound_check, compare_orders
 
 
 def _table_oracle(stream, header, *columns):
@@ -228,6 +238,24 @@ def test_other_arrays_keep_their_json_text():
     )
     for n in (0, 1, _CHUNK + 1):
         _assert_json_same(**{key: np.resize(value, n) for key, value in arrays.items()})
+
+
+def test_documents_take_numpy_scalars():
+    # a NumPy order reaches the trace, the report and the verdict as it was
+    # given; each is written as the Python scalar it holds
+    nu = np.float32(0.5)
+    texts = [
+        _text(lambda stream: write_trace_json(solve_lagged(-0.1, nu, 1.0, 5), stream)),
+        _text(lambda stream: write_report_json(bound_check(-0.1, nu, 20), stream)),
+        _text(write_document, **compare_orders(0.0, nu, "on_u_lag", 1.0, 20).verdict()),
+    ]
+    assert [json.loads(text)["nu"] for text in texts] == [0.5, 0.5, 0.5]
+    fields = dict(i=np.int64(-3), b=np.bool_(True), f=np.float32(0.1), x=np.longdouble(1) / 3)
+    fields["arr"] = np.array([0.5, 1.0], np.longdouble)
+    text = _text(write_document, "k", **fields)
+    want = dict(i=-3, b=True, f=float(np.float32(0.1)), x=1 / 3, arr=[0.5, 1.0])
+    _assert_same(text, _text(_document_oracle, "k", **want))
+    assert json.loads(text) == {"kind": "k", **want}
 
 
 def test_importing_the_cli_builds_no_table_and_loads_no_fractions():

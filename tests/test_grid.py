@@ -70,6 +70,16 @@ def test_grid_function_basics():
     assert u.value_at(4) == 2.0
 
 
+def test_value_at_takes_an_integral_t_as_an_int():
+    # t is taken as the base is: 1.0 and np.int64(1) are 1, and 0.5 is refused
+    u = GridFunction(0, [1.0, 2.0, 4.0])
+    assert u.value_at(1) == u.value_at(1.0) == u.value_at(np.int64(1)) == u.value_at(np.float64(1.0)) == 2.0
+    with pytest.raises(ValueError, match="t must be an integer, got 0.5"):
+        u.value_at(0.5)
+    with pytest.raises(IndexError, match="zero-extended"):
+        u.value_at(3.0)
+
+
 def test_grid_function_is_immutable():
     u = GridFunction(0, [1.0, 2.0])
     with pytest.raises(ValueError):

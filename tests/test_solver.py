@@ -292,6 +292,16 @@ def test_residuals_stay_finite_near_overflow():
     assert info.value.t == 5
 
 
+@pytest.mark.parametrize(("c", "form"), [(-2.0, "on_u_lag"), (2.0, "on_u_t")])
+def test_first_order_defect_overflow_names_its_point(c, form):
+    # the trace 1.5e308, -1.5e308, ... is finite, but its difference at
+    # t = 1, -3e308, is not: the defect's own overflow is the error
+    with pytest.raises(DivergentSolutionError) as info:
+        solve_first_order(c, form, 1.5e308, 3)
+    assert info.value.t == 1
+    assert info.value.value == -np.inf
+
+
 @settings(max_examples=30, deadline=None)
 @given(lam=st.floats(-8.0, 8.0).filter(lambda x: abs(x) > 1e-3))
 def test_homogeneity_in_the_initial_value(lam):
