@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monomial import _check_positive_order, _is_negative_integer, _recurrence_tail, convolution_weights
+from .monomial import _check_positive_order, _integral, _is_negative_integer, _recurrence_tail, convolution_weights
 
 __all__ = [
     "DivergentSolutionError",
@@ -105,27 +105,15 @@ def _require_finite(values: np.ndarray, base: int) -> None:
         raise DivergentSolutionError(base + int(bad[0]), float(values[bad[0]]))
 
 
-def _integral(value, name: str) -> int:
-    """``value`` as an int; one that is not an integer is refused, not truncated.
-
-    2.0 and ``np.int64(2)`` are taken as the int 2; 2.5 raises a
-    ``ValueError`` that names the argument ``name``.
-    """
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return int(value)
-
-
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Real samples u(base), u(base+1), ..., u(base + len - 1).
 
     Operators return this type too, with ``base`` at the first grid point
     where their output is defined, and a solve returns its subclass
-    :class:`~nablafrac.solver.SolutionTrace`.  ``base`` must be an integer:
-    a float such as 2.0 or a NumPy integer is taken as its int, and 1.5
-    raises ``ValueError``.  ``values`` is a read-only float64 copy, finite,
-    one-dimensional and not empty.
+    :class:`~nablafrac.solver.SolutionTrace`.  ``base`` is an integer, taken
+    as every count and index is (README, "Library quick tour").  ``values``
+    is a read-only float64 copy, finite, one-dimensional and not empty.
     """
 
     base: int
@@ -153,9 +141,8 @@ class GridFunction:
     def value_at(self, t: int) -> float:
         """u(t).
 
-        ``t`` is taken as ``base`` is: 2.0 is 2, and 2.5 raises ``ValueError``.
-        A t outside the domain raises ``IndexError``: a grid function is never
-        zero-extended.
+        ``t`` is an integer, taken as ``base`` is.  A t outside the domain
+        raises ``IndexError``: a grid function is never zero-extended.
         """
         t = _integral(t, "t")
         if not self.base <= t <= self.last:
@@ -255,8 +242,7 @@ def nabla_diff(u: GridFunction) -> GridFunction:
 @np.errstate(over="ignore", invalid="ignore")
 def nabla_diff_n(u: GridFunction, order: int) -> GridFunction:
     """N-fold backward difference, defined on {base+N, ...}."""
-    if order < 1:
-        raise ValueError(f"difference order must be >= 1, got {order}")
+    order = _integral(order, "order", 1)
     if len(u) < order + 1:
         raise DomainTooShortError(
             f"order-{order} difference needs at least {order + 1} points, got {len(u)}"
@@ -330,8 +316,7 @@ def power_rule_check(mu: float, nu: float, n_max: int) -> float:
     """
     if not math.isfinite(mu) or _is_negative_integer(mu):
         raise ValueError(f"sampled order must not be a negative integer, got mu = {mu}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _integral(n_max, "n_max", 1)
     samples = _recurrence_tail(mu, n_max)
     applied = nabla_frac_diff_direct(GridFunction(1, samples), nu)
     reference = _recurrence_tail(mu - nu, n_max)

@@ -44,6 +44,7 @@ stability bound in :mod:`nablafrac.stability` work.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -52,6 +53,32 @@ __all__ = [
     "monomial_limit_sequence",
     "convolution_weights",
 ]
+
+
+def _integral(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int: the one check of every count and index argument.
+
+    An int, a bool (0 or 1, as Python takes it), an integral float, or a
+    NumPy scalar or 0-d array of one is returned as its int: 2.0,
+    ``np.int64(2)`` and ``np.array(2.0)`` are 2.  A real that is not an
+    integer (2.5, nan, inf) raises ``ValueError``, and anything else (a
+    string, None, a sequence, a complex) ``TypeError``, both saying
+    ``{name} must be an integer``.  A value below ``minimum`` raises
+    ``ValueError``: ``{name} must be >= {minimum}``.  Nothing of the size
+    that ``value`` names is formed, so a count too large to allocate fails
+    where its array is made.
+    """
+    # a NumPy scalar or 0-d array is judged as its Python value
+    if isinstance(value, (np.ndarray, np.generic)) and value.ndim == 0:
+        value = value.item()
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def _is_negative_integer(mu: float) -> bool:
@@ -103,9 +130,7 @@ def monomial_limit_sequence(mu: float, n_max: int) -> np.ndarray:
     """
     if not math.isfinite(mu):
         raise ValueError(f"monomial order must be finite, got {mu}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    return np.concatenate(([0.0], _recurrence_tail(mu, n_max)))
+    return np.concatenate(([0.0], _recurrence_tail(mu, _integral(n_max, "n_max", 0))))
 
 
 def convolution_weights(nu: float, max_lag: int) -> np.ndarray:
@@ -117,8 +142,7 @@ def convolution_weights(nu: float, max_lag: int) -> np.ndarray:
     identity holds to the last bit even when nu itself is not dyadic.
     """
     _check_positive_order(nu)
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
+    max_lag = _integral(max_lag, "max_lag", 1)
     if float(nu).is_integer():
         return np.zeros(max_lag, dtype=float)
     return _recurrence_tail(-np.longdouble(nu) - 1.0, max_lag)

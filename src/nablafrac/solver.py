@@ -101,8 +101,8 @@ import math
 
 import numpy as np
 
-from .grid import GridFunction, _convolve_head, _far_lags, _integral, _require_finite
-from .monomial import _recurrence_tail, convolution_weights
+from .grid import GridFunction, _convolve_head, _far_lags, _require_finite
+from .monomial import _integral, _recurrence_tail, convolution_weights
 
 __all__ = [
     "SINGULAR_PIVOT_TOL",
@@ -168,8 +168,7 @@ def coefficient_array(c: CoefficientLike, n_max: int) -> np.ndarray:
     is returned as a view, not a copy, so the scan's broadcast batch stays
     one row of memory.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    n_max = _integral(n_max, "n_max", 0)
     arr = np.asarray(c, dtype=float)
     if arr.ndim > 2:
         raise ValueError(f"coefficients must be scalar, one-dimensional or (n, k), got shape {arr.shape}")
@@ -192,9 +191,7 @@ def envelope_sequence(nu: float, n_max: int) -> np.ndarray:
     1, 0, 0, ..., the envelope's limit at order 0.
     """
     _check_unit_order(nu)
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    return _recurrence_tail(nu - 1.0, n_max + 1)
+    return _recurrence_tail(nu - 1.0, _integral(n_max, "n_max", 0) + 1)
 
 
 def _micro_size(q: np.ndarray, constant: bool) -> int:
@@ -489,8 +486,8 @@ def mittag_leffler_seq(c: CoefficientLike, nu: float, n_max: int) -> np.ndarray:
     broadcast batch.
     """
     _check_unit_order(nu)
-    # a negative n_max is refused by coefficient_array, with its own message
-    weights = convolution_weights(nu, max(n_max, 0) + 1)
+    n_max = _integral(n_max, "n_max", 0)
+    weights = convolution_weights(nu, n_max + 1)
     carr = coefficient_array(c, n_max)
     zeros = coefficient_array(0.0, n_max)
     # the base only names the step of a singular pivot, and p = 0 has none
@@ -554,8 +551,7 @@ def _solve(problem: LinearProblem, n_max: int) -> SolutionTrace:
     The trace carries the residual column of the module notes.
     """
     nu, u0 = problem.nu, problem.u0
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _integral(n_max, "n_max", 1)
     if not math.isfinite(u0):
         raise ValueError(f"u0 must be finite, got {u0}")
     base = _integral(problem.base, "base")

@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .grid import _integral
+from .monomial import _integral
 from .solver import (
     CoefficientLike,
     FirstOrderForm,
@@ -85,7 +85,7 @@ class DecayClass(str, enum.Enum):
 
 def default_window(trace_len: int) -> int:
     """Default classification window: a tenth of the trace, at least 1."""
-    return max(1, trace_len // 10)
+    return max(1, _integral(trace_len, "trace_len", 0) // 10)
 
 
 def _default_evidence(trace: np.ndarray) -> tuple[DecayClass | list[DecayClass], float | np.ndarray]:
@@ -132,14 +132,11 @@ def decay_classify(
     The trace must span at least two windows.  An identically zero trace
     classifies tends_to_zero; a trace with a non-finite sample, unbounded.
     An (n, k) trace holds k traces as columns and gives a list of k
-    classes, each the class of its column alone.  ``window`` is an integer:
-    2.0 or ``np.int64(2)`` is taken as 2, and 2.5 raises ``ValueError``.
+    classes, each the class of its column alone.  ``window`` is an integer
+    (README, "Library quick tour").
     """
     arr, single = _columns(trace)
-    # an integral float or NumPy integer is its int, as a base is
-    window = _integral(window, "window")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    window = _integral(window, "window", 1)
     if len(arr) < 2 * window:
         raise ValueError(f"trace of length {len(arr)} is shorter than two windows of {window}")
     # max |u| as the larger of max u and -min u: exact, nan wherever a
@@ -169,7 +166,7 @@ def tail_exponent(trace: Sequence[float] | np.ndarray, window: int) -> float | n
     trace has no algebraic tail.  Otherwise zero samples and the n = 0
     sample are excluded, and at least two usable points are needed for a
     slope.  An (n, k) trace gives an array of k slopes, one per column.
-    ``window`` is an integer, taken as :func:`decay_classify` takes it.
+    ``window`` is an integer, as in :func:`decay_classify`.
 
     The slope is the least-squares one in closed form, each column about
     its own means over its usable points, x = log n and y = log |u(n)|:
@@ -179,8 +176,8 @@ def tail_exponent(trace: Sequence[float] | np.ndarray, window: int) -> float | n
     call gives.
     """
     arr, single = _columns(trace)
-    window = _integral(window, "window")
-    if window < 1 or len(arr) < window:
+    window = _integral(window, "window", 1)
+    if len(arr) < window:
         raise ValueError(f"window {window} does not fit a trace of length {len(arr)}")
     n = np.arange(len(arr))[-window:]
     # |u| over the window, its columns as contiguous rows
@@ -240,8 +237,7 @@ def bound_check(c: CoefficientLike, nu: float, n_max: int) -> StabilityReport:
     :func:`envelope_sequence`'s, both from offset 0; neither depends on the
     base a.  The decay class and the tail are taken over the default window.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    n_max = _integral(n_max, "n_max", 2)
     # the criterion refuses a batch before anything is stepped
     criterion_holds = criterion_check(coefficient_array(c, n_max), nu)
     values = mittag_leffler_seq(c, nu, n_max)
@@ -352,8 +348,7 @@ def stability_scan(nu_grid: Sequence[float], c_grid: Sequence[float], n_max: int
     for nu in nus:
         _check_unit_order(nu)
     cs = coefficient_array(c_grid, len(c_grid))
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    n_max = _integral(n_max, "n_max", 2)
     # one row of memory for every order; a 2-D c grid makes a 3-D batch,
     # which mittag_leffler_seq refuses before it steps
     coeffs = np.broadcast_to(cs, (n_max,) + cs.shape)
