@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monomial import _check_positive_order, _integral, _is_negative_integer, _recurrence_tail, convolution_weights
+from .monomial import _integral, _is_negative_integer, _real, _real_array, _recurrence_tail, convolution_weights
 
 __all__ = [
     "DivergentSolutionError",
@@ -121,7 +121,7 @@ class GridFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", _integral(self.base, "base"))
-        values = np.array(self.values, dtype=float)
+        values = np.array(_real_array(self.values, "grid values"))
         if values.ndim != 1:
             raise ValueError(f"grid values must be one-dimensional, got shape {values.shape}")
         if values.size < 1:
@@ -261,7 +261,7 @@ def nabla_sum(u: GridFunction, nu: float) -> GridFunction:
     continuation, so an order so small that nu - 1 rounds to -1 gives the
     kernel 1, 0, 0, ... and the sum is the identity, its order-0 limit.
     """
-    _check_positive_order(nu)
+    nu = _real(nu, "order", 0.0)
     # kernel[lag - 1] = H_{nu-1} at offset lag
     kernel = _recurrence_tail(nu - 1.0, len(u))
     out = np.concatenate(([0.0], _convolve_head(kernel, u.values)))
@@ -277,8 +277,8 @@ def nabla_frac_diff_direct(u: GridFunction, nu: float) -> GridFunction:
     positive non-integer order; the weight row degenerates to zero at integer
     orders, where the composed or classical path must be used instead.
     """
-    _check_positive_order(nu)
-    if float(nu).is_integer():
+    nu = _real(nu, "order", 0.0)
+    if nu.is_integer():
         raise ValueError(
             f"direct form is undefined at integer order {nu}; "
             "use the composed form or the classical difference"
@@ -295,8 +295,8 @@ def nabla_frac_diff_composed(u: GridFunction, nu: float) -> GridFunction:
     on {a+N, ...}.  An exactly integer order routes to the classical N-fold
     difference of the given samples (defined on {u.base + N, ...}).
     """
-    _check_positive_order(nu)
-    if float(nu).is_integer():
+    nu = _real(nu, "order", 0.0)
+    if nu.is_integer():
         return nabla_diff_n(u, int(nu))
     order = math.ceil(nu)
     if len(u) < order:
@@ -314,11 +314,13 @@ def power_rule_check(mu: float, nu: float, n_max: int) -> float:
     limiting lag-1 value when mu - nu is a negative integer (the zero
     convention only holds from offset 2 there).
     """
-    if not math.isfinite(mu) or _is_negative_integer(mu):
+    mu = _real(mu, "monomial order")
+    if _is_negative_integer(mu):
         raise ValueError(f"sampled order must not be a negative integer, got mu = {mu}")
     n_max = _integral(n_max, "n_max", 1)
     samples = _recurrence_tail(mu, n_max)
     applied = nabla_frac_diff_direct(GridFunction(1, samples), nu)
-    reference = _recurrence_tail(mu - nu, n_max)
+    # the order as the direct difference took it
+    reference = _recurrence_tail(mu - _real(nu, "order", 0.0), n_max)
     return float(np.max(np.abs(applied.values - reference)))
 

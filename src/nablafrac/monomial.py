@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -53,6 +54,20 @@ __all__ = [
     "monomial_limit_sequence",
     "convolution_weights",
 ]
+
+
+def _scalar(value, name: str, kind: str) -> numbers.Real:
+    """``value`` as a real scalar: the first step of :func:`_integral` and :func:`_real`.
+
+    A NumPy scalar or 0-d array is judged as its Python value.  Anything
+    that is not a ``numbers.Real`` (a string, None, a sequence, a
+    ``Decimal``, a complex) raises ``TypeError: {name} must be {kind}``.
+    """
+    if isinstance(value, (np.ndarray, np.generic)) and value.ndim == 0:
+        value = value.item()
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be {kind}, got {value!r}")
+    return value
 
 
 def _integral(value, name: str, minimum: int | None = None) -> int:
@@ -68,11 +83,7 @@ def _integral(value, name: str, minimum: int | None = None) -> int:
     that ``value`` names is formed, so a count too large to allocate fails
     where its array is made.
     """
-    # a NumPy scalar or 0-d array is judged as its Python value
-    if isinstance(value, (np.ndarray, np.generic)) and value.ndim == 0:
-        value = value.item()
-    if not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+    value = _scalar(value, name, "an integer")
     if not isinstance(value, numbers.Integral) and not float(value).is_integer():
         raise ValueError(f"{name} must be an integer, got {value}")
     value = int(value)
@@ -81,13 +92,46 @@ def _integral(value, name: str, minimum: int | None = None) -> int:
     return value
 
 
+def _real(value, name: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a Python float in (low, high): the one check of every order and ``u0``.
+
+    A real, or a NumPy scalar or 0-d array of one, is rounded to float64
+    once: ``np.float32(0.1)`` is ``float(np.float32(0.1))`` and
+    ``Fraction(1, 2)`` is 0.5.  A value outside the open interval (nan, or
+    an int too large for a float, among them) raises ``ValueError`` naming
+    the argument: ``{name} must be finite`` when unbounded, ``must be
+    positive and finite`` when bounded below by 0 only, and otherwise
+    ``must lie strictly in (low, high)``.  Anything that is not a real
+    raises ``TypeError``: ``{name} must be a real number``.
+    """
+    value = _scalar(value, name, "a real number")
+    # an int or a fraction past the float range is an infinity here, where
+    # float() would raise OverflowError; nan fails the comparison and stays nan
+    x = (math.inf if value > 0 else -math.inf) if abs(value) > sys.float_info.max else float(value)
+    if not low < x < high:
+        words = "be finite" if low == -math.inf else "be positive and finite" if high == math.inf else None
+        raise ValueError(f"{name} must {words or f'lie strictly in ({low:g}, {high:g})'}, got {x}")
+    return x
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array: the one check of every array argument.
+
+    Bool, integer and float arrays, and scalars and sequences of such
+    numbers, are taken; a float64 array is returned as it is, not copied,
+    so a broadcast view stays one.  Any other dtype (strings, complex, or
+    objects such as None, ``Decimal`` or an int past 64 bits) raises
+    ``TypeError: {name} must be real numbers``.  Shape and finiteness are
+    the caller's to check.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise TypeError(f"{name} must be real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def _is_negative_integer(mu: float) -> bool:
     return mu < 0 and float(mu).is_integer()
-
-
-def _check_positive_order(nu: float) -> None:
-    if not math.isfinite(nu) or nu <= 0:
-        raise ValueError(f"order must be positive and finite, got {nu}")
 
 
 def _recurrence_tail(mu: float, n_max: int) -> np.ndarray:
@@ -128,8 +172,7 @@ def monomial_limit_sequence(mu: float, n_max: int) -> np.ndarray:
     0, 1, -1, 0, ...  This is the reference the power rule holds against at
     every offset; the zero convention only matches it from offset 2 on.
     """
-    if not math.isfinite(mu):
-        raise ValueError(f"monomial order must be finite, got {mu}")
+    mu = _real(mu, "monomial order")
     return np.concatenate(([0.0], _recurrence_tail(mu, _integral(n_max, "n_max", 0))))
 
 
@@ -141,8 +184,8 @@ def convolution_weights(nu: float, max_lag: int) -> np.ndarray:
     negative.  The order -nu-1 is formed in extended precision so the lag-2
     identity holds to the last bit even when nu itself is not dyadic.
     """
-    _check_positive_order(nu)
+    nu = _real(nu, "order", 0.0)
     max_lag = _integral(max_lag, "max_lag", 1)
-    if float(nu).is_integer():
+    if nu.is_integer():
         return np.zeros(max_lag, dtype=float)
     return _recurrence_tail(-np.longdouble(nu) - 1.0, max_lag)

@@ -97,12 +97,10 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-import math
-
 import numpy as np
 
 from .grid import GridFunction, _convolve_head, _far_lags, _require_finite
-from .monomial import _integral, _recurrence_tail, convolution_weights
+from .monomial import _integral, _real, _real_array, _recurrence_tail, convolution_weights
 
 __all__ = [
     "SINGULAR_PIVOT_TOL",
@@ -153,11 +151,6 @@ class FirstOrderForm(str, enum.Enum):
         return (0.0, c) if self is FirstOrderForm.ON_U_LAG else (c, 0.0)
 
 
-def _check_unit_order(nu: float) -> None:
-    if not math.isfinite(nu) or not 0.0 < nu < 1.0:
-        raise ValueError(f"order must lie strictly in (0, 1), got {nu}")
-
-
 def coefficient_array(c: CoefficientLike, n_max: int) -> np.ndarray:
     """Normalize a coefficient to an array of n_max steps along axis 0.
 
@@ -169,7 +162,7 @@ def coefficient_array(c: CoefficientLike, n_max: int) -> np.ndarray:
     one row of memory.
     """
     n_max = _integral(n_max, "n_max", 0)
-    arr = np.asarray(c, dtype=float)
+    arr = _real_array(c, "coefficients")
     if arr.ndim > 2:
         raise ValueError(f"coefficients must be scalar, one-dimensional or (n, k), got shape {arr.shape}")
     if arr.ndim and len(arr) < n_max:
@@ -190,7 +183,7 @@ def envelope_sequence(nu: float, n_max: int) -> np.ndarray:
     zero convention: an order so small that nu - 1 rounds to -1 gives
     1, 0, 0, ..., the envelope's limit at order 0.
     """
-    _check_unit_order(nu)
+    nu = _real(nu, "order", 0.0, 1.0)
     return _recurrence_tail(nu - 1.0, _integral(n_max, "n_max", 0) + 1)
 
 
@@ -485,7 +478,7 @@ def mittag_leffler_seq(c: CoefficientLike, nu: float, n_max: int) -> np.ndarray:
     ``MemoryError`` at once, not after a pass over every entry of a
     broadcast batch.
     """
-    _check_unit_order(nu)
+    nu = _real(nu, "order", 0.0, 1.0)
     n_max = _integral(n_max, "n_max", 0)
     weights = convolution_weights(nu, n_max + 1)
     carr = coefficient_array(c, n_max)
@@ -514,7 +507,7 @@ class SolutionTrace(GridFunction):
     def __post_init__(self) -> None:
         super().__post_init__()
         for name in ("residuals",) + (("envelope",) if self.envelope is not None else ()):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = _real_array(getattr(self, name), name)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -528,8 +521,9 @@ class LinearProblem:
     """General linear lagged problem based at rho(base), at order ``nu``.
 
     ``nu`` None is the classical nabla, the first-order comparison equation;
-    an order that is given must lie in (0, 1).  Coefficients may be scalars
-    or sequences over t = base+1, base+2, ...; they are normalized at solve
+    an order that is given must lie in (0, 1), and is stored as a float, as
+    ``u0`` is, which must be finite.  Coefficients may be scalars or
+    sequences over t = base+1, base+2, ...; they are normalized at solve
     time, so a problem can be solved for any horizon its sequences cover.
     """
 
@@ -541,8 +535,8 @@ class LinearProblem:
     u0: float
 
     def __post_init__(self) -> None:
-        if self.nu is not None:
-            _check_unit_order(self.nu)
+        object.__setattr__(self, "nu", None if self.nu is None else _real(self.nu, "order", 0.0, 1.0))
+        object.__setattr__(self, "u0", _real(self.u0, "u0"))
 
 
 def _solve(problem: LinearProblem, n_max: int) -> SolutionTrace:
@@ -552,8 +546,6 @@ def _solve(problem: LinearProblem, n_max: int) -> SolutionTrace:
     """
     nu, u0 = problem.nu, problem.u0
     n_max = _integral(n_max, "n_max", 1)
-    if not math.isfinite(u0):
-        raise ValueError(f"u0 must be finite, got {u0}")
     base = _integral(problem.base, "base")
     p, q, g = (coefficient_array(x, n_max) for x in (problem.p, problem.q, problem.g))
     if max(p.ndim, q.ndim, g.ndim) > 1:
@@ -578,8 +570,12 @@ def _solve(problem: LinearProblem, n_max: int) -> SolutionTrace:
 def solve_lagged(
     c: CoefficientLike, nu: float, u0: float, n_max: int, base: int = 0
 ) -> SolutionTrace:
-    """Solve (nabla^nu_{rho(a)} u)(t) = c(t) u(t-1), u(a) = u0, a = base."""
-    return _solve(LinearProblem(nu, base, 0.0, c, 0.0, u0), n_max)
+    """Solve (nabla^nu_{rho(a)} u)(t) = c(t) u(t-1), u(a) = u0, a = base.
+
+    The order must lie in (0, 1): None, the classical nabla of a
+    :class:`LinearProblem`, is refused here.
+    """
+    return _solve(LinearProblem(_real(nu, "order", 0.0, 1.0), base, 0.0, c, 0.0, u0), n_max)
 
 
 def solve_general(problem: LinearProblem, n_max: int) -> SolutionTrace:

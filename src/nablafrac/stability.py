@@ -46,13 +46,12 @@ import math
 
 import numpy as np
 
-from .monomial import _integral
+from .monomial import _integral, _real, _real_array
 from .solver import (
     CoefficientLike,
     FirstOrderForm,
     LinearProblem,
     SolutionTrace,
-    _check_unit_order,
     coefficient_array,
     envelope_sequence,
     mittag_leffler_seq,
@@ -104,8 +103,8 @@ def criterion_check(c: CoefficientLike, nu: float) -> np.ndarray:
     For constant c this is the interval test -2 nu <= c <= 0.  Scalars give a
     single-element result.
     """
-    _check_unit_order(nu)
-    arr = np.atleast_1d(np.asarray(c, dtype=float))
+    nu = _real(nu, "order", 0.0, 1.0)
+    arr = np.atleast_1d(_real_array(c, "coefficients"))
     if arr.ndim != 1:
         raise ValueError(f"coefficients must be scalar or one-dimensional, got shape {arr.shape}")
     return np.abs(arr + nu) <= nu
@@ -118,7 +117,7 @@ def _columns(trace: Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool]:
     a copy: the classifiers take |u| of the windows they read, never of the
     whole batch.
     """
-    arr = np.asarray(trace, dtype=float)
+    arr = _real_array(trace, "trace")
     if arr.ndim not in (1, 2):
         raise ValueError(f"trace must be one-dimensional or (n, k), got shape {arr.shape}")
     return (arr[:, None], True) if arr.ndim == 1 else (arr, False)
@@ -238,6 +237,7 @@ def bound_check(c: CoefficientLike, nu: float, n_max: int) -> StabilityReport:
     base a.  The decay class and the tail are taken over the default window.
     """
     n_max = _integral(n_max, "n_max", 2)
+    nu = _real(nu, "order", 0.0, 1.0)
     # the criterion refuses a batch before anything is stepped
     criterion_holds = criterion_check(coefficient_array(c, n_max), nu)
     values = mittag_leffler_seq(c, nu, n_max)
@@ -292,17 +292,17 @@ def compare_orders(
 
     The problem keeps the right-hand side of ``form``: ``on_u_lag`` is the
     lagged equation, ``on_u_t`` the undelayed one (p = c).  Its first-order
-    trace is the same problem with order None.  Both decay classes and
-    tails are taken over the default window.
+    trace is the same problem with order None; ``nu`` itself must lie in
+    (0, 1).  Both decay classes and tails are taken over the default window.
     """
     form = FirstOrderForm(form)
-    problem = LinearProblem(nu, base, *form.split(c), 0.0, u0)
+    problem = LinearProblem(_real(nu, "order", 0.0, 1.0), base, *form.split(c), 0.0, u0)
     first = solve_general(replace(problem, nu=None), n_max)
     frac = solve_general(problem, n_max)
     first_order_class, first_order_tail = _default_evidence(first.values)
     fractional_class, fractional_tail = _default_evidence(frac.values)
     return OrderComparison(
-        nu=nu,
+        nu=problem.nu,
         form=form,
         first_order=first,
         fractional=frac,
@@ -337,17 +337,21 @@ def stability_scan(nu_grid: Sequence[float], c_grid: Sequence[float], n_max: int
     call on the (n_max + 1, k) batch, which give each trace bit for bit
     the class and the tail that calls on that trace alone give.  Every
     trace is classified and fitted over the default window.  Cells are
-    returned in row-major order (nu outer, c inner).
+    returned in row-major order (nu outer, c inner).  Both grids are
+    sequences of reals, taken as every array is (README, "Library quick
+    tour"), and every order of ``nu_grid`` is checked before any is
+    stepped.
 
     One order's batch is the largest array a scan holds: the merges
     transform a few of its columns at a time, and the classifiers take
     |u| of the windows they read only, so an order peaks at about 2.2
     times its batch, the block inverses and one merge chunk beside it.
     """
-    nus = [float(nu) for nu in nu_grid]
-    for nu in nus:
-        _check_unit_order(nu)
-    cs = coefficient_array(c_grid, len(c_grid))
+    nus, cs = _real_array(nu_grid, "nu_grid"), _real_array(c_grid, "c_grid")
+    if not nus.ndim or not cs.ndim:
+        raise TypeError(f"nu_grid and c_grid must be sequences, got {nu_grid!r} and {c_grid!r}")
+    nus = [_real(nu, "nu_grid order", 0.0, 1.0) for nu in nus.tolist()]
+    cs = coefficient_array(cs, len(cs))
     n_max = _integral(n_max, "n_max", 2)
     # one row of memory for every order; a 2-D c grid makes a 3-D batch,
     # which mittag_leffler_seq refuses before it steps

@@ -241,8 +241,9 @@ def test_other_arrays_keep_their_json_text():
 
 
 def test_documents_take_numpy_scalars():
-    # a NumPy order reaches the trace, the report and the verdict as it was
-    # given; each is written as the Python scalar it holds
+    # a NumPy order is checked to the float it holds, which the trace, the
+    # report and the verdict carry; the other NumPy scalars below are
+    # written as the Python scalars they hold
     nu = np.float32(0.5)
     texts = [
         _text(lambda stream: write_trace_json(solve_lagged(-0.1, nu, 1.0, 5), stream)),
