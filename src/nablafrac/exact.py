@@ -1,10 +1,21 @@
 """Exact-rational twins of the floating-point kernels.
 
 Every recurrence in this package is closed over the rationals: the monomial
-recurrence multiplies by (k + mu)/k, the operators are finite convolutions,
-and the steppers divide by 1 - p(t).  Running the same recurrences with
-:class:`fractions.Fraction` therefore gives exact reference values, which the
-test suite freezes and compares against the float64 implementations.
+rows multiply by (k + mu)/k, the operators are causal convolutions with
+those rows, and the stepper divides by 1 - p(t).  Running the same
+recurrences with :class:`fractions.Fraction` therefore gives exact reference
+values, which the test suite freezes and compares against the float64
+implementations.
+
+Each object has one exact kernel.  One recurrence forms every row: the
+weights of the direct difference (order -nu - 1) and the fractional sum's
+kernel (order nu - 1); :func:`oracle_monomial`'s closed form is its
+independent check.  One causal convolution applies the sum and the direct
+difference.  One stepper, :func:`oracle_solve`, steps the lagged equation at
+a fractional order or, with ``nu`` None, at the classical nabla, whose row
+is 1, -1, 0, ...: the Mittag-Leffler-type sequence is
+``oracle_solve(nu, 0, c, 0, 1, n)`` and the first-order step
+u(t) = (1 + c) u(t-1) + g is ``oracle_solve(None, 0, c, g, u0, n)``.
 
 These functions are deliberately small-n tools: rational numerators and
 denominators grow quickly, so ``oracle_solve`` enforces a cost guard.
@@ -23,9 +34,7 @@ __all__ = [
     "oracle_nabla_sum",
     "oracle_frac_diff_direct",
     "oracle_frac_diff_composed",
-    "oracle_mittag_leffler",
     "oracle_solve",
-    "oracle_first_order",
 ]
 
 RationalLike = Fraction | int
@@ -44,7 +53,8 @@ def oracle_monomial(mu: RationalLike, n: int) -> Fraction:
 
     With mu = m/d, h(n) is the product of (k d + m) over the product of k d for
     k = 1..n-1, formed as two integers and reduced once, so long offsets cost
-    big-integer products instead of a gcd per step.
+    big-integer products instead of a gcd per step.  It is the closed form
+    that checks the rows of :func:`_row`.
     """
     mu = _as_fraction(mu)
     if mu < 0 and mu.denominator == 1:
@@ -57,13 +67,22 @@ def oracle_monomial(mu: RationalLike, n: int) -> Fraction:
     return Fraction(math.prod(k * d + m for k in range(1, n)), math.factorial(n - 1) * d ** (n - 1))
 
 
-def oracle_weight_row(nu: RationalLike, max_lag: int) -> list[Fraction]:
-    """Exact weights at lags 1..max_lag."""
-    mu = -_as_fraction(nu) - 1
+def _row(mu: Fraction, n: int) -> list[Fraction]:
+    """h(1), ..., h(n) of the monomial recurrence, one step at a time."""
     row = [Fraction(1)]
-    for k in range(1, max_lag):
+    for k in range(1, n):
         row.append(row[-1] * (k + mu) / k)
-    return row[:max_lag]
+    return row[:n]
+
+
+def _convolve(kernel: list[Fraction], v: list[Fraction]) -> list[Fraction]:
+    """The causal convolution: entry m is the sum of kernel[m - j] v[j] over j <= m."""
+    return [sum(kernel[m - j] * v[j] for j in range(m + 1)) for m in range(len(v))]
+
+
+def oracle_weight_row(nu: RationalLike, max_lag: int) -> list[Fraction]:
+    """Exact weights at lags 1..max_lag: the row of order -nu - 1."""
+    return _row(-_as_fraction(nu) - 1, max_lag)
 
 
 def oracle_nabla_diff_n(values: Sequence[RationalLike], order: int) -> list[Fraction]:
@@ -79,12 +98,11 @@ def oracle_nabla_diff_n(values: Sequence[RationalLike], order: int) -> list[Frac
 
 def oracle_nabla_sum(values: Sequence[RationalLike], nu: RationalLike) -> list[Fraction]:
     """Exact fractional sum; input on {a+1, ...}, output on {a, ...} with 0 first."""
+    nu = _as_fraction(nu)
+    if nu <= 0:
+        raise ValueError(f"fractional sum needs a positive order, got {nu}")
     v = [_as_fraction(x) for x in values]
-    kernel = [oracle_monomial(_as_fraction(nu) - 1, lag) for lag in range(1, len(v) + 1)]
-    out = [Fraction(0)]
-    for k in range(1, len(v) + 1):
-        out.append(sum(kernel[k - j - 1] * v[j] for j in range(k)))
-    return out
+    return [Fraction(0)] + _convolve(_row(nu - 1, len(v)), v)
 
 
 def oracle_frac_diff_direct(values: Sequence[RationalLike], nu: RationalLike) -> list[Fraction]:
@@ -93,8 +111,7 @@ def oracle_frac_diff_direct(values: Sequence[RationalLike], nu: RationalLike) ->
     if nu <= 0 or nu.denominator == 1:
         raise ValueError(f"direct form needs a positive non-integer order, got {nu}")
     v = [_as_fraction(x) for x in values]
-    w = oracle_weight_row(nu, len(v))
-    return [sum(w[m - i] * v[i] for i in range(m + 1)) for m in range(len(v))]
+    return _convolve(oracle_weight_row(nu, len(v)), v)
 
 
 def oracle_frac_diff_composed(
@@ -126,24 +143,8 @@ def _coefficients(c: RationalLike | Sequence[RationalLike], n_max: int) -> list[
     return out[:n_max]
 
 
-def oracle_mittag_leffler(
-    c: RationalLike | Sequence[RationalLike], nu: RationalLike, n_max: int
-) -> list[Fraction]:
-    """Exact Mittag-Leffler-type sequence: E(0) = 1 and the lagged recursion."""
-    nu = _as_fraction(nu)
-    if not 0 < nu < 1:
-        raise ValueError(f"order must lie in (0, 1), got {nu}")
-    coeff = _coefficients(c, n_max)
-    w = oracle_weight_row(nu, n_max + 1)
-    seq = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        inner = sum(w[n - k] * seq[k] for k in range(n))
-        seq.append(coeff[n - 1] * seq[n - 1] - inner)
-    return seq
-
-
 def oracle_solve(
-    nu: RationalLike,
+    nu: RationalLike | None,
     p: RationalLike | Sequence[RationalLike],
     q: RationalLike | Sequence[RationalLike],
     g: RationalLike | Sequence[RationalLike],
@@ -152,18 +153,18 @@ def oracle_solve(
 ) -> list[Fraction]:
     """Exact method-of-steps solve of the general lagged linear equation.
 
-    Guarded at n_max <= 100: rational bit sizes grow superlinearly.
-    Raises on an exactly singular step 1 - p(t) = 0.
+    Steps nabla^nu u(t) = p(t) u(t) + q(t) u(t-1) + g(t) from u(a) = u0 at an
+    order 0 < nu < 1 or, with ``nu`` None, at the classical nabla, through
+    the order-1 row 1, -1, 0, ...  Guarded at n_max <= 100: rational bit
+    sizes grow superlinearly.  Raises on an exactly singular step
+    1 - p(t) = 0.
     """
     if n_max > SOLVE_COST_GUARD:
         raise ValueError(f"n_max = {n_max} exceeds the oracle cost guard {SOLVE_COST_GUARD}")
-    nu = _as_fraction(nu)
-    if not 0 < nu < 1:
+    if nu is not None and not 0 < _as_fraction(nu) < 1:
         raise ValueError(f"order must lie in (0, 1), got {nu}")
-    pp = _coefficients(p, n_max)
-    qq = _coefficients(q, n_max)
-    gg = _coefficients(g, n_max)
-    w = oracle_weight_row(nu, n_max + 1)
+    pp, qq, gg = (_coefficients(x, n_max) for x in (p, q, g))
+    w = oracle_weight_row(1 if nu is None else nu, n_max + 1)
     u = [_as_fraction(u0)]
     for n in range(1, n_max + 1):
         pivot = 1 - pp[n - 1]
@@ -171,28 +172,4 @@ def oracle_solve(
             raise ValueError(f"singular step at offset {n}: 1 - p(t) = 0")
         inner = sum(w[n - k] * u[k] for k in range(n))
         u.append((qq[n - 1] * u[n - 1] + gg[n - 1] - inner) / pivot)
-    return u
-
-
-def oracle_first_order(
-    c: RationalLike | Sequence[RationalLike],
-    form: str,
-    u0: RationalLike,
-    n_max: int,
-    g: RationalLike | Sequence[RationalLike] = 0,
-) -> list[Fraction]:
-    """Exact first-order stepping for both right-hand-side forms."""
-    coeff = _coefficients(c, n_max)
-    force = _coefficients(g, n_max)
-    u = [_as_fraction(u0)]
-    for n in range(1, n_max + 1):
-        if form == "on_u_lag":
-            u.append((1 + coeff[n - 1]) * u[n - 1] + force[n - 1])
-        elif form == "on_u_t":
-            pivot = 1 - coeff[n - 1]
-            if pivot == 0:
-                raise ValueError(f"singular step at offset {n}: 1 - c(t) = 0")
-            u.append((u[n - 1] + force[n - 1]) / pivot)
-        else:
-            raise ValueError(f"unknown form {form!r}")
     return u

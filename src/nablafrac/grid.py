@@ -40,12 +40,12 @@ only the first n terms, the head, are formed (:func:`_convolve_head`):
   points.  The last merge, which feeds only the count points left, takes
   the smallest 2^k, 3 * 2^k or 5 * 2^k of at least b + count points,
   never more than 2b: 5120 points at n = 5000, not 8192.
-* Accumulation dtype.  The operators sum in ``np.longdouble``: products,
-  sums and the FFTs carry its precision (NumPy >= 2.0 transforms long
-  double natively), and only the final values are rounded to float64.  A
-  head longer than ``_BLOCK`` agrees with the unsplit one to the
-  long-double FFT's rounding, far below float64's.  A solve's residual
-  column runs the same head in float64.
+* Accumulation dtype.  The operators sum in ``monomial._ACCUMULATION``,
+  ``np.longdouble``: products, sums and the FFTs carry its precision
+  (NumPy >= 2.0 transforms long double natively), and only the final
+  values are rounded to float64.  A head longer than ``_BLOCK`` agrees
+  with the unsplit one to the long-double FFT's rounding, far below
+  float64's.  A solve's residual column runs the same head in float64.
 * Power-of-two scaling.  A dtype with float64's exponent range (float64,
   or a 64-bit ``np.longdouble``) sums the input scaled by a power of two,
   its largest magnitude in [1/2, 1), and scales the result back, both
@@ -68,7 +68,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monomial import _integral, _is_negative_integer, _real, _real_array, _recurrence_tail, convolution_weights
+from .monomial import (
+    _ACCUMULATION, _integral, _is_negative_integer, _real, _real_array, _recurrence_tail, convolution_weights
+)
 
 __all__ = [
     "DivergentSolutionError",
@@ -196,7 +198,7 @@ def _far_lags(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=np.longdouble) -> np.ndarray:
+def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=_ACCUMULATION) -> np.ndarray:
     """First ``v.size`` terms of the convolution kernel * v, summed in ``dtype``.
 
     Entry m is sum_{j<=m} kernel[m - j] v[j], by the near/far split and the

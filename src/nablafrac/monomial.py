@@ -16,10 +16,11 @@ recurrence
     h(1) = 1,        h(k + 1) = h(k) * (k + mu) / k,
 
 which is algebraically equal to the gamma ratio and has no poles to step
-around.  Each call forms one order's row by one ``np.cumprod`` in
-``np.longdouble``, rounded to float64 once at the end.  The rows are not
-always correctly rounded.  They were checked against the exact rationals
-of :func:`nablafrac.exact.oracle_monomial` at 10 orders from -1.75 to 4.9
+around.  Each call forms one order's row by one ``np.cumprod`` in the
+accumulation dtype ``_ACCUMULATION`` (``np.longdouble``), rounded to
+float64 once at the end.  The rows are not always correctly rounded.
+They were checked against the exact rationals of
+:func:`nablafrac.exact.oracle_monomial` at 10 orders from -1.75 to 4.9
 and 110 offsets up to 40000, with x86-64's 80-bit long double.  The values
 up to offset 1000 were correctly rounded, and the others within 1 ulp up
 to offset 5000, 2 ulps up to 10000 and 7 ulps up to 40000.  The same
@@ -55,6 +56,11 @@ __all__ = [
     "convolution_weights",
 ]
 
+# the dtype every row and operator head sums in before rounding to float64:
+# 80-bit on x86-64, 64-bit where the platform has no wider long double
+# (ROADMAP.md, direction 2)
+_ACCUMULATION = np.longdouble
+
 
 def _scalar(value, name: str, kind: str) -> numbers.Real:
     """``value`` as a real scalar: the first step of :func:`_integral` and :func:`_real`.
@@ -78,10 +84,12 @@ def _integral(value, name: str, minimum: int | None = None) -> int:
     ``np.int64(2)`` and ``np.array(2.0)`` are 2.  A real that is not an
     integer (2.5, nan, inf) raises ``ValueError``, and anything else (a
     string, None, a sequence, a complex) ``TypeError``, both saying
-    ``{name} must be an integer``.  A value below ``minimum`` raises
-    ``ValueError``: ``{name} must be >= {minimum}``.  Nothing of the size
-    that ``value`` names is formed, so a count too large to allocate fails
-    where its array is made.
+    ``{name} must be an integer``.  A count, an argument with a
+    ``minimum``, raises ``ValueError`` below it (``{name} must be >=
+    {minimum}``) and above ``sys.maxsize``, the largest size NumPy takes
+    (``{name} must be <= 9223372036854775807`` on 64-bit hosts); an index
+    takes any int.  Nothing of the size that ``value`` names is formed, so
+    a count too large to allocate fails where its array is made.
     """
     value = _scalar(value, name, "an integer")
     if not isinstance(value, numbers.Integral) and not float(value).is_integer():
@@ -89,6 +97,9 @@ def _integral(value, name: str, minimum: int | None = None) -> int:
     value = int(value)
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if minimum is not None and value > sys.maxsize:
+        # the value itself is left out: it may have thousands of digits
+        raise ValueError(f"{name} must be <= {sys.maxsize}")
     return value
 
 
@@ -121,10 +132,15 @@ def _real_array(values, name: str) -> np.ndarray:
     numbers, are taken; a float64 array is returned as it is, not copied,
     so a broadcast view stays one.  Any other dtype (strings, complex, or
     objects such as None, ``Decimal`` or an int past 64 bits) raises
-    ``TypeError: {name} must be real numbers``.  Shape and finiteness are
-    the caller's to check.
+    ``TypeError: {name} must be real numbers``, and a ragged sequence
+    ``ValueError: {name} must be a rectangular array``.  Shape and
+    finiteness are the caller's to check.
     """
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        # NumPy's message for a ragged sequence names no argument
+        raise ValueError(f"{name} must be a rectangular array, got a ragged sequence") from exc
     if arr.dtype.kind not in "biuf":
         raise TypeError(f"{name} must be real numbers, got dtype {arr.dtype}")
     return arr.astype(float, copy=False)
@@ -138,11 +154,11 @@ def _recurrence_tail(mu: float, n_max: int) -> np.ndarray:
     """Raw recurrence values h(1), ..., h(n_max), with no order conventions."""
     if n_max < 1:
         return np.empty(0, dtype=float)
-    out = np.empty(n_max, dtype=np.longdouble)
+    out = np.empty(n_max, dtype=_ACCUMULATION)
     out[0] = 1.0
-    k = np.arange(1, n_max, dtype=np.longdouble)
+    k = np.arange(1, n_max, dtype=_ACCUMULATION)
     # the ratios (k + mu) / k, formed in place: no temporary long-double row
-    ratios = np.add(k, np.longdouble(mu), out=out[1:])
+    ratios = np.add(k, _ACCUMULATION(mu), out=out[1:])
     ratios /= k
     # a value past the float64 range, or past the long double one, becomes
     # inf, which callers report
@@ -188,4 +204,4 @@ def convolution_weights(nu: float, max_lag: int) -> np.ndarray:
     max_lag = _integral(max_lag, "max_lag", 1)
     if nu.is_integer():
         return np.zeros(max_lag, dtype=float)
-    return _recurrence_tail(-np.longdouble(nu) - 1.0, max_lag)
+    return _recurrence_tail(-_ACCUMULATION(nu) - 1.0, max_lag)

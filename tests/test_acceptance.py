@@ -33,10 +33,8 @@ from nablafrac import (
 )
 from nablafrac.cli import main as cli_main
 from nablafrac.exact import (
-    oracle_first_order,
     oracle_frac_diff_composed,
     oracle_frac_diff_direct,
-    oracle_mittag_leffler,
     oracle_monomial,
     oracle_nabla_sum,
     oracle_solve,
@@ -127,7 +125,7 @@ def test_acceptance_6_exact_bound():
         for k in range(10):
             nu = orders[k % 3]
             c = -2 * nu * F(k, 10)
-            seq = oracle_mittag_leffler(c, nu, 60)
+            seq = oracle_solve(nu, 0, c, 0, 1, 60)
             for n, e in enumerate(seq):
                 assert abs(e) <= oracle_monomial(nu - 1, n + 1), (k, n)
 
@@ -194,7 +192,7 @@ def test_acceptance_8_oracle_equivalence():
         assert _max_rel(composed.values, want) <= tol
 
         got = mittag_leffler_seq(float(F(-2, 5)), 0.5, n)
-        want = np.array([float(e) for e in oracle_mittag_leffler(F(-2, 5), F(1, 2), n)])
+        want = np.array([float(e) for e in oracle_solve(F(1, 2), 0, F(-2, 5), 0, 1, n)])
         assert _max_rel(got, want) <= tol
 
         got = solve_general(
@@ -207,7 +205,8 @@ def test_acceptance_8_oracle_equivalence():
 
         for c, form in ((F(-3, 7), "on_u_lag"), (F(5, 3), "on_u_t")):
             got = solve_first_order(float(c), form, 1.0, n).values
-            want = np.array([float(v) for v in oracle_first_order(c, form, 1, n)])
+            p, q = (0, c) if form == "on_u_lag" else (c, 0)
+            want = np.array([float(v) for v in oracle_solve(None, p, q, 0, 1, n)])
             assert _max_rel(got, want) <= tol, form
 
 

@@ -3,19 +3,21 @@
 Counts and indices: an integral float, a NumPy scalar or a 0-d array is its
 int, byte for byte in the results; a fractional or non-finite real raises
 ``ValueError``, anything that is not a real ``TypeError``, both naming the
-argument; a value below the argument's minimum raises ``ValueError``.
+argument; a value below the argument's minimum, or a count above
+``sys.maxsize``, raises ``ValueError``.
 
 Orders, ``u0``, coefficients, grid values, traces and the scan's grids: a
 NumPy scalar or array gives the bytes of its Python value, and every value
-the contract refuses raises ``ValueError`` or ``TypeError`` naming the
-argument.  A completeness test holds the tables to every parameter of the
-public functions.
+the contract refuses, a ragged sequence among them, raises ``ValueError``
+or ``TypeError`` naming the argument.  A completeness test holds the
+tables to every parameter of the public functions.
 """
 
 import inspect
 import io
 import json
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -93,6 +95,8 @@ _ARGUMENTS = [
     ("value_at-t", "t", None, _SAMPLES.value_at),
 ]
 _IDS = [case[0] for case in _ARGUMENTS]
+# the counts: the rows with a minimum
+_COUNTS = [case for case in _ARGUMENTS if case[2] is not None]
 
 _INTEGRAL = [20.0, np.int64(20), np.float32(20), np.float64(20), np.array(20)]
 _FRACTIONAL = [2.5, np.nan, np.inf, -np.inf]
@@ -142,14 +146,25 @@ def test_values_that_are_not_real_are_type_errors(name, minimum, call):
             call(value)
 
 
-@pytest.mark.parametrize(
-    "name, minimum, call", [case[1:] for case in _ARGUMENTS if case[2] is not None],
-    ids=[case[0] for case in _ARGUMENTS if case[2] is not None],
-)
+@pytest.mark.parametrize("name, minimum, call", [case[1:] for case in _COUNTS], ids=[case[0] for case in _COUNTS])
 def test_values_below_the_minimum_are_refused(name, minimum, call):
     call(minimum)
     with pytest.raises(ValueError, match=f"^{name} must be >= {minimum}, got {minimum - 1}$"):
         call(minimum - 1)
+
+
+@pytest.mark.parametrize("name, minimum, call", [case[1:] for case in _COUNTS], ids=[case[0] for case in _COUNTS])
+def test_counts_past_the_largest_size_are_refused(name, minimum, call):
+    # NumPy's own "Maximum allowed dimension exceeded" names no argument
+    for value in (sys.maxsize + 1, 10**400):
+        with pytest.raises(ValueError, match=f"^{name} must be <= {sys.maxsize}$"):
+            call(value)
+
+
+def test_indices_take_any_int():
+    u = GridFunction(sys.maxsize + 1, [1.0, 2.0])
+    assert u.base == sys.maxsize + 1 and u.value_at(sys.maxsize + 2) == 2.0
+    assert GridFunction(-(10**400), [1.0]).value_at(-(10**400)) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -225,11 +240,11 @@ _REALS = [
 ]
 
 # the kinds of ROADMAP direction 7, then a fraction, a Decimal, a long
-# double and a list
+# double, a list and a ragged list
 _KINDS = [
     2, 2.0, np.int64(2), np.float32(0.1), 0.5, np.nan, np.inf, -np.inf, True, "0.5", None,
     np.array(0.5), np.array([[0.5]]), complex(0.5), 10**400,
-    Fraction(1, 2), Decimal("0.5"), np.longdouble(0.1), [0.5],
+    Fraction(1, 2), Decimal("0.5"), np.longdouble(0.1), [0.5], [[0.5, 0.5], [0.5]],
 ]
 
 # outcomes of the equation at an accepted value: a pivot 1 - p of 0, or an

@@ -6,10 +6,8 @@ import pytest
 
 from nablafrac.exact import (
     SOLVE_COST_GUARD,
-    oracle_first_order,
     oracle_frac_diff_composed,
     oracle_frac_diff_direct,
-    oracle_mittag_leffler,
     oracle_monomial,
     oracle_nabla_diff_n,
     oracle_nabla_sum,
@@ -69,6 +67,8 @@ def test_weight_row_consistency_and_frozen_value():
     assert row[1] == -nu
     assert oracle_weight_row(nu, 5)[-1] == F(-3213, 80000)
     assert all(w < 0 for w in row[1:])
+    # order 1, the classical nabla's row, which oracle_solve steps at nu=None
+    assert oracle_weight_row(1, 6) == [1, -1, 0, 0, 0, 0]
 
 
 def test_sum_power_rule_is_exact():
@@ -117,20 +117,21 @@ def test_composed_integer_order_routes_to_classical():
 
 def test_mittag_leffler_zero_coefficient_prefix():
     # c = 0 gives the H_{nu-1} tail exactly: 1, 1/2, 3/8, 5/16, 35/128, 63/256
-    seq = oracle_mittag_leffler(0, F(1, 2), 5)
+    seq = oracle_solve(F(1, 2), 0, 0, 0, 1, 5)
     assert seq == [F(1), F(1, 2), F(3, 8), F(5, 16), F(35, 128), F(63, 256)]
     assert seq == [oracle_monomial(F(-1, 2), n + 1) for n in range(6)]
 
 
 def test_mittag_leffler_first_step_formula():
     for c, nu in ((F(-1, 3), F(1, 2)), (F(2), F(3, 4)), (F(0), F(1, 4))):
-        assert oracle_mittag_leffler(c, nu, 1)[1] == c + nu
+        assert oracle_solve(nu, 0, c, 0, 1, 1)[1] == c + nu
 
 
 def test_solve_representation_is_exact():
+    # u = u0 E: the solve is linear in its initial value
     c, nu, u0 = F(-2, 5), F(3, 4), F(3, 7)
     u = oracle_solve(nu, 0, c, 0, u0, 30)
-    seq = oracle_mittag_leffler(c, nu, 30)
+    seq = oracle_solve(nu, 0, c, 0, 1, 30)
     assert u == [u0 * e for e in seq]
 
 
@@ -140,30 +141,48 @@ def test_solve_zero_initial_value():
 
 def test_exact_bound_holds_with_zero_slack():
     for c, nu in ((F(-1, 2), F(1, 2)), (F(-1, 4), F(1, 4)), (F(-3, 2), F(3, 4))):
-        seq = oracle_mittag_leffler(c, nu, 60)
+        seq = oracle_solve(nu, 0, c, 0, 1, 60)
         for n, e in enumerate(seq):
             assert abs(e) <= oracle_monomial(nu - 1, n + 1), (c, nu, n)
 
 
 def test_solve_cost_guard():
-    with pytest.raises(ValueError):
-        oracle_solve(F(1, 2), 0, 0, 0, 1, SOLVE_COST_GUARD + 1)
+    # the guard covers both orders
+    for nu in (F(1, 2), None):
+        with pytest.raises(ValueError, match="cost guard"):
+            oracle_solve(nu, 0, 0, 0, 1, SOLVE_COST_GUARD + 1)
 
 
 def test_solve_exactly_singular_pivot():
-    with pytest.raises(ValueError, match="singular"):
-        oracle_solve(F(1, 2), 1, 0, 0, 1, 5)
+    # p = 1 at either order, and the first-order u(t) - u(t-1) = c u(t) at c = 1
+    for nu in (F(1, 2), None):
+        with pytest.raises(ValueError, match="singular"):
+            oracle_solve(nu, 1, 0, 0, 1, 5)
+
+
+def test_solve_refuses_orders_outside_the_unit_interval():
+    for nu in (0, 1, F(3, 2), F(-1, 2)):
+        with pytest.raises(ValueError, match="order must lie in"):
+            oracle_solve(nu, 0, 0, 0, 1, 5)
 
 
 def test_first_order_oscillation_and_product_forms():
-    assert oracle_first_order(2, "on_u_t", 1, 6) == [(-1) ** n for n in range(7)]
-    assert oracle_first_order(F(-1, 2), "on_u_lag", 1, 5) == [F(1, 2 ** n) for n in range(6)]
+    # u(t) - u(t-1) = c u(t) with c = 2 (p = c) flips the sign each step;
+    # = c u(t-1) with c = -1/2 (q = c) halves it
+    assert oracle_solve(None, 2, 0, 0, 1, 6) == [(-1) ** n for n in range(7)]
+    assert oracle_solve(None, 0, F(-1, 2), 0, 1, 5) == [F(1, 2 ** n) for n in range(6)]
     # constant forcing with c = 0 accumulates linearly
-    assert oracle_first_order(0, "on_u_lag", F(3), 4, g=1) == [F(3 + n) for n in range(5)]
+    assert oracle_solve(None, 0, 0, 1, F(3), 4) == [F(3 + n) for n in range(5)]
 
 
-def test_first_order_singular_and_unknown_form():
-    with pytest.raises(ValueError, match="singular"):
-        oracle_first_order(1, "on_u_t", 1, 3)
-    with pytest.raises(ValueError):
-        oracle_first_order(0, "sideways", 1, 3)
+def test_sum_refuses_orders_that_are_not_positive():
+    for nu in (0, F(-1, 2), -1):
+        with pytest.raises(ValueError, match="positive order"):
+            oracle_nabla_sum(VALUES, nu)
+
+
+def test_sum_kernel_row_matches_the_closed_form():
+    # the sum of a unit impulse is its kernel: the row of order nu - 1
+    nu = F(2, 7)
+    impulse = [1] + [0] * 29
+    assert oracle_nabla_sum(impulse, nu) == [0] + [oracle_monomial(nu - 1, lag) for lag in range(1, 31)]

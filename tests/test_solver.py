@@ -36,12 +36,7 @@ from nablafrac import (
     stability_scan,
 )
 from nablafrac import cli, solver
-from nablafrac.exact import (
-    SOLVE_COST_GUARD,
-    oracle_first_order,
-    oracle_mittag_leffler,
-    oracle_solve,
-)
+from nablafrac.exact import SOLVE_COST_GUARD, oracle_solve
 from nablafrac.formats import write_trace_csv, write_trace_json
 from nablafrac.grid import _BLOCK, _transform_length
 from nablafrac.solver import _LEAF, _NEAR, _micro_size, _solve_steps
@@ -139,7 +134,7 @@ def test_sequence_matches_exact_oracle():
     # dyadic parameters are exactly representable, so the two paths see the
     # same numbers and differ only by float rounding
     seq = mittag_leffler_seq(-0.75, 0.25, 40)
-    want = np.array([float(e) for e in oracle_mittag_leffler(F(-3, 4), F(1, 4), 40)])
+    want = np.array([float(e) for e in oracle_solve(F(1, 4), 0, F(-3, 4), 0, 1, 40)])
     assert _rel_gap(seq, want) <= 1e-12
 
 
@@ -1036,10 +1031,11 @@ def test_general_solve_matches_exact_oracle():
 
 def test_first_order_matches_exact_oracle():
     got = solve_first_order(-0.5, "on_u_lag", 1.0, 30).values
-    want = np.array([float(v) for v in oracle_first_order(F(-1, 2), "on_u_lag", 1, 30)])
+    # on_u_lag is q = c, on_u_t is p = c
+    want = np.array([float(v) for v in oracle_solve(None, 0, F(-1, 2), 0, 1, 30)])
     assert _rel_gap(got, want) <= 1e-13
     got_t = solve_first_order(2.0, "on_u_t", 1.0, 30).values
-    want_t = np.array([float(v) for v in oracle_first_order(2, "on_u_t", 1, 30)])
+    want_t = np.array([float(v) for v in oracle_solve(None, 2, 0, 0, 1, 30)])
     assert np.array_equal(got_t, want_t)
 
 
