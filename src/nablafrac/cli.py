@@ -63,8 +63,16 @@ _EXIT_CODES = {DomainTooShortError: 3, SingularStepError: 4, DivergentSolutionEr
 # own block inverse and trace
 _MAX_AXIS_POINTS = 10**4
 
-# the operators of apply that take an order, in the order --op lists them
-_OPERATORS = {"sum": nabla_sum, "diff-direct": nabla_frac_diff_direct, "diff-composed": nabla_frac_diff_composed}
+# the operators of apply, in the order --op lists them: the name of the
+# library function each runs, and its fixed order, or None where --nu gives
+# it.  The name is looked up in this module's globals at each call, so the
+# function that runs is whatever the attribute holds, a wrapper or a spy.
+_OPERATORS = {
+    "sum": ("nabla_sum", None),
+    "diff-direct": ("nabla_frac_diff_direct", None),
+    "diff-composed": ("nabla_frac_diff_composed", None),
+    "nabla": ("nabla_diff", 1),
+}
 
 # options that several commands share
 _C_OPTION = click.option("--c", "c_spec", required=True, help="Coefficient: constant, preset, or CSV path.")
@@ -203,7 +211,7 @@ def monomial_cmd(mu: float, n_max: int, output: str, fmt: str) -> None:
 @main.command("apply")
 @click.option(
     "--op",
-    type=click.Choice([*_OPERATORS, "nabla"]),
+    type=click.Choice(list(_OPERATORS)),
     required=True,
     help="Operator to apply.",
 )
@@ -219,13 +227,15 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
     The output records the result's first defined index in a '# base=' comment
     line and re-ingests as apply input unchanged.
     """
-    if op != "nabla" and nu is None:
+    name, order = _OPERATORS[op]
+    if order is None and nu is None:
         raise click.UsageError(f"--nu is required for --op {op}")
-    if op == "nabla" and nu is not None:
-        raise click.UsageError("--nu does not apply to --op nabla, which has order 1")
+    if order is not None and nu is not None:
+        raise click.UsageError(f"--nu does not apply to --op {op}, which has order {order}")
     grid = _read_grid(input_path)
+    operator = globals()[name]
     with _library_errors():
-        result = nabla_diff(grid) if op == "nabla" else _OPERATORS[op](grid, nu)
+        result = operator(grid, nu) if order is None else operator(grid)
     with _open_outputs(output) as (stream,):
         if fmt == "json":
             index = range(result.base, result.last + 1)

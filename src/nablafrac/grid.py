@@ -28,14 +28,16 @@ only the first n terms, the head, are formed (:func:`_convolve_head`):
   weights with all of the input sums every lag below ``_BLOCK``.  An input
   of at most ``_BLOCK`` points has no other lag, so its head is that one
   ``np.convolve``, bit-identical to the unsplit convolution.
-* Block-causal merges.  At every multiple e of ``_BLOCK``, with 2^i the
-  largest power of two dividing e / ``_BLOCK``, the last ``_BLOCK * 2^i``
-  points before e add their lags from ``_BLOCK`` on to the next as many
-  points, or to those left before n, by one real FFT (:func:`_far_lags`).
-  Each earlier block meets each later one at exactly one merge, no output
-  reads a later input, and the head costs O(n log^2 n) beyond the near
-  lags' O(256 n).  The solver's stepping core runs the same merge on the
-  same schedule over its history, on leaves of 512 points.
+* Block-causal merges, one schedule for the heads and the solver's
+  stepping core (:func:`_merge_at`).  The points fall into leaves: of
+  ``_BLOCK`` points in a head, of 512 in the core's history.  At every
+  multiple e of the leaf, with 2^i the largest power of two dividing
+  e / leaf, the last leaf * 2^i points before e add their far lags (from
+  ``_BLOCK`` on in a head) to the next as many points, or to those left
+  before n, by one real FFT (:func:`_far_lags`).  Each earlier leaf meets
+  each later one at exactly one merge, no merge reads a point at or past
+  e or feeds one at or past n, and the head costs O(n log^2 n) beyond the
+  near lags' O(256 n).
 * Transform length.  A merge of b points into the next b transforms 2b
   points.  The last merge, which feeds only the count points left, takes
   the smallest 2^k, 3 * 2^k or 5 * 2^k of at least b + count points,
@@ -155,6 +157,20 @@ class GridFunction:
         return float(self.values[t - self.base])
 
 
+def _merge_at(offset: int, leaf: int, n: int) -> tuple[int, int]:
+    """The merge of the block-causal schedule at ``offset``, a positive multiple of ``leaf``.
+
+    Returns its block, ``leaf * 2^i`` with 2^i the largest power of two
+    dividing ``offset / leaf``, and the count of points it feeds,
+    ``min(block, n - offset)``: the ``block`` points before ``offset`` add
+    their far lags to the ``count`` points from ``offset`` on, of ``n``.
+    The module notes state what the schedule guarantees.
+    """
+    k = offset // leaf
+    block = leaf * (k & -k)
+    return block, min(block, n - offset)
+
+
 def _transform_length(b: int, count: int) -> int:
     """The FFT length of a merge: the smallest 2^k, 3 * 2^k or 5 * 2^k of at least b + count."""
     need = b + count
@@ -224,9 +240,8 @@ def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=_ACCUMULATION) -> np
     out = np.convolve(kernel[: min(_BLOCK, m)], v[:m])[:m]
     spectra: dict = {}
     for e in range(_BLOCK, m, _BLOCK):
-        blocks = e // _BLOCK
-        b = _BLOCK * (blocks & -blocks)
-        out[e : e + b] += _far_lags(v[e - b : e], kernel[:m], _BLOCK, min(b, m - e), spectra)
+        b, count = _merge_at(e, _BLOCK, m)
+        out[e : e + count] += _far_lags(v[e - b : e], kernel[:m], _BLOCK, count, spectra)
     if m < n:
         out = np.concatenate((out, [kernel[m::-1].dot(v[: m + 1])], np.full(n - m - 1, np.nan)))
     out = out.astype(float)

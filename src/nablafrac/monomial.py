@@ -76,7 +76,7 @@ def _scalar(value, name: str, kind: str) -> numbers.Real:
     return value
 
 
-def _integral(value, name: str, minimum: int | None = None) -> int:
+def _integral(value, name: str, minimum: int | None = None, maximum: int = sys.maxsize) -> int:
     """``value`` as an int: the one check of every count and index argument.
 
     An int, a bool (0 or 1, as Python takes it), an integral float, or a
@@ -86,10 +86,12 @@ def _integral(value, name: str, minimum: int | None = None) -> int:
     string, None, a sequence, a complex) ``TypeError``, both saying
     ``{name} must be an integer``.  A count, an argument with a
     ``minimum``, raises ``ValueError`` below it (``{name} must be >=
-    {minimum}``) and above ``sys.maxsize``, the largest size NumPy takes
-    (``{name} must be <= 9223372036854775807`` on 64-bit hosts); an index
-    takes any int.  Nothing of the size that ``value`` names is formed, so
-    a count too large to allocate fails where its array is made.
+    {minimum}``) and above ``maximum`` (``{name} must be <= {maximum}``):
+    by default ``sys.maxsize``, the largest size NumPy takes,
+    9223372036854775807 on 64-bit hosts, and one less for a count whose
+    row holds ``value + 1`` entries.  An index takes any int.  Nothing of
+    the size that ``value`` names is formed, so a count too large to
+    allocate fails where its array is made.
     """
     value = _scalar(value, name, "an integer")
     if not isinstance(value, numbers.Integral) and not float(value).is_integer():
@@ -97,9 +99,9 @@ def _integral(value, name: str, minimum: int | None = None) -> int:
     value = int(value)
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    if minimum is not None and value > sys.maxsize:
+    if minimum is not None and value > maximum:
         # the value itself is left out: it may have thousands of digits
-        raise ValueError(f"{name} must be <= {sys.maxsize}")
+        raise ValueError(f"{name} must be <= {maximum}")
     return value
 
 

@@ -18,9 +18,9 @@ one full-history sum per step costs O(n^2).  The stepping core,
 * Leaves.  The offsets fall into leaves of ``_LEAF`` (512) points.  A
   finished block adds its history beyond the ``_NEAR`` (64) nearest lags
   to the block after it by FFT convolution, ``grid._far_lags``, on the
-  block-causal schedule of the grid operators' heads (see
-  :mod:`nablafrac.grid`), ``_MERGE_COLUMNS`` (8) columns of a batch at a
-  time.
+  block-causal schedule of the grid operators' heads, ``grid._merge_at``,
+  whose notes in :mod:`nablafrac.grid` are its one description,
+  ``_MERGE_COLUMNS`` (8) columns of a batch at a time.
 * Crossing lags.  Every nearer or in-leaf lag is summed directly: each
   leaf but the first starts with one dense product of the lags of at most
   ``_NEAR`` that cross its edge.
@@ -94,12 +94,13 @@ envelope H_{nu-1}(t, rho(a)) of :func:`envelope_sequence`.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .grid import GridFunction, _convolve_head, _far_lags, _require_finite
+from .grid import GridFunction, _convolve_head, _far_lags, _merge_at, _require_finite
 from .monomial import _integral, _real, _real_array, _recurrence_tail, convolution_weights
 
 __all__ = [
@@ -184,7 +185,7 @@ def envelope_sequence(nu: float, n_max: int) -> np.ndarray:
     1, 0, 0, ..., the envelope's limit at order 0.
     """
     nu = _real(nu, "order", 0.0, 1.0)
-    return _recurrence_tail(nu - 1.0, _integral(n_max, "n_max", 0) + 1)
+    return _recurrence_tail(nu - 1.0, _integral(n_max, "n_max", 0, sys.maxsize - 1) + 1)
 
 
 def _micro_size(q: np.ndarray, constant: bool) -> int:
@@ -327,7 +328,8 @@ def _solve_steps(
     For fractional orders the history sum_{j<n} w[n - j] u[j] is split by
     divide and conquer (Hairer, Lubich and Schlichte, 1985), as the module
     notes lay out.  The FFT merges run the heads' schedule on ``_LEAF``
-    points, see the grid module.  Choices the code does not show:
+    points, ``grid._merge_at``, described once in the grid module's notes.
+    Choices the code does not show:
 
     * Lags up to ``_NEAR`` are summed directly, never by a merge.  The FFT's
       rounding scales with the norm of the kernel, which the first lags
@@ -417,9 +419,7 @@ def _solve_steps(
         for lo in range(0, n_max + 1, _LEAF):
             hi = min(lo + _LEAF, n_max + 1)
             if lo:
-                leaves = lo // _LEAF
-                block = _LEAF * (leaves & -leaves)
-                count = min(block, n_max + 1 - lo)
+                block, count = _merge_at(lo, _LEAF, n_max + 1)
                 # a few columns per merge, each scaled on its own (see the
                 # docstring)
                 for j in range(0, u2.shape[1], _MERGE_COLUMNS):
@@ -479,7 +479,7 @@ def mittag_leffler_seq(c: CoefficientLike, nu: float, n_max: int) -> np.ndarray:
     broadcast batch.
     """
     nu = _real(nu, "order", 0.0, 1.0)
-    n_max = _integral(n_max, "n_max", 0)
+    n_max = _integral(n_max, "n_max", 0, sys.maxsize - 1)
     weights = convolution_weights(nu, n_max + 1)
     carr = coefficient_array(c, n_max)
     zeros = coefficient_array(0.0, n_max)

@@ -133,6 +133,26 @@ def test_apply_lists_its_operators_in_order(runner, tmp_path):
     assert "'diff' is not one of 'sum', 'diff-direct', 'diff-composed', 'nabla'" in result.output
 
 
+@pytest.mark.parametrize("op, attr", [("sum", "nabla_sum"), ("diff-direct", "nabla_frac_diff_direct")])
+def test_apply_runs_the_module_attribute_it_finds_at_call_time(runner, tmp_path, monkeypatch, op, attr):
+    # a tracer wraps functions where a module binds them: apply must run the
+    # function cli holds when it is called, not one bound at import
+    path = tmp_path / "u.csv"
+    _write_grid(path, 1, np.cos(np.arange(300.0)))
+    args = ["apply", "--op", op, "--nu", "0.3", "--input", str(path)]
+    want = runner.invoke(main, args).output
+    original, calls = getattr(nablafrac.cli, attr), []
+
+    def spy(*call_args):
+        calls.append(call_args)
+        return original(*call_args)
+
+    monkeypatch.setattr(nablafrac.cli, attr, spy)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0 and result.output == want
+    assert len(calls) == 1
+
+
 def test_apply_output_reingests(runner, tmp_path):
     src = tmp_path / "src.csv"
     mid = tmp_path / "mid.csv"

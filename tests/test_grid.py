@@ -33,7 +33,7 @@ from nablafrac.exact import (
     oracle_nabla_sum,
 )
 from nablafrac.formats import GridCsvError, read_grid_csv, write_grid_csv
-from nablafrac.grid import _BLOCK, _convolve_head, _far_lags
+from nablafrac.grid import _BLOCK, _convolve_head, _far_lags, _merge_at
 
 
 def _common_domain_gap(direct, composed):
@@ -381,6 +381,29 @@ def test_far_lags_match_the_direct_sum(dtype, bound, near, columns):
             assert np.max(np.abs(got - want)) <= bound * scale
         # the kernel spectrum is cached by its transform length
         assert list(spectra) == [size]
+
+
+@pytest.mark.parametrize("leaf", [_BLOCK, 512])
+def test_the_merge_schedule_meets_each_pair_of_leaves_once(leaf):
+    # the heads run it on leaves of _BLOCK points, the stepping core on 512:
+    # every horizon up to three leaves, those around each power of two up to
+    # 16 leaves, and the long horizons of the benchmark
+    horizons = list(range(1, 3 * leaf + 1))
+    horizons += [leaf * 2**k + d for k in range(5) for d in (-1, 0, 1)] + [5000, 40001]
+    for n in horizons:
+        leaves = -(-n // leaf)
+        # meets[i, j], the merges that carry leaf i's points to leaf j's
+        meets = np.zeros((leaves, leaves), dtype=int)
+        for offset in range(leaf, n, leaf):
+            block, count = _merge_at(offset, leaf, n)
+            assert count == min(block, n - offset), (n, offset)
+            # the sources lie before the offset, from 0 on, and the fed
+            # points before n
+            assert block % leaf == 0 and 0 <= offset - block < offset, (n, offset)
+            assert offset + count <= n, (n, offset)
+            first, last = (offset - block) // leaf, offset // leaf
+            meets[first:last, last : -(-(offset + count) // leaf)] += 1
+        assert np.array_equal(meets, np.triu(np.ones_like(meets), 1)), n
 
 
 def test_memory_crosses_block_edges():
