@@ -6,7 +6,12 @@ too large to allocate or a range axis of more than 10^4 points, 3 input too
 short for the requested operator, 4 singular step while solving,
 5 result overflowed.  Output is written by :mod:`nablafrac.formats`: CSV
 with 17 significant digits, JSON in the shortest form that reads back to
-the same float64.  Identical invocations produce byte-identical files.
+the same float64.  Identical invocations produce byte-identical files on
+one machine with one NumPy/BLAS build.  Under another OpenBLAS kernel the
+stepping core's block products and the float64 residual column can move in
+the last digits, and with them a scan's tail_stat; decay classes stay
+equal, and the long-double operators and first-order traces stay
+byte-identical (README, "Numerical notes").
 """
 
 from __future__ import annotations

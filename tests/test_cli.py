@@ -1,7 +1,9 @@
 """Command-line interface: happy paths, exit codes, determinism."""
 
+import difflib
 import io
 import json
+import pathlib
 import warnings
 
 import click
@@ -26,12 +28,6 @@ def _write_grid(path, base, values):
 
 
 # --- monomial -----------------------------------------------------------
-
-
-def test_monomial_half_order_fixture(runner):
-    result = runner.invoke(main, ["monomial", "--mu", "-0.5", "--n-max", "3"])
-    assert result.exit_code == 0
-    assert result.output == "n,value\n0,0\n1,1\n2,0.5\n3,0.375\n"
 
 
 def test_monomial_negative_integer_order_is_zero(runner):
@@ -650,213 +646,52 @@ def test_compare_opens_both_outputs_before_writing_either(runner, tmp_path):
 
 # --- exact bytes ----------------------------------------------------------
 
-# exact output text, so that any change to a CSV or JSON layout shows here;
-# compare and scan need n-max >= 20 for classification
-_PINNED_OUTPUTS = [
-    (
-        ["monomial", "--mu", "0.5", "--n-max", "3", "--format", "json"],
-        """\
-{
-  "kind": "monomial_sequence",
-  "mu": 0.5,
-  "n": [
-    0,
-    1,
-    2,
-    3
-  ],
-  "value": [
-    0.0,
-    1.0,
-    1.5,
-    1.875
-  ]
-}
-""",
-    ),
-    (
-        ["apply", "--op", "diff-direct", "--nu", "0.5", "--input", "INPUT", "--format", "json"],
-        """\
-{
-  "kind": "operator_result",
-  "op": "diff-direct",
-  "nu": 0.5,
-  "base": 1,
-  "index": [
-    1,
-    2,
-    3
-  ],
-  "value": [
-    1.0,
-    1.5,
-    1.875
-  ]
-}
-""",
-    ),
-    (
-        ["apply", "--op", "sum", "--nu", "0.5", "--input", "INPUT"],
-        """\
-# base=0
-index,value
-0,0
-1,1
-2,2.5
-3,4.375
-""",
-    ),
-    (
-        ["solve", "--nu", "0.5", "--c", "0", "--n-max", "3", "--format", "json"],
-        """\
-{
-  "kind": "solution_trace",
-  "base": 0,
-  "nu": 0.5,
-  "n": [
-    0,
-    1,
-    2,
-    3
-  ],
-  "t": [
-    0,
-    1,
-    2,
-    3
-  ],
-  "u": [
-    1.0,
-    0.5,
-    0.375,
-    0.3125
-  ],
-  "residual": [
-    0.0,
-    0.0,
-    0.0,
-    0.0
-  ],
-  "envelope": [
-    1.0,
-    0.5,
-    0.375,
-    0.3125
-  ],
-  "u0": 1.0,
-  "coefficients": "0",
-  "form": "on_u_lag",
-  "order": "frac"
-}
-""",
-    ),
-    (
-        ["solve", "--c", "-0.5", "--order", "1", "--n-max", "3"],
-        """\
-n,t,u,residual,envelope
-0,0,1,0,nan
-1,1,0.5,0,nan
-2,2,0.25,0,nan
-3,3,0.125,0,nan
-""",
-    ),
-    (
-        ["compare", "--nu", "0.5", "--c", "demo-constant", "--n-max", "20"],
-        """\
-n,t,u_first_order,u_fractional
-0,0,1,1
-1,1,1,0.5
-2,2,1,0.375
-3,3,1,0.3125
-4,4,1,0.2734375
-5,5,1,0.24609375
-6,6,1,0.2255859375
-7,7,1,0.20947265625
-8,8,1,0.196380615234375
-9,9,1,0.1854705810546875
-10,10,1,0.17619705200195312
-11,11,1,0.16818809509277344
-12,12,1,0.16118025779724121
-13,13,1,0.15498101711273193
-14,14,1,0.14944598078727722
-15,15,1,0.14446444809436798
-16,16,1,0.13994993409141898
-17,17,1,0.13583375955931842
-18,18,1,0.13206059957155958
-19,19,1,0.12858532063546591
-20,20,1,0.12537068761957926
-{
-  "kind": "comparison_verdict",
-  "nu": 0.5,
-  "form": "on_u_lag",
-  "first_order": "bounded_nonvanishing",
-  "fractional": "bounded_nonvanishing",
-  "first_order_tail": 0.0,
-  "fractional_tail": -0.4935890409572688
-}
-""",
-    ),
-    (
-        ["compare", "--nu", "0.5", "--c", "demo-oscillation", "--form", "on_u_t", "--n-max", "20"],
-        """\
-n,t,u_first_order,u_fractional
-0,0,1,1
-1,1,-1,-0.5
-2,2,1,0.125
-3,3,-1,-0.0625
-4,4,1,0.0078125
-5,5,-1,-0.01171875
-6,6,1,-0.0029296875
-7,7,-1,-0.00439453125
-8,8,1,-0.002899169921875
-9,9,-1,-0.0026702880859375
-10,10,1,-0.002201080322265625
-11,11,-1,-0.0019359588623046875
-12,12,1,-0.0016906261444091797
-13,13,-1,-0.0015028715133666992
-14,14,1,-0.0013440549373626709
-15,15,-1,-0.0012124925851821899
-16,16,1,-0.0011006738059222698
-17,17,-1,-0.0010051669087260962
-18,18,1,-0.00092266435967758298
-19,19,-1,-0.00085087152547203004
-20,20,1,-0.00078792049680487253
-{
-  "kind": "comparison_verdict",
-  "nu": 0.5,
-  "form": "on_u_t",
-  "first_order": "bounded_nonvanishing",
-  "fractional": "tends_to_zero",
-  "first_order_tail": 0.0,
-  "fractional_tail": -1.4985186039006038
-}
-""",
-    ),
-    (
-        ["scan", "--nu-grid", "0.3,0.6", "--c-grid", "-0.5,0.1", "--n-max", "20"],
-        """\
-nu,c,decay_class,tail_stat
-0.3,-0.5,tends_to_zero,-1.0121797910390193
-0.3,0.1,tends_to_zero,-0.52069084316271574
-0.6,-0.5,tends_to_zero,-1.4325773272870415
-0.6,0.1,bounded_nonvanishing,0.29979734477627679
-""",
-    ),
-]
+# every pinned output is a case directory under tests/golden/: its argv, one
+# argument per line, the input files it names by relative path, and its
+# expected stdout bytes.  CI runs the same cases through the installed
+# console script; README "Tests and the acceptance suite" says how to add one.
+# compare and scan need --n-max >= 20 for classification
+_GOLDEN = pathlib.Path(__file__).parent / "golden"
+_CASES = sorted(path.name for path in _GOLDEN.iterdir() if path.is_dir())
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    _PINNED_OUTPUTS,
-    ids=["monomial-json", "apply-json", "apply-csv", "solve-json", "solve-first-order-csv",
-         "compare", "compare-on-u-t", "scan"],
-)
-def test_outputs_are_pinned_byte_for_byte(runner, tmp_path, argv, expected):
-    path = tmp_path / "u.csv"
-    _write_grid(path, 1, [1.0, 2.0, 3.0])
-    result = runner.invoke(main, [str(path) if arg == "INPUT" else arg for arg in argv])
-    assert result.exit_code == 0
-    assert result.output == expected
+def _golden_argv(name):
+    return (_GOLDEN / name / "argv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("name", _CASES)
+def test_outputs_are_pinned_byte_for_byte(runner, monkeypatch, name):
+    monkeypatch.chdir(_GOLDEN / name)
+    result = runner.invoke(main, _golden_argv(name))
+    assert result.exit_code == 0, f"golden case {name} exited {result.exit_code}:\n{result.output}"
+    expected = (_GOLDEN / name / "stdout").read_bytes()
+    if result.stdout_bytes != expected:
+        diff = difflib.unified_diff(
+            expected.decode().splitlines(keepends=True),
+            result.stdout_bytes.decode().splitlines(keepends=True),
+            f"golden/{name}/stdout",
+            "actual",
+        )
+        pytest.fail(f"golden case {name} differs:\n{''.join(diff)}", pytrace=False)
+
+
+def _golden_runs(name):
+    """The command a case runs, and the value of each of its choice options, defaults included."""
+    command, *args = _golden_argv(name)
+    params = main.commands[command].make_context(command, args, resilient_parsing=True).params
+    choices = [p for p in main.commands[command].params if isinstance(p.type, click.Choice)]
+    return {command} | {f"{command} {p.opts[0]} {params[p.name]}" for p in choices}
+
+
+def test_every_command_and_choice_has_a_golden_case():
+    wanted = set(main.commands) | {
+        f"{name} {p.opts[0]} {choice}"
+        for name, command in main.commands.items()
+        for p in command.params
+        if isinstance(p.type, click.Choice)
+        for choice in p.type.choices
+    }
+    assert sorted(wanted - set().union(*map(_golden_runs, _CASES))) == []
 
 
 def test_every_option_has_help_text(runner):
