@@ -234,7 +234,7 @@ def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=_ACCUMULATION) -> np
     m = n if finite.all() else int(finite.argmin())
     scaled = np.finfo(dtype).maxexp <= 1024
     if scaled:
-        _, exponent = np.frexp(np.max(np.abs(v)))
+        _, exponent = np.frexp(np.maximum(v.max(), -v.min()))
         v = np.ldexp(v, -exponent)
     kernel, v = kernel.astype(dtype), v.astype(dtype)
     out = np.convolve(kernel[: min(_BLOCK, m)], v[:m])[:m]

@@ -337,7 +337,9 @@ def _solve_steps(
       up over the slowly decaying memory of orders near 1.
     * Each column is scaled by its own power of two before a merge and back
       after it (exact), so a column near overflow neither overflows in the
-      transform nor sets the scale of the others.
+      transform nor sets the scale of the others.  The powers of every
+      column come from one pass over the merge's source rows, the larger of
+      each column's max and -min, which copies nothing.
     * A merge runs on ``_MERGE_COLUMNS`` columns at a time, each chunk
       transformed and added into its own columns of ``u`` before the next
       is scaled, so a merge's spectrum and transform output are a fraction
@@ -422,9 +424,11 @@ def _solve_steps(
                 block, count = _merge_at(lo, _LEAF, n_max + 1)
                 # a few columns per merge, each scaled on its own (see the
                 # docstring)
+                history = u2[lo - block : lo]
+                _, exponents = np.frexp(np.maximum(history.max(axis=0), -history.min(axis=0)))
                 for j in range(0, u2.shape[1], _MERGE_COLUMNS):
-                    source = u2[lo - block : lo, j : j + _MERGE_COLUMNS]
-                    _, exponent = np.frexp(np.max(np.abs(source), axis=0))
+                    exponent = exponents[j : j + _MERGE_COLUMNS]
+                    source = history[:, j : j + _MERGE_COLUMNS]
                     far = _far_lags(np.ldexp(source, -exponent), weights, _NEAR + 1, count, spectra)
                     u2[lo : lo + count, j : j + _MERGE_COLUMNS] += np.ldexp(far, exponent, out=far)
                     # the merge's transform buffer is not kept past its chunk

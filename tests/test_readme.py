@@ -1,11 +1,13 @@
-"""The README's library quick tour runs as written."""
+"""The README's library quick tour runs as written, and every reference to
+one of its sections names a heading it has."""
 
 import contextlib
 import io
 import pathlib
 import re
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_quick_tour_runs():
@@ -20,3 +22,16 @@ def test_quick_tour_runs():
     assert report.criterion_all and report.bound_all
     assert report.decay_class.value == "tends_to_zero"
     assert out.getvalue().splitlines()[-1] == "True True tends_to_zero"
+
+
+def test_section_references_name_a_heading():
+    # code blocks hold '# ' lines that are no headings
+    text = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.M | re.S)
+    headings = set(re.findall(r"^#+ (.*?)\s*$", text, re.M))
+    references = set()
+    for path in sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("tests/**/*.py")):
+        # a reference may wrap across lines
+        words = " ".join(path.read_text().split())
+        references |= {(path.name, name) for name in re.findall(r'README,? "([^"]+)"', words)}
+    assert references
+    assert {(file, name) for file, name in references if name not in headings} == set()
