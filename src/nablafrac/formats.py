@@ -54,10 +54,8 @@ does not pay for them.  A table with any other column is formatted by one
 from __future__ import annotations
 
 import functools
-import io
 import json
 import math
-import warnings
 from itertools import chain, islice
 from types import SimpleNamespace
 from typing import IO, Collection, Iterable, Sequence
@@ -441,8 +439,9 @@ def read_grid_csv(stream: IO[str]) -> GridFunction:
 
     After the header, the rows of an ASCII text are parsed in bulk by
     ``np.loadtxt`` into an int64 index and a float64 value, and checked by
-    array comparisons: a non-empty body with no ``#`` and no separator
-    character U+001C to U+001F, finite values and a consecutive index run.
+    array comparisons: a body with a non-blank line, no ``#`` and no
+    separator character U+001C to U+001F, finite values and a consecutive
+    index run.
     Anything NumPy rejects or the checks refuse goes to the row-by-row
     parse, which raises the error of the first bad row, or accepts what
     ``int`` and ``float`` read and NumPy does not: ``_`` digit separators,
@@ -450,9 +449,9 @@ def read_grid_csv(stream: IO[str]) -> GridFunction:
     """
     # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
     text = stream.read().removeprefix("\ufeff")
-    lines = io.StringIO(text)
+    lines = text.split("\n")
     # the header is the first line that is neither blank nor a comment
-    for number, line in enumerate(iter(lines.readline, ""), 1):
+    for number, line in enumerate(lines, 1):
         header = line.strip()
         if header and header[0] != "#":
             break
@@ -460,13 +459,11 @@ def read_grid_csv(stream: IO[str]) -> GridFunction:
         raise GridCsvError("line 1: missing 'index,value' header")
     if header.lower() != "index,value":
         raise GridCsvError(f"line {number}: expected header 'index,value', got {header!r}")
-    start = lines.tell()
-    if text.isascii() and all(text.find(c, start) < 0 for c in _NOT_BULK):
+    body, start = lines[number:], len("\n".join(lines[:number]))
+    # a blank body is left to the row-by-row parse, which refuses it
+    if text.isascii() and all(text.find(c, start) < 0 for c in _NOT_BULK) and any(map(str.strip, body)):
         try:
-            # an empty body warns and gives no rows, which the checks refuse
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(lines, delimiter=",", comments=None, dtype=_ROW, ndmin=1)
+            rows = np.loadtxt(body, delimiter=",", comments=None, dtype=_ROW, ndmin=1)
         except ValueError:
             pass
         else:
@@ -479,8 +476,7 @@ def read_grid_csv(stream: IO[str]) -> GridFunction:
                 and indices[-1] >= indices[0]
             ):
                 return GridFunction(int(indices[0]), values)
-    lines.seek(start)
-    return _parse_rows(lines, number + 1)
+    return _parse_rows(body, number + 1)
 
 
 def _parse_rows(lines: Iterable[str], first: int) -> GridFunction:

@@ -638,10 +638,14 @@ def test_compare_opens_both_outputs_before_writing_either(runner, tmp_path):
     assert result.exit_code == 0
     assert existing.read_text().startswith("n,t,u_first_order,u_fractional\n0,0,1,1\n")
     assert json.loads((tmp_path / "v.json").read_text())["kind"] == "comparison_verdict"
-    # one path for both holds the table, then the verdict, as stdout does
-    both = str(tmp_path / "both.txt")
-    assert runner.invoke(main, plain + ["-o", both, "-v", both]).exit_code == 0
-    assert open(both).read() == runner.invoke(main, plain).output
+    # one path for both holds the table, then the verdict, as stdout does,
+    # in either spelling and over a longer old file; streams that each wrote
+    # from offset 0 would leave the verdict alone
+    both, want = tmp_path / "both.txt", runner.invoke(main, plain).output
+    for verdict in (str(both), f"{tmp_path}/./both.txt"):
+        both.write_text("x" * 2 * len(want))
+        assert runner.invoke(main, plain + ["-o", str(both), "-v", verdict]).exit_code == 0
+        assert both.read_text() == want, verdict
 
 
 # --- exact bytes ----------------------------------------------------------

@@ -109,6 +109,17 @@ def test_composed_integer_order_routes_to_classical():
     assert out == oracle_nabla_diff_n(VALUES, 2)
 
 
+def test_oracles_reject_bad_orders_and_short_inputs():
+    with pytest.raises(ValueError, match="order must be >= 1, got 0"):
+        oracle_nabla_diff_n(VALUES, 0)
+    with pytest.raises(ValueError, match="not enough points for the difference"):
+        oracle_nabla_diff_n([1], 1)
+    with pytest.raises(ValueError, match="order must be positive, got 0"):
+        oracle_frac_diff_composed(VALUES, 0)
+    with pytest.raises(ValueError, match="coefficient sequence has 4 entries, need 5"):
+        oracle_solve(F(1, 2), 0, [F(-1, 2)] * 4, 0, 1, 5)
+
+
 def test_mittag_leffler_zero_coefficient_prefix():
     # c = 0 gives the H_{nu-1} tail exactly: 1, 1/2, 3/8, 5/16, 35/128, 63/256
     seq = oracle_solve(F(1, 2), 0, 0, 0, 1, 5)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,14 @@ def test_nested_values_raise_type_error(value):
         write_document(io.StringIO(), "k", ok=[1.0] * (_CHUNK + 1), values=value)
 
 
+@pytest.mark.parametrize("value, name", [(object(), "object"), ({1, 2}, "set")])
+def test_values_json_cannot_hold_raise_type_error(value, name):
+    # the encoder hands them to the NumPy scalar hook, which refuses them:
+    # a hook that returned None would write them silently as null
+    with pytest.raises(TypeError, match=f"Object of type {name} is not JSON serializable"):
+        write_document(io.StringIO(), "k", x=value)
+
+
 # --- CLI outputs at the README horizon --------------------------------------
 
 
@@ -501,6 +510,15 @@ def test_read_grid_csv_matches_the_row_by_row_reader(text):
 )
 def test_read_grid_csv_edge_cases_match_the_row_by_row_reader(text):
     assert _outcome(read_grid_csv, text) == _outcome(_read_rows, text)
+
+
+@pytest.mark.parametrize("text", ["index,value\n  \n\t\n", "# note\nindex,value\n"])
+def test_read_grid_csv_refuses_a_blank_body_without_numpy(text):
+    # np.loadtxt warns on an empty input; a blank body never reaches it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridCsvError, match="^no data rows after the header$"):
+            read_grid_csv(io.StringIO(text))
 
 
 def test_read_grid_csv_drops_one_leading_byte_order_mark(monkeypatch):
