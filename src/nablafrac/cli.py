@@ -4,14 +4,15 @@ Exit codes: 0 success, 2 invalid parameters (a non-finite initial value or
 scan range among them), malformed input, an unwritable output path, a size
 too large to allocate or a range axis of more than 10^4 points, 3 input too
 short for the requested operator, 4 singular step while solving,
-5 result overflowed.  Output is written by :mod:`nablafrac.formats`: CSV
-with 17 significant digits, JSON in the shortest form that reads back to
-the same float64.  Identical invocations produce byte-identical files on
-one machine with one NumPy/BLAS build.  Under another OpenBLAS kernel the
-stepping core's block products and the float64 residual column can move in
-the last digits, and with them a scan's tail_stat; decay classes stay
-equal, and the long-double operators and first-order traces stay
-byte-identical (README, "Numerical notes").
+5 result overflowed.  The codes hold at every step of a command, reading
+its inputs and writing its outputs included.  Output is written by
+:mod:`nablafrac.formats`: CSV with 17 significant digits, JSON in the
+shortest form that reads back to the same float64.  Identical invocations
+produce byte-identical files on one machine with one NumPy/BLAS build.
+Under another OpenBLAS kernel the stepping core's block products and the
+float64 residual column can move in the last digits, and with them a
+scan's tail_stat; decay classes stay equal, and the long-double operators
+and first-order traces stay byte-identical (README, "Numerical notes").
 """
 
 from __future__ import annotations
@@ -96,19 +97,6 @@ _FORMAT_OPTION = click.option(
 _OUTPUT_OPTION = click.option("--output", "-o", default="-", help="Output path ('-' for stdout).")
 
 
-@contextlib.contextmanager
-def _library_errors():
-    """Turn library errors raised inside the block into the documented exit codes."""
-    try:
-        yield
-    except tuple(_EXIT_CODES) as exc:
-        error = click.ClickException(str(exc))
-        error.exit_code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-        raise error from None
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-
-
 def _read_grid(path: str) -> GridFunction:
     """Read a grid CSV; a malformed file is a usage error naming the path."""
     with open(path, "r") as stream:
@@ -188,10 +176,27 @@ def _parse_axis(spec: str, name: str) -> list[float]:
         raise click.UsageError(f"{name} spec {spec!r}: {exc}") from None
 
 
+class _Command(click.Command):
+    """A subcommand whose library errors, raised at any step, end in the documented exit codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except tuple(_EXIT_CODES) as exc:
+            error = click.ClickException(str(exc))
+            error.exit_code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+            raise error from None
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from None
+
+
 @click.group()
 @click.version_option(version=__version__)
 def main() -> None:
     """Discrete nabla fractional calculus toolkit."""
+
+
+main.command_class = _Command
 
 
 @main.command("monomial")
@@ -203,9 +208,8 @@ def main() -> None:
 @_FORMAT_OPTION
 def monomial_cmd(mu: float, n_max: int, output: str, fmt: str) -> None:
     """Emit the Taylor monomial values at offsets 0..N-MAX as n,value rows."""
-    with _library_errors():
-        values = monomial_sequence(mu, n_max)
-        _require_finite(values, 0)
+    values = monomial_sequence(mu, n_max)
+    _require_finite(values, 0)
     with _open_outputs(output) as (stream,):
         if fmt == "json":
             write_document(stream, "monomial_sequence", mu=mu, n=range(n_max + 1), value=values)
@@ -239,8 +243,7 @@ def apply_cmd(op: str, nu: float | None, input_path: str, output: str, fmt: str)
         raise click.UsageError(f"--nu does not apply to --op {op}, which has order {order}")
     grid = _read_grid(input_path)
     operator = globals()[name]
-    with _library_errors():
-        result = operator(grid, nu) if order is None else operator(grid)
+    result = operator(grid, nu) if order is None else operator(grid)
     with _open_outputs(output) as (stream,):
         if fmt == "json":
             index = range(result.base, result.last + 1)
@@ -285,12 +288,11 @@ def solve_cmd(
     operator to the computed solution.
     """
     coeff = _resolve_coefficients(c_spec, base)
-    with _library_errors():
-        if order == "frac" and nu is None:
-            raise click.UsageError("--nu is required for the fractional solve")
-        # a given --nu is checked at either order
-        problem = LinearProblem(nu, base, *FirstOrderForm(form).split(coeff), 0.0, u0)
-        trace = solve_general(problem if order == "frac" else replace(problem, nu=None), n_max)
+    if order == "frac" and nu is None:
+        raise click.UsageError("--nu is required for the fractional solve")
+    # a given --nu is checked at either order
+    problem = LinearProblem(nu, base, *FirstOrderForm(form).split(coeff), 0.0, u0)
+    trace = solve_general(problem if order == "frac" else replace(problem, nu=None), n_max)
     with _open_outputs(output) as (stream,):
         if fmt == "json":
             write_trace_json(
@@ -325,8 +327,7 @@ def compare_cmd(
     verdict with both decay classifications to --verdict.
     """
     coeff = _resolve_coefficients(c_spec, base)
-    with _library_errors():
-        comparison = compare_orders(coeff, nu, form, u0, n_max, base)
+    comparison = compare_orders(coeff, nu, form, u0, n_max, base)
     with _open_outputs(output, verdict_path) as (table, verdict):
         first, frac = comparison.first_order, comparison.fractional
         n, t = range(len(first)), range(first.base, first.last + 1)
@@ -358,8 +359,7 @@ def scan_cmd(nu_grid: str, c_grid: str, n_max: int, output: str) -> None:
     """
     nus = _parse_axis(nu_grid, "--nu-grid")
     cs = _parse_axis(c_grid, "--c-grid")
-    with _library_errors():
-        cells = stability_scan(nus, cs, n_max)
+    cells = stability_scan(nus, cs, n_max)
     with _open_outputs(output) as (stream,):
         write_scan_csv(cells, stream)
 

@@ -547,23 +547,40 @@ def test_scan_rejects_infinite_range_parts(runner):
 _HUGE = "1000000000000000"
 
 
+def _fail_to_allocate(*args, **kwargs):
+    raise MemoryError("Unable to allocate the array")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, patched",
     [
-        ["monomial", "--mu", "0.5", "--n-max", _HUGE],
-        ["solve", "--nu", "0.5", "--c", "-0.5", "--n-max", _HUGE],
-        ["solve", "--order", "1", "--c", "-0.5", "--n-max", _HUGE],
-        ["compare", "--nu", "0.5", "--c", "-0.5", "--n-max", _HUGE],
+        (["monomial", "--mu", "0.5", "--n-max", _HUGE], None),
+        (["solve", "--nu", "0.5", "--c", "-0.5", "--n-max", _HUGE], None),
+        (["solve", "--order", "1", "--c", "-0.5", "--n-max", _HUGE], None),
+        (["compare", "--nu", "0.5", "--c", "-0.5", "--n-max", _HUGE], None),
         # the scan once checked every entry of its broadcast batch first,
         # which did not end, before it allocated anything
-        ["scan", "--nu-grid", "0.5", "--c-grid", "-0.5", "--n-max", _HUGE],
+        (["scan", "--nu-grid", "0.5", "--c-grid", "-0.5", "--n-max", _HUGE], None),
         # a range axis once became a list over range(10**300)
-        ["scan", "--c-grid", "0:1:1e-300"],
+        (["scan", "--c-grid", "0:1:1e-300"], None),
+        # a MemoryError while reading an input or writing the output once
+        # escaped as a traceback: the patched function raises it, allocating
+        # nothing
+        (["apply", "--op", "nabla", "--input", "g.csv"], "read_grid_csv"),
+        (["solve", "--nu", "0.5", "--c", "g.csv", "--n-max", "3"], "read_grid_csv"),
+        (["solve", "--nu", "0.5", "--c", "-0.3", "--n-max", "10"], "write_trace_csv"),
     ],
-    ids=["monomial", "solve", "solve-order-1", "compare", "scan-n-max", "scan-axis"],
+    ids=[
+        "monomial", "solve", "solve-order-1", "compare", "scan-n-max", "scan-axis",
+        "apply-read", "solve-read", "solve-write",
+    ],
 )
-def test_sizes_that_cannot_be_allocated_exit_2(runner, argv):
+def test_sizes_that_cannot_be_allocated_exit_2(runner, tmp_path, monkeypatch, argv, patched):
     # they once ended in a NumPy MemoryError traceback, or did not end
+    if patched is not None:
+        _write_grid(tmp_path / "g.csv", 1, [-0.3, -0.3, -0.3])
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(nablafrac.cli, patched, _fail_to_allocate)
     result = runner.invoke(main, argv)
     assert result.exit_code == 2
     assert result.exception is None or isinstance(result.exception, SystemExit)

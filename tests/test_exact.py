@@ -65,6 +65,14 @@ def test_weight_row_consistency_and_frozen_value():
     assert oracle_weight_row(1, 6) == [1, -1, 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("nu", [F(3, 10), F(7, 8)])
+def test_weights_of_the_nearest_lags_sum_to_the_memory_monomial(nu):
+    # the memory property, exactly: the weights at lags 1..L sum to H_{-nu}(L),
+    # so the history past lag L weighs H_{-nu}(L)
+    for lag in range(1, 61):
+        assert sum(oracle_weight_row(nu, lag)) == oracle_monomial(-nu, lag), lag
+
+
 def test_sum_power_rule_is_exact():
     mu, nu = F(1, 3), F(1, 2)
     samples = [oracle_monomial(mu, j) for j in range(1, 26)]

@@ -1079,6 +1079,35 @@ def test_truncated_history_defect_only_for_the_fractional_operator():
     assert abs((first[-1] - first[-2]) - c * first[-2]) <= 1e-14
 
 
+def _short_memory_loop(c, nu, n_max, lags):
+    """The lagged equation stepped with only the ``lags`` nearest history lags."""
+    w = convolution_weights(nu, n_max + 1)
+    u = np.empty(n_max + 1)
+    u[0] = 1.0
+    for n in range(1, n_max + 1):
+        lo = max(0, n - lags)
+        u[n] = c * u[n - 1] - np.dot(w[n - lo:0:-1], u[lo:n])
+    return u
+
+
+def test_cutting_the_memory_changes_the_decay_class_at_its_threshold():
+    # cut to L lags, the symbol at z = 1 is H_{-nu}(L+1) - c, and for c >= 0
+    # |P_L(z)| >= P_L(1) on the closed unit disk: the cut solution decays
+    # while c < H_{-nu}(L+1) and grows above it; the full memory grows for
+    # every c > 0 (the "Memory" note of README, "Numerical notes")
+    nu, c, n_max = 0.5, 0.05, 4000
+    assert np.max(np.abs(_short_memory_loop(c, nu, 300, 300) - mittag_leffler_seq(c, nu, 300))) <= 1e-14
+    threshold = monomial_sequence(-nu, 257)
+    for lags in (16, 64):
+        assert threshold[lags + 1] > c
+        assert np.max(np.abs(_short_memory_loop(c, nu, n_max, lags)[-100:])) < 1e-6, lags
+    assert threshold[257] < c
+    cut = _short_memory_loop(c, nu, n_max, 256)
+    assert cut[-1] > 1e2 and np.all(np.diff(cut[-1000:]) > 0)
+    full = mittag_leffler_seq(c, nu, n_max)
+    assert full[-1] > 1e3 and np.all(np.diff(full[-1000:]) > 0)
+
+
 # --- serialization ------------------------------------------------------
 
 
