@@ -1,18 +1,21 @@
 """Command-line front end: thin, deterministic wrappers over the library.
 
 Exit codes: 0 success, 2 invalid parameters (a non-finite initial value or
-scan range among them), malformed input, an unwritable output path, a size
-too large to allocate or a range axis of more than 10^4 points, 3 input too
-short for the requested operator, 4 singular step while solving,
-5 result overflowed.  The codes hold at every step of a command, reading
-its inputs and writing its outputs included.  Output is written by
-:mod:`nablafrac.formats`: CSV with 17 significant digits, JSON in the
-shortest form that reads back to the same float64.  Identical invocations
-produce byte-identical files on one machine with one NumPy/BLAS build.
-Under another OpenBLAS kernel the stepping core's block products and the
-float64 residual column can move in the last digits, and with them a
-scan's tail_stat; decay classes stay equal, and the long-double operators
-and first-order traces stay byte-identical (README, "Numerical notes").
+scan range among them), malformed input, an output that cannot be opened
+or written (a full disk or a closed pipe among them), a size too large to
+allocate or a range axis of more than 10^4 points, 3 input too short for
+the requested operator, 4 singular step while solving, 5 result
+overflowed.  The codes hold at every step of a command, reading its
+inputs and writing its outputs included.  A command that fails while
+writing leaves no new file; an old file it already emptied keeps what was
+written.  Output is written by :mod:`nablafrac.formats`: CSV with 17
+significant digits, JSON in the shortest form that reads back to the same
+float64.  Identical invocations produce byte-identical files on one
+machine with one NumPy/BLAS build.  Under another OpenBLAS kernel the
+stepping core's block products and the float64 residual column can move
+in the last digits, and with them a scan's tail_stat; decay classes stay
+equal, and the long-double operators and first-order traces stay
+byte-identical (README, "Numerical notes").
 """
 
 from __future__ import annotations
@@ -112,25 +115,29 @@ def _open_outputs(*paths: str):
 
     Files open without truncation and are emptied once all of them opened,
     so a failed open neither leaves a new file behind nor empties an old one.
+    One handler covers opening, writing and closing: any failure removes
+    the files it created, and an operating-system error (a full disk, a
+    closed pipe) exits 2 naming the path, or every path where the error
+    names none.  An old file already emptied keeps what was written.
     """
-    with contextlib.ExitStack() as stack:
-        streams, created = [], []
-        for path in paths:
-            new = path != "-" and not os.path.lexists(path)
-            try:
-                streams.append(stack.enter_context(click.open_file(path, "a")))
-            except OSError as exc:
-                stack.close()
-                for done in created:
-                    os.remove(done)
-                raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
-            if new:
-                created.append(path)
-        for path, stream in zip(paths, streams):
-            if path != "-" and os.path.isfile(path):
-                stream.seek(0)
-                stream.truncate()
-        yield streams
+    new = [path for path in paths if path != "-" and not os.path.lexists(path)]
+    try:
+        with contextlib.ExitStack() as stack:
+            streams = [stack.enter_context(click.open_file(path, "a")) for path in paths]
+            for path, stream in zip(paths, streams):
+                if path != "-" and os.path.isfile(path):
+                    stream.seek(0)
+                    stream.truncate()
+            yield streams
+    except Exception as exc:
+        for path in new:
+            # -o X -v ./X names one new file twice
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        if not isinstance(exc, OSError):
+            raise
+        where = exc.filename or ", ".join(dict.fromkeys(paths))
+        raise click.UsageError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
 def _resolve_coefficients(spec: str, base: int):

@@ -350,11 +350,13 @@ def stability_scan(nu_grid: Sequence[float], c_grid: Sequence[float], n_max: int
     nus, cs = _real_array(nu_grid, "nu_grid"), _real_array(c_grid, "c_grid")
     if not nus.ndim or not cs.ndim:
         raise TypeError(f"nu_grid and c_grid must be sequences, got {nu_grid!r} and {c_grid!r}")
+    for name, grid in (("nu_grid", nus), ("c_grid", cs)):
+        if grid.ndim > 1:
+            raise ValueError(f"{name} must be one-dimensional, got shape {grid.shape}")
     nus = [_real(nu, "nu_grid order", 0.0, 1.0) for nu in nus.tolist()]
     cs = coefficient_array(cs, len(cs))
     n_max = _integral(n_max, "n_max", 2)
-    # one row of memory for every order; a 2-D c grid makes a 3-D batch,
-    # which mittag_leffler_seq refuses before it steps
+    # one row of memory for every order
     coeffs = np.broadcast_to(cs, (n_max,) + cs.shape)
     cells = []
     for nu in nus:

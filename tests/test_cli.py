@@ -1,9 +1,13 @@
 """Command-line interface: happy paths, exit codes, determinism."""
 
 import difflib
+import errno
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import click
@@ -663,6 +667,60 @@ def test_compare_opens_both_outputs_before_writing_either(runner, tmp_path):
         both.write_text("x" * 2 * len(want))
         assert runner.invoke(main, plain + ["-o", str(both), "-v", verdict]).exit_code == 0
         assert both.read_text() == want, verdict
+
+
+def _disk_full(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_failure_while_writing_exits_2_and_leaves_no_new_file(runner, tmp_path, monkeypatch):
+    # an OSError while writing once escaped as a traceback with exit 1 and
+    # left the half-written file behind
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(nablafrac.cli, "write_trace_csv", _disk_full)
+    result = runner.invoke(main, ["solve", "--nu", "0.5", "--c", "-0.3", "--n-max", "10", "-o", "new.csv"])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Error: cannot write new.csv: No space left on device" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "new.csv").exists()
+    # the table is written and flushed before the verdict fails: both go
+    monkeypatch.setattr(nablafrac.cli, "write_document", _disk_full)
+    args = ["compare", "--nu", "0.5", "--c", "-0.3", "--n-max", "30", "-o", "new.csv", "-v", "new.json"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Error: cannot write new.csv, new.json: No space left on device" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_full_device_exits_2(runner, tmp_path):
+    result = runner.invoke(main, ["monomial", "--mu", "0.5", "--n-max", "3", "-o", "/dev/full"])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Error: cannot write /dev/full: No space left on device" in result.output
+    # the table written before the verdict failed goes with it
+    new = tmp_path / "new.csv"
+    args = ["compare", "--nu", "0.5", "--c", "-0.3", "--n-max", "30", "-o", str(new), "-v", "/dev/full"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"Error: cannot write {new}, /dev/full: No space left on device" in result.output
+    assert not new.exists()
+
+
+def test_a_closed_pipe_exits_2(tmp_path):
+    # a closed pipe once exited 1 with no message; the trace is about 400 KB,
+    # more than a pipe buffer holds, so the close always lands during a write
+    argv = [sys.executable, "-m", "nablafrac.cli", "solve", "--nu", "0.5", "--c", "-0.3", "--n-max", "5000"]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(nablafrac.__file__).parents[1])}
+    with open(tmp_path / "stderr", "wb") as stderr:
+        child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=stderr)
+        assert child.stdout.readline() == b"n,t,u,residual,envelope\n"
+        child.stdout.close()
+        assert child.wait(timeout=120) == 2
+    err = (tmp_path / "stderr").read_text()
+    assert err.endswith("Error: cannot write -: Broken pipe\n")
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # --- exact bytes ----------------------------------------------------------

@@ -73,6 +73,41 @@ def test_weights_of_the_nearest_lags_sum_to_the_memory_monomial(nu):
         assert sum(oracle_weight_row(nu, lag)) == oracle_monomial(-nu, lag), lag
 
 
+def _zeros_in_the_closed_unit_disk(coefficients):
+    """Zeros of the real polynomial sum(a_k z^k) with |z| <= 1, by the Schur-Cohn recursion.
+
+    T p = a_0 p - a_d p*, with p* the reversed coefficients, has degree
+    d - 1 and (T p)(0) = a_0^2 - a_d^2 =: gamma.  If every gamma is nonzero,
+    no zero lies on the circle, and the zeros inside are as many as the
+    negative running products of the gammas (Henrici, Applied and
+    Computational Complex Analysis I, section 6.8).  Each T p is scaled by
+    1 / |gamma|, which keeps the signs and stops the bit sizes doubling.
+    """
+    a, count, sign = list(coefficients), 0, 1
+    while len(a) > 1:
+        t = [a[0] * x - a[-1] * y for x, y in zip(a[:-1], a[:0:-1])]
+        gamma = t[0]
+        assert gamma != 0, "a zero on the unit circle, or a degenerate recursion"
+        sign = sign if gamma > 0 else -sign
+        count += sign < 0
+        a = [x / abs(gamma) for x in t]
+    return count
+
+
+@pytest.mark.parametrize("nu", [F(3, 10), F(1, 2), F(7, 8)])
+@pytest.mark.parametrize("lags", [4, 8, 16])
+def test_the_cut_memory_decays_exactly_below_its_threshold(nu, lags):
+    # cut to L lags, the lagged equation's symbol is P_L(z) = sum_{k<=L} w_k z^k - c z,
+    # and its solution decays iff P_L has no zero in the closed unit disk;
+    # P_L(1) = H_{-nu}(L+1) - c, so c = H_{-nu}(L+1) is the threshold
+    w, h = oracle_weight_row(nu, lags + 1), oracle_monomial(-nu, lags + 1)
+    for c, zeros in [
+        (F(0), 0), (h / 2, 0), (h * F(999, 1000), 0), (F(-3, 10), 0),
+        (h * F(1001, 1000), 1), (2 * h, 1), (F(1), 1),
+    ]:
+        assert _zeros_in_the_closed_unit_disk([w[0], w[1] - c, *w[2:]]) == zeros, c
+
+
 def test_sum_power_rule_is_exact():
     mu, nu = F(1, 3), F(1, 2)
     samples = [oracle_monomial(mu, j) for j in range(1, 26)]

@@ -620,11 +620,12 @@ def test_first_order_failures_match_its_stepping_loop():
 # --- divide-and-conquer history ----------------------------------------
 
 
-def _history_loop(p, q, g, nu, u0):
+def _history_loop(p, q, g, nu, u0, lags=None):
     """The plain stepping loop, one full-history dot product per step: O(n^2).
 
     The reference for the divide-and-conquer history of ``_solve_steps``;
-    coefficients have shape (n_max,) or (n_max, k) as there.
+    coefficients have shape (n_max,) or (n_max, k) as there.  Given
+    ``lags``, each step keeps only that many nearest history lags.
     """
     n_max = len(q)
     weights = convolution_weights(nu, n_max + 1)
@@ -633,8 +634,9 @@ def _history_loop(p, q, g, nu, u0):
     u[0] = u0
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_max + 1):
+            lo = 0 if lags is None else max(0, n - lags)
             step = q[n - 1] * u[n - 1] + g[n - 1]
-            step = step - np.dot(weights[n:0:-1], u[:n])
+            step = step - np.dot(weights[n - lo:0:-1], u[lo:n])
             u[n] = step / pivots[n - 1]
     return u
 
@@ -1079,30 +1081,21 @@ def test_truncated_history_defect_only_for_the_fractional_operator():
     assert abs((first[-1] - first[-2]) - c * first[-2]) <= 1e-14
 
 
-def _short_memory_loop(c, nu, n_max, lags):
-    """The lagged equation stepped with only the ``lags`` nearest history lags."""
-    w = convolution_weights(nu, n_max + 1)
-    u = np.empty(n_max + 1)
-    u[0] = 1.0
-    for n in range(1, n_max + 1):
-        lo = max(0, n - lags)
-        u[n] = c * u[n - 1] - np.dot(w[n - lo:0:-1], u[lo:n])
-    return u
-
-
 def test_cutting_the_memory_changes_the_decay_class_at_its_threshold():
     # cut to L lags, the symbol at z = 1 is H_{-nu}(L+1) - c, and for c >= 0
     # |P_L(z)| >= P_L(1) on the closed unit disk: the cut solution decays
     # while c < H_{-nu}(L+1) and grows above it; the full memory grows for
     # every c > 0 (the "Memory" note of README, "Numerical notes")
     nu, c, n_max = 0.5, 0.05, 4000
-    assert np.max(np.abs(_short_memory_loop(c, nu, 300, 300) - mittag_leffler_seq(c, nu, 300))) <= 1e-14
+    zeros, coeffs = np.zeros(n_max), np.full(n_max, c)
+    short = _history_loop(zeros[:300], coeffs[:300], zeros[:300], nu, 1.0, lags=300)
+    assert np.max(np.abs(short - mittag_leffler_seq(c, nu, 300))) <= 1e-14
     threshold = monomial_sequence(-nu, 257)
     for lags in (16, 64):
         assert threshold[lags + 1] > c
-        assert np.max(np.abs(_short_memory_loop(c, nu, n_max, lags)[-100:])) < 1e-6, lags
+        assert np.max(np.abs(_history_loop(zeros, coeffs, zeros, nu, 1.0, lags=lags)[-100:])) < 1e-6, lags
     assert threshold[257] < c
-    cut = _short_memory_loop(c, nu, n_max, 256)
+    cut = _history_loop(zeros, coeffs, zeros, nu, 1.0, lags=256)
     assert cut[-1] > 1e2 and np.all(np.diff(cut[-1000:]) > 0)
     full = mittag_leffler_seq(c, nu, n_max)
     assert full[-1] > 1e3 and np.all(np.diff(full[-1000:]) > 0)

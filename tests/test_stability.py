@@ -501,6 +501,13 @@ def test_scan_validates_orders():
         bound_check(-0.5, 0.5, 1)
     with pytest.raises(ValueError, match="n_max must be >= 2, got 1"):
         stability_scan([0.5], [-0.5], 1)
+    # a grid of two or more dimensions is named; a 2-D c grid once reached
+    # the stepping core as a 3-D batch, and each row of a 2-D nu grid was
+    # refused as if it were one order
+    with pytest.raises(ValueError, match=r"^c_grid must be one-dimensional, got shape \(2, 1\)$"):
+        stability_scan([0.5], [[0.1], [0.2]], 20)
+    with pytest.raises(ValueError, match=r"^nu_grid must be one-dimensional, got shape \(1, 1\)$"):
+        stability_scan([[0.5]], [-0.5], 20)
 
 
 def test_scan_holds_one_order_of_traces_at_a_time():
