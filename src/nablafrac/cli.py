@@ -101,12 +101,19 @@ _OUTPUT_OPTION = click.option("--output", "-o", default="-", help="Output path (
 
 
 def _read_grid(path: str) -> GridFunction:
-    """Read a grid CSV; a malformed file is a usage error naming the path."""
+    """Read a grid CSV; a malformed or unreadable file is a usage error naming the path.
+
+    A read that fails once the file is open (``/proc/self/mem``) exits 2
+    as ``cannot read {path}: {reason}``; a file that does not open raises
+    its ``OSError`` to the caller.
+    """
     with open(path, "r") as stream:
         try:
             return read_grid_csv(stream)
         except ValueError as exc:
             raise click.UsageError(f"{path}: {exc}") from None
+        except OSError as exc:
+            raise click.UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 @contextlib.contextmanager

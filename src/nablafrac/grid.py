@@ -125,13 +125,9 @@ class GridFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", _integral(self.base, "base"))
-        values = np.array(_real_array(self.values, "grid values"))
-        if values.ndim != 1:
-            raise ValueError(f"grid values must be one-dimensional, got shape {values.shape}")
+        values = np.array(_real_array(self.values, "grid values", (1,), finite=True))
         if values.size < 1:
             raise ValueError("grid values must contain at least one value")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("grid values must be finite everywhere")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

@@ -61,6 +61,9 @@ __all__ = [
 # (ROADMAP.md, direction 2)
 _ACCUMULATION = np.longdouble
 
+# the words a shape refusal of :func:`_real_array` names each dimension by
+_SHAPE_WORDS = {0: "scalar", 1: "one-dimensional", 2: "(n, k)"}
+
 
 def _scalar(value, name: str, kind: str) -> numbers.Real:
     """``value`` as a real scalar: the first step of :func:`_integral` and :func:`_real`.
@@ -127,7 +130,7 @@ def _real(value, name: str, low: float = -math.inf, high: float = math.inf) -> f
     return x
 
 
-def _real_array(values, name: str) -> np.ndarray:
+def _real_array(values, name: str, ndims: tuple[int, ...] | None = None, finite: bool = False) -> np.ndarray:
     """``values`` as a float64 array: the one check of every array argument.
 
     Bool, integer and float arrays, and scalars and sequences of such
@@ -135,8 +138,12 @@ def _real_array(values, name: str) -> np.ndarray:
     so a broadcast view stays one.  Any other dtype (strings, complex, or
     objects such as None, ``Decimal`` or an int past 64 bits) raises
     ``TypeError: {name} must be real numbers``, and a ragged sequence
-    ``ValueError: {name} must be a rectangular array``.  Shape and
-    finiteness are the caller's to check.
+    ``ValueError: {name} must be a rectangular array``.  ``ndims`` lists
+    the dimensions the caller takes (any, when None); another raises
+    ``ValueError`` in the words ``scalar``, ``one-dimensional`` and
+    ``(n, k)``, as in ``{name} must be scalar or one-dimensional, got shape
+    (2, 2)``.  With ``finite``, an inf or nan anywhere raises ``ValueError:
+    {name} must be finite``.
     """
     try:
         arr = np.asarray(values)
@@ -145,7 +152,16 @@ def _real_array(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a rectangular array, got a ragged sequence") from exc
     if arr.dtype.kind not in "biuf":
         raise TypeError(f"{name} must be real numbers, got dtype {arr.dtype}")
-    return arr.astype(float, copy=False)
+    arr = arr.astype(float, copy=False)
+    if ndims is not None and arr.ndim not in ndims:
+        *words, last = (_SHAPE_WORDS[ndim] for ndim in ndims)
+        raise ValueError(f"{name} must be {', '.join(words) + ' or ' if words else ''}{last}, got shape {arr.shape}")
+    # min and max see any inf or nan and, unlike isfinite, form no
+    # temporary the size of a batch; a scalar is checked before a caller
+    # broadcasts it, as a pass over its view would visit every entry
+    if finite and not np.isfinite([arr.min(initial=0.0), arr.max(initial=0.0)]).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 def _is_negative_integer(mu: float) -> bool:

@@ -163,16 +163,9 @@ def coefficient_array(c: CoefficientLike, n_max: int) -> np.ndarray:
     one row of memory.
     """
     n_max = _integral(n_max, "n_max", 0)
-    arr = _real_array(c, "coefficients")
-    if arr.ndim > 2:
-        raise ValueError(f"coefficients must be scalar, one-dimensional or (n, k), got shape {arr.shape}")
+    arr = _real_array(c, "coefficients", (0, 1, 2), finite=True)
     if arr.ndim and len(arr) < n_max:
         raise ValueError(f"coefficient sequence has {len(arr)} entries, need {n_max}")
-    # min and max see any inf or nan and, unlike isfinite, form no
-    # temporary the size of a batch; a scalar is checked before it is
-    # broadcast, as a pass over its view would visit all n_max entries
-    if not np.isfinite([arr.min(initial=0.0), arr.max(initial=0.0)]).all():
-        raise ValueError("coefficients must be finite")
     return arr[:n_max] if arr.ndim else np.broadcast_to(arr, n_max)
 
 

@@ -104,10 +104,7 @@ def criterion_check(c: CoefficientLike, nu: float) -> np.ndarray:
     single-element result.
     """
     nu = _real(nu, "order", 0.0, 1.0)
-    arr = np.atleast_1d(_real_array(c, "coefficients"))
-    if arr.ndim != 1:
-        raise ValueError(f"coefficients must be scalar or one-dimensional, got shape {arr.shape}")
-    return np.abs(arr + nu) <= nu
+    return np.abs(np.atleast_1d(_real_array(c, "coefficients", (0, 1))) + nu) <= nu
 
 
 def _columns(trace: Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool]:
@@ -117,9 +114,7 @@ def _columns(trace: Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool]:
     a copy: the classifiers take |u| of the windows they read, never of the
     whole batch.
     """
-    arr = _real_array(trace, "trace")
-    if arr.ndim not in (1, 2):
-        raise ValueError(f"trace must be one-dimensional or (n, k), got shape {arr.shape}")
+    arr = _real_array(trace, "trace", (1, 2))
     return (arr[:, None], True) if arr.ndim == 1 else (arr, False)
 
 

@@ -708,6 +708,41 @@ def test_a_full_device_exits_2(runner, tmp_path):
     assert not new.exists()
 
 
+def _read_error(*args, **kwargs):
+    raise OSError(errno.EIO, "Input/output error")
+
+
+_READS = [
+    ["apply", "--op", "nabla", "--input", "g.csv"],
+    ["solve", "--nu", "0.5", "--c", "g.csv", "--n-max", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _READS, ids=["apply", "solve"])
+def test_a_failure_while_reading_exits_2(runner, tmp_path, monkeypatch, argv):
+    # an OSError once the file was open escaped as a traceback with exit 1;
+    # a --c file that does not open still names the presets
+    _write_grid(tmp_path / "g.csv", 1, [-0.3, -0.3, -0.3])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(nablafrac.cli, "read_grid_csv", _read_error)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Error: cannot read g.csv: Input/output error" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="no /proc/self/mem on this system")
+@pytest.mark.parametrize("argv", _READS, ids=["apply", "solve"])
+def test_a_device_that_fails_to_read_exits_2(runner, argv):
+    # /proc/self/mem opens, and reading its unmapped offset 0 fails with EIO
+    argv = [arg.replace("g.csv", "/proc/self/mem") for arg in argv]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Error: cannot read /proc/self/mem: Input/output error" in result.output
+
+
 def test_a_closed_pipe_exits_2(tmp_path):
     # a closed pipe once exited 1 with no message; the trace is about 400 KB,
     # more than a pipe buffer holds, so the close always lands during a write

@@ -379,6 +379,37 @@ def test_values_past_the_float_range_are_value_errors():
         nabla_sum(_SAMPLES, -Fraction(10**400, 3))
 
 
+# (id, message, call) for each shape and finiteness check of an array
+# argument: call() is refused with the whole message
+_ARRAY_REFUSALS = [
+    ("coefficient_array-shape", "coefficients must be scalar, one-dimensional or (n, k), got shape (2, 2, 2)",
+     lambda: coefficient_array(np.zeros((2, 2, 2)), 2)),
+    ("criterion_check-shape", "coefficients must be scalar or one-dimensional, got shape (2, 2)",
+     lambda: criterion_check(np.zeros((2, 2)), 0.5)),
+    ("decay_classify-shape", "trace must be one-dimensional or (n, k), got shape ()", lambda: decay_classify(0.5, 1)),
+    ("tail_exponent-shape", "trace must be one-dimensional or (n, k), got shape (2, 2, 2)",
+     lambda: tail_exponent(np.zeros((2, 2, 2)), 1)),
+    ("GridFunction-shape", "grid values must be one-dimensional, got shape (2, 2)",
+     lambda: GridFunction(0, np.zeros((2, 2)))),
+    ("coefficient_array-finite", "coefficients must be finite", lambda: coefficient_array(np.inf, 20)),
+    ("coefficient_array-finite-batch", "coefficients must be finite",
+     lambda: coefficient_array(np.full((20, 2), np.nan), 20)),
+    # a sequence both short and non-finite is refused for its values
+    ("coefficient_array-finite-short", "coefficients must be finite", lambda: coefficient_array([0.3, np.nan], 20)),
+    ("coefficient_array-short", "coefficient sequence has 2 entries, need 20", lambda: coefficient_array([0.3] * 2, 20)),
+    ("GridFunction-finite", "grid values must be finite", lambda: GridFunction(0, [1.0, -np.inf])),
+    ("GridFunction-empty", "grid values must contain at least one value", lambda: GridFunction(0, [])),
+]
+
+
+@pytest.mark.parametrize(
+    "message, call", [case[1:] for case in _ARRAY_REFUSALS], ids=[case[0] for case in _ARRAY_REFUSALS]
+)
+def test_array_refusals_name_the_argument_and_what_it_lacks(message, call):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_the_scan_refuses_grids_that_are_not_sequences_of_reals():
     for nu_grid, c_grid in (([0.5], 0.1), (0.5, [0.1])):
         with pytest.raises(TypeError, match="^nu_grid and c_grid must be sequences"):

@@ -1101,6 +1101,65 @@ def test_cutting_the_memory_changes_the_decay_class_at_its_threshold():
     assert full[-1] > 1e3 and np.all(np.diff(full[-1000:]) > 0)
 
 
+def _memory_before(u, b, nu, n_max):
+    """The forcing g(t) = -sum_{s<b} w_{t-s} u(s), t = b+1..n_max: u's history before the cut b."""
+    return -np.convolve(u[:b], convolution_weights(nu, n_max + 1))[b + 1 : n_max + 1]
+
+
+def _restarted(u, c, nu, b, n_max):
+    """The lagged solve u from 0, cut at b and continued as the general problem based at b."""
+    c = c[b:] if np.ndim(c) else c
+    return solve_general(LinearProblem(nu, b, 0.0, c, _memory_before(u, b, nu, n_max), u[b]), n_max - b).values
+
+
+_RESTART_STEPS = 4097
+_RESTART_COEFFICIENTS = {
+    "-0.3": -0.3, "-1": -1.0, "0": 0.0, "per-step": -0.5 + 0.3 * np.sin(np.arange(1.0, _RESTART_STEPS + 1)),
+}
+
+
+@pytest.mark.parametrize("c", list(_RESTART_COEFFICIENTS))
+@pytest.mark.parametrize("nu", [0.01, 0.5, 0.99])
+def test_a_solve_cut_anywhere_continues_with_its_memory_as_forcing(nu, c):
+    # the operator's sum split at b: the steps from b on see the history
+    # before b as the forcing of the general problem based at b, from u(b).
+    # A cut moves every leaf and merge boundary of the stepping core by b,
+    # so the two solves run different schedules over the same steps, and a
+    # large non-smooth g goes through every merge.  Cuts at a leaf's edges,
+    # past a merge and past two
+    c, n_max = _RESTART_COEFFICIENTS[c], _RESTART_STEPS
+    whole = solve_lagged(c, nu, 1.0, n_max).values
+    tolerance = 1e-14 * np.max(np.abs(whole))
+    for b in (_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 4 * _LEAF + 1):
+        assert np.max(np.abs(_restarted(whole, c, nu, b, n_max) - whole[b:])) <= tolerance, b
+
+
+def test_a_solve_cut_anywhere_continues_at_the_long_horizon():
+    nu, c, n_max, b = 0.9, -1.0, 40000, 12345
+    whole = solve_lagged(c, nu, 1.0, n_max).values
+    assert np.max(np.abs(_restarted(whole, c, nu, b, n_max) - whole[b:])) <= 1e-14 * np.max(np.abs(whole))
+
+
+def test_a_batch_cut_anywhere_continues_with_a_column_of_memory_per_problem():
+    nu, n_max, b = 0.5, _RESTART_STEPS, 2 * _LEAF + 1
+    batch = np.stack(np.broadcast_arrays(*_RESTART_COEFFICIENTS.values()), axis=1)
+    whole = mittag_leffler_seq(batch, nu, n_max)
+    g = np.stack([_memory_before(u, b, nu, n_max) for u in whole.T], axis=1)
+    rest = _solve_steps(np.zeros(n_max - b), batch[b:], g, convolution_weights(nu, n_max - b + 1), whole[b], b)
+    assert np.all(np.max(np.abs(rest - whole[b:]), axis=0) <= 1e-14 * np.max(np.abs(whole), axis=0))
+
+
+def test_a_restart_without_its_memory_forgets_by_orders_of_magnitude():
+    # a restart from u(b) alone is a new lagged solve based at b, which has
+    # lost the 1000 steps before it: the last value is 1.2e-5 with the
+    # history and 1.8e-9 without
+    nu, c, n_max, b = 0.5, -0.3, 4000, 1000
+    whole = solve_lagged(c, nu, 1.0, n_max).values
+    forgot = solve_general(LinearProblem(nu, b, 0.0, c, 0.0, whole[b]), n_max - b).values
+    assert 0.0 < forgot[-1] < whole[-1]
+    assert round(np.log10(whole[-1] / forgot[-1])) == 4
+
+
 # --- serialization ------------------------------------------------------
 
 
