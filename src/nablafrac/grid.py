@@ -28,16 +28,16 @@ only the first n terms, the head, are formed (:func:`_convolve_head`):
   weights with all of the input sums every lag below ``_BLOCK``.  An input
   of at most ``_BLOCK`` points has no other lag, so its head is that one
   ``np.convolve``, bit-identical to the unsplit convolution.
-* Block-causal merges, one schedule for the heads and the solver's
-  stepping core (:func:`_merge_at`).  The points fall into leaves: of
-  ``_BLOCK`` points in a head, of 512 in the core's history.  At every
-  multiple e of the leaf, with 2^i the largest power of two dividing
-  e / leaf, the last leaf * 2^i points before e add their far lags (from
-  ``_BLOCK`` on in a head) to the next as many points, or to those left
-  before n, by one real FFT (:func:`_far_lags`).  Each earlier leaf meets
-  each later one at exactly one merge, no merge reads a point at or past
-  e or feeds one at or past n, and the head costs O(n log^2 n) beyond the
-  near lags' O(256 n).
+* Block-causal merges, a schedule that serves the heads alone
+  (:func:`_merge_at`); the solver's stepping core holds its far memory in
+  decaying exponential modes instead.  The points fall into leaves of
+  ``_BLOCK`` points.  At every multiple e of the leaf, with 2^i the largest
+  power of two dividing e / leaf, the last leaf * 2^i points before e add
+  their far lags (from ``_BLOCK`` on) to the next as many points, or to
+  those left before n, by one real FFT (:func:`_far_lags`).  Each earlier
+  leaf meets each later one at exactly one merge, no merge reads a point
+  at or past e or feeds one at or past n, and the head costs
+  O(n log^2 n) beyond the near lags' O(256 n).
 * Transform length.  A merge of b points into the next b transforms 2b
   points.  The last merge, which feeds only the count points left, takes
   the smallest 2^k, 3 * 2^k or 5 * 2^k of at least b + count points,
@@ -182,13 +182,12 @@ def _far_lags(
     b + i - j >= ``near``: the history that ``source`` adds to the point i
     after its end.  ``weights[d]`` is the weight at lag d, and a lag past
     its end weighs 0.  It is one real FFT of length L =
-    :func:`_transform_length` along axis 0, so a (b, k) source is k columns
-    at once, in the dtype of the inputs.  The kernel is ``weights[1:L]``
-    with the lags below ``near`` zeroed, so the product's entry b - 1 + i
-    holds lag b + i - j, at most b - 1 + ``count`` < L, and the circular
-    wrap of the product's tail lands only on its first b - 2 entries, which
-    are dropped.  The kernel depends on L alone, so ``spectra`` caches its
-    spectrum by L, for one weight row, one ``near`` and one ``source.ndim``.
+    :func:`_transform_length` of the one-dimensional ``source``, in the
+    dtype of the inputs.  The kernel is ``weights[1:L]`` with the lags below
+    ``near`` zeroed, so the product's entry b - 1 + i holds lag b + i - j,
+    at most b - 1 + ``count`` < L, and the circular wrap of the product's
+    tail lands only on its first b - 2 entries, which are dropped.  The kernel depends on L alone, so ``spectra`` caches its
+    spectrum by L, for one weight row and one ``near``.
     """
     b = len(source)
     size = _transform_length(b, count)
@@ -196,17 +195,14 @@ def _far_lags(
     if kernel is None:
         lags = weights[1:size].copy()
         lags[: near - 1] = 0
-        kernel = spectra[size] = np.fft.rfft(lags, size).reshape((-1,) + (1,) * (source.ndim - 1))
+        kernel = spectra[size] = np.fft.rfft(lags, size)
         # not held through the transforms below, which set a merge's peak
         del lags
-    # in place where it can be, and a caller's scaled copy of the source
-    # freed before the inverse: the spectrum and the inverse's output, each
-    # about the source and its outputs together, are a merge's largest
-    # temporaries
-    spectrum = np.fft.rfft(source, size, axis=0)
-    del source
+    # in place: the spectrum and the inverse's output, each about the
+    # source and its outputs together, are a merge's largest temporaries
+    spectrum = np.fft.rfft(source, size)
     spectrum *= kernel
-    return np.fft.irfft(spectrum, size, axis=0)[b - 1 : b - 1 + count]
+    return np.fft.irfft(spectrum, size)[b - 1 : b - 1 + count]
 
 
 @np.errstate(over="ignore", invalid="ignore")

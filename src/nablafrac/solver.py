@@ -13,30 +13,32 @@ is exactly 1), into the explicit step equation
 
 Every step reads all earlier samples (the memory property), so stepping with
 one full-history sum per step costs O(n^2).  The stepping core,
-:func:`_solve_steps`, costs O(n log^2 n) instead:
+:func:`_solve_steps`, costs O(n M) instead, with M = 10 ceil(log2 n) + 10
+(170 at n = 40000):
 
-* Leaves.  The offsets fall into leaves of ``_LEAF`` (512) points.  A
-  finished block adds its history beyond the ``_NEAR`` (64) nearest lags
-  to the block after it by FFT convolution, ``grid._far_lags``, on the
-  block-causal schedule of the grid operators' heads, ``grid._merge_at``,
-  whose notes in :mod:`nablafrac.grid` are its one description,
-  ``_MERGE_COLUMNS`` (8) columns of a batch at a time.
-* Crossing lags.  Every nearer or in-leaf lag is summed directly: each
-  leaf but the first starts with one dense product of the lags of at most
-  ``_NEAR`` that cross its edge.
-* One trace-sized array.  The merges and the crossing products add into
-  the rows of the trace not yet stepped, which start at zero: a row holds
-  its pending history until its micro-block reads it and overwrites it
-  with the solution, so the history has no array of its own.
-* Micro-blocks.  A leaf advances m steps at a time, the first leaf from
-  step 1, past u0, with m from :func:`_micro_size`.  One matrix product
-  adds the leaf's history before the micro-block, and its own steps are
-  one lower-triangular system, solved by an inverse formed before stepping
+* Modes.  For 0 < nu < 1 every weight past lag 0 is minus a moment of a
+  positive measure, w_k = -(sin(pi nu) / pi) int_0^1 x^(k-1) x^(-nu)
+  (1 - x)^nu dx, so a quadrature of M nodes x_j (:func:`_modes`) turns the
+  lags past ``_NEAR`` (64) into M decaying exponentials (Lubich and
+  Schaedle, SIAM J. Sci. Comput. 24, 2002).  Each column holds M states:
+  once the rows below F are folded in, mode j's state is omega_j sum_{i<F}
+  x_j^(F-1-i) u(i), weighted by its quadrature weight, so the history of
+  u(i), i < F, at a step n >= F + ``_NEAR`` is sum_j x_j^(n-F) times the
+  states.
+* Near strip.  Every lag from a row not yet folded is summed directly,
+  from one lag strip ``_NEAR`` + m wide: the ``_NEAR`` rows before a
+  micro-block and its own m steps.
+* Micro-blocks.  The steps advance m at a time from step 1, past u0, with
+  m from :func:`_micro_size`.  A micro-block at s first folds the rows
+  below s - ``_NEAR`` that left the near window into the states: they
+  decay by x_j^m, and one (M x m) product adds the rows.  Its history is
+  then one (m x M) product of the states and one product of the strip over
+  the ``_NEAR`` rows before s, and its own steps are one lower-triangular
+  system, solved by an inverse formed before stepping
   (:func:`_block_inverses`) and one refinement step
-  (:func:`_refined_solve`).  Both products take strided windows of one
-  lag strip, at most ``_LEAF + 1`` lags wide, by ``np.matmul``, which
-  hands BLAS the row stride and copies no operand.  No Python runs per
-  step.
+  (:func:`_refined_solve`).  The strip products take strided windows of
+  the strip by ``np.matmul``, which hands BLAS the row stride and copies
+  no operand.  No Python runs per step.
 * Two outcomes per column.  Values that come out finite are kept: an
   overflow or inf - inf anywhere in the block products reaches them as inf
   or nan, so a finite value needs no margin below overflow.  The block
@@ -47,8 +49,9 @@ one full-history sum per step costs O(n^2).  The stepping core,
 * Guarantees.  Solves of every length agree with the plain loop, one
   full-history dot product per step, to within 1e-14 max|u| on decaying
   solutions, and overflow at the same step.  They differ from it only in
-  the order of their sums and the rounding of the block inverses and the
-  FFTs.
+  the order of their sums, the rounding of the block inverses and the
+  quadrature, whose error at the lags past ``_NEAR`` is below 1e-14 of
+  their summed magnitude.
 
 The normalized solution (u0 = 1) is the discrete Mittag-Leffler-type
 sequence produced by :func:`mittag_leffler_seq`; by linearity every solution
@@ -94,13 +97,15 @@ envelope H_{nu-1}(t, rho(a)) of :func:`envelope_sequence`.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .grid import GridFunction, _convolve_head, _far_lags, _merge_at, _require_finite
+from .grid import GridFunction, _convolve_head, _require_finite
 from .monomial import _integral, _real, _real_array, _recurrence_tail, convolution_weights
 
 __all__ = [
@@ -119,12 +124,12 @@ __all__ = [
 
 SINGULAR_PIVOT_TOL = 1e-13
 
-# the divide-and-conquer history of _solve_steps: points per leaf, and the
-# lags that every step sums directly, also across a leaf boundary
-_LEAF = 512
+# the history of _solve_steps: the lags before a micro-block that every step
+# sums directly, and the quadrature nodes per level of its far-memory modes
 _NEAR = 64
-# the columns of a batch that one far-lag merge transforms at once
-_MERGE_COLUMNS = 8
+_NODES = 10
+# the steps whose block inverses a per-step solve forms at once
+_STACK = 512
 
 CoefficientLike = Union[float, Sequence[float], np.ndarray]
 
@@ -191,7 +196,8 @@ def _micro_size(q: np.ndarray, constant: bool) -> int:
     * a batch, (n, k) coefficients: 32 steps.  Each of the k columns
       applies its own m x m inverse, k m^2 per block.
     * one problem with per-step coefficients: 64 steps.  Its inverses are
-      formed per leaf, about m^3 / 3 per block by recursive doubling.
+      formed ``_STACK`` steps at a time, about m^3 / 3 per block by
+      recursive doubling.
     * one problem with constant coefficients: 128 steps.  Its one inverse
       is formed once per solve, so only the fixed cost is left to amortize.
 
@@ -301,6 +307,75 @@ def _substitute(
     return x
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss(beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_NODES``-point Gauss rule on [-1, 1] for the weight (1 + t)^beta, 0 <= beta < 1.
+
+    Its nodes are the zeros of the weight's orthonormal polynomial p_N,
+    N = ``_NODES``, which the three-term recurrence of its Jacobi matrix
+    (Golub and Welsch, 1969) gives with its derivative; Newton's method
+    finds each from its asymptotic value (Szego, Orthogonal Polynomials,
+    8.9).  Each weight is the Christoffel number 1 / sum_{k<N} p_k(t)^2 at
+    the zero.  beta = 0 is Gauss-Legendre.  No eigensolver runs, so no
+    solve, and no scan, calls a LAPACK routine; the recurrence runs in
+    Python floats, about 0.15 ms a rule.
+    """
+    a = [2.0 * k + beta for k in range(1, _NODES + 1)]
+    # below[k] p_{k+1} = (t - diagonal[k]) p_k - below[k-1] p_{k-1}
+    diagonal = [beta / (beta + 2.0)] + [beta * beta / (x * (x + 2.0)) for x in a[:-1]]
+    below = [(x - beta) * (x + beta) / (2.0 * x * math.sqrt(x * x - 1.0)) for x in a]
+    steps = list(zip(diagonal, [0.0] + below[:-1], below))
+    nodes, weights = [], []
+    for i in range(_NODES, 0, -1):
+        t = math.cos((i - 0.25) * math.pi / (_NODES + (beta + 1.0) / 2.0))
+        # t is exact to rounding after at most four steps, so the sum of
+        # the last of six passes is the one at the zero
+        for _ in range(6):
+            # p_0 is 1 / sqrt(the weight's mass), and p_{-1} is 0
+            p, last = math.sqrt((beta + 1.0) / 2.0 ** (beta + 1.0)), 0.0
+            dp = dlast = christoffel = 0.0
+            for d, b0, b1 in steps:
+                christoffel += p * p
+                p, last, dp, dlast = ((t - d) * p - b0 * last) / b1, p, (p + (t - d) * dp - b0 * dlast) / b1, dp
+            t -= p / dp
+        nodes.append(t)
+        weights.append(1.0 / christoffel)
+    return np.array(nodes), np.array(weights)
+
+
+@functools.lru_cache(maxsize=32)
+def _modes(nu: float, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The far memory of order nu as decaying exponentials: (log x_j, omega_j).
+
+    For k >= 1 the weight at lag k is
+    w_k = -(sin(pi nu) / pi) int_0^1 x^(k-1) x^(-nu) (1 - x)^nu dx, and the
+    rule gives w_k ~ sum_j omega_j x_j^(k-1), with omega_j = -lambda_j < 0.
+    In s = 1 - x, each of the ``levels`` intervals [2^-(i+1), 2^-i] gets
+    ``_NODES`` Gauss-Legendre nodes, and [0, 2^-levels] ``_NODES`` nodes of
+    the weight s^nu (:func:`_gauss`).  x < 1/2 is left out: from lag
+    ``_NEAR`` + 1 on, x^(k-1) is below 2^-64 there.  With 2^levels >= n the
+    rule reproduces the weights at lags ``_NEAR`` + 1..n to within 1e-14 of
+    their summed magnitude, with 10 ``levels`` + 10 modes in all.  Nodes
+    stay in s: log x_j is ``log1p(-s_j)``, never the log of a rounded
+    1 - s_j, which the slowest modes (s_j near 1 / n) would lose.  The
+    arrays are read-only, as they are cached by (nu, levels).
+    """
+    t, w = _gauss(0.0)
+    # level i is 3 * 2^-(i+2) +- 2^-(i+2)
+    half = 2.0 ** -np.arange(2.0, levels + 2.0)[:, None]
+    s = half * (3.0 + t)
+    weight = half * w * s**nu
+    t, w = _gauss(nu)
+    half = 2.0 ** -(levels + 1.0)
+    s = np.append(s, half * (1.0 + t))
+    weight = np.append(weight, half ** (1.0 + nu) * w)
+    log_x = np.log1p(-s)
+    omega = -math.sin(math.pi * nu) / math.pi * weight * np.exp(-nu * log_x)
+    for x in (log_x, omega):
+        x.setflags(write=False)
+    return log_x, omega
+
+
 def _solve_steps(
     p: np.ndarray,
     q: np.ndarray,
@@ -314,44 +389,34 @@ def _solve_steps(
     Coefficients have shape (n_max,) or, to step k independent problems at
     once, (n_max, k); ``u`` then has shape (n_max + 1, k).  ``weights`` is
     the direct weight row ``convolution_weights(nu, n_max + 1)`` of a
-    fractional order nu, formed once by the caller; ``weights=None`` steps
-    the classical nabla for one problem, whose lag-2 weight -1 is folded
-    into q; it has no history term.
+    fractional order nu, formed once by the caller, whose entry 1 is
+    exactly -nu; ``weights=None`` steps the classical nabla for one
+    problem, whose lag-2 weight -1 is folded into q; it has no history
+    term.
 
-    For fractional orders the history sum_{j<n} w[n - j] u[j] is split by
-    divide and conquer (Hairer, Lubich and Schlichte, 1985), as the module
-    notes lay out.  The FFT merges run the heads' schedule on ``_LEAF``
-    points, ``grid._merge_at``, described once in the grid module's notes.
+    For fractional orders the history sum_{j<n} w[n - j] u[j] is split into
+    the near strip and the far-memory modes, as the module notes lay out.
     Choices the code does not show:
 
-    * Lags up to ``_NEAR`` are summed directly, never by a merge.  The FFT's
-      rounding scales with the norm of the kernel, which the first lags
-      dominate (lag 1 weighs -nu), so this keeps that rounding from piling
-      up over the slowly decaying memory of orders near 1.
-    * Each column is scaled by its own power of two before a merge and back
-      after it (exact), so a column near overflow neither overflows in the
-      transform nor sets the scale of the others.  The powers of every
-      column come from one pass over the merge's source rows, the larger of
-      each column's max and -min, which copies nothing.
-    * A merge runs on ``_MERGE_COLUMNS`` columns at a time, each chunk
-      transformed and added into its own columns of ``u`` before the next
-      is scaled, so a merge's spectrum and transform output are a fraction
-      of the trace, not a trace each.  A column's transform is the same in
-      any chunk, so the values do not depend on the chunk width; one
-      problem is one chunk of one column.
+    * Lags up to ``_NEAR`` are summed directly, never by a mode.  The modes
+      need only reproduce the weights from lag ``_NEAR`` + 1 on, where the
+      measure below x = 1/2 weighs less than 2^-64, so their nodes cover
+      x in [1/2, 1) alone; and the first lags, which dominate the weights
+      (lag 1 weighs -nu), keep their exact values.
+    * The states are weighted by their quadrature weights, so a state holds
+      at most |omega_j| / (1 - x_j) < 1 times max|u|, and the states' part
+      of a step at most the far lags' summed magnitude times max|u|: none
+      overflows before u does, and a growing column needs no scaling.
+    * The first fold takes the rows below its block's start less
+      ``_NEAR``, at most m of them, into states still zero; every later
+      fold takes m rows.
     * The lag strip is a sliding view of the weights with a negative
-      stride, which BLAS cannot take, so it is copied once per solve.  It
-      keeps the ``back + m`` columns that micro-blocks read: ``back``, the
-      first leaf's last block start, is the most leaf rows a block reads
-      before it, ``_LEAF + 1 - m`` for a full leaf.  Each product then
-      takes a window of it with ``@``: ``ndarray.dot`` would copy every
-      window that is not contiguous first, up to 385 KiB a block, for the
-      same bits.
-    * ``u`` starts at zero and its unstepped rows are the pending history:
-      merges and crossing products add into ``u[lo : lo + count]``, and a
-      micro-block reads ``u[s:e]`` as its history before it writes the
-      solution there.  A separate history array would add the same sums in
-      the same order, so the values are the same bit for bit.
+      stride, which BLAS cannot take, so it is copied once per solve, and
+      each product takes a window of it with ``@``: ``ndarray.dot`` would
+      copy every window that is not contiguous first.
+    * Per-step inverses are formed for the blocks of ``_STACK`` steps at a
+      time and freed before the next stack's: a long batch holds one
+      stack's inverses, not the whole solve's.
     """
     n_max = len(q)
     columns = np.shape(q)[1:]
@@ -365,7 +430,9 @@ def _solve_steps(
         first = tuple(np.argwhere(singular)[0])
         raise SingularStepError(base + 1 + int(first[0]), float(pivots[first]))
     pivots = np.broadcast_to(pivots, p.shape)
-    # rows not yet stepped hold their pending history (see the docstring)
+    # every row is written, but np.zeros, not np.empty: with np.empty the
+    # CLI workload's peak resident set read 0.2-0.3 MB higher, from where
+    # glibc placed the trace
     u = np.zeros((n_max + 1,) + columns)
     u[0] = u0
     # an overflowing trace is reported by its callers (DivergentSolutionError,
@@ -382,60 +449,62 @@ def _solve_steps(
             return u
         # the block matrices depend on the coefficients alone: one inverse per
         # column serves every block of a constant-coefficient solve, per-step
-        # coefficients get one stack of inverses per leaf
+        # coefficients get one stack of inverses per _STACK steps
         constant = bool((p == p[0]).all() and (q == q[0]).all())
         m = _micro_size(q, constant)
         # every column of a batch gets its own rows of the coefficients
         pivots, q, g = np.broadcast_arrays(pivots, q, g)
-        # back, the first leaf's last block start, is the most leaf rows a
-        # micro-block reads before it (a later leaf's blocks start one row
-        # earlier in their leaf).  reach[m + k] is the weight at lag k, 0 at
-        # lags below 1 and past n_max
-        back = range(1, min(n_max + 1, _LEAF), m)[-1]
-        reach = np.zeros(back + 2 * m)
-        reach[m + 1 : m + 1 + n_max] = weights[1 : back + m]
-        # strip[i, t], the weight at lag back + i - t, takes u[s - back + t]
+        # strip[i, t], the weight at lag _NEAR + i - t, takes u[s - _NEAR + t]
         # to step s + i; its last m columns, the lags i - j below the
-        # diagonal, are the Toeplitz part of a micro-block's matrix
+        # diagonal, are the Toeplitz part of a micro-block's matrix.
+        # reach[m + k] is the weight at lag k, 0 at lags below 1 and past n_max
+        width = _NEAR + m
+        reach = np.zeros(width + m)
+        reach[m + 1 : m + 1 + n_max] = weights[1:width]
         strip = np.ndarray(
-            (m, back + m), buffer=reach, offset=(back + m) * reach.itemsize,
+            (m, width), buffer=reach, offset=width * reach.itemsize,
             strides=(reach.itemsize, -reach.itemsize),
         ).copy()
-        toeplitz = strip[:, back:]
-        if n_max >= _LEAF:
-            # crossing[i, t] takes u[lo - _NEAR + t] to step lo + i where the
-            # lag _NEAR + i - t is at most _NEAR
-            crossing = np.triu(weights[_NEAR + np.subtract.outer(np.arange(_NEAR), np.arange(_NEAR))])
+        toeplitz = strip[:, _NEAR:]
+        starts = range(1, n_max + 1, m)
+        # rows below `folded` are in the states; the first fold comes at the
+        # first block past _NEAR, if there is one
+        folded = 0
+        if starts[-1] > _NEAR:
+            log_x, omega = _modes(-float(weights[1]), (n_max - 1).bit_length())
+            # far[i, j] = x_j^(_NEAR + i) reads the states at step s + i;
+            # fold[j, t] = omega_j x_j^(m - 1 - t) folds row t of m.  Both
+            # are formed in place in one table, which leaves no temporary
+            table = np.empty((2, m, len(log_x)))
+            np.multiply.outer(np.arange(m - 1.0, -1.0, -1.0), log_x, out=table[1])
+            np.exp(table[1], out=table[1])
+            np.multiply(table[1, ::-1], np.exp(_NEAR * log_x), out=table[0])
+            table[1] *= omega
+            far, fold = table[0], table[1].T
+            decay = np.exp(m * log_x).reshape((-1,) + (1,) * len(columns))
+            states = np.zeros(decay.shape[:1] + columns)
         if constant:
             shared = _block_inverses((pivots, q), range(1, 2), toeplitz)[0]
-        spectra: dict = {}
         # per-column views, in which one problem is a batch of one column
         u2, q2, g2, pivots2 = (c.reshape(len(c), -1) for c in (u, q, g, pivots))
-        for lo in range(0, n_max + 1, _LEAF):
-            hi = min(lo + _LEAF, n_max + 1)
-            if lo:
-                block, count = _merge_at(lo, _LEAF, n_max + 1)
-                # a few columns per merge, each scaled on its own (see the
-                # docstring)
-                history = u2[lo - block : lo]
-                _, exponents = np.frexp(np.maximum(history.max(axis=0), -history.min(axis=0)))
-                for j in range(0, u2.shape[1], _MERGE_COLUMNS):
-                    exponent = exponents[j : j + _MERGE_COLUMNS]
-                    source = history[:, j : j + _MERGE_COLUMNS]
-                    far = _far_lags(np.ldexp(source, -exponent), weights, _NEAR + 1, count, spectra)
-                    u2[lo : lo + count, j : j + _MERGE_COLUMNS] += np.ldexp(far, exponent, out=far)
-                    # the merge's transform buffer is not kept past its chunk
-                    del far
-                u[lo : lo + _NEAR] += crossing[: hi - lo].dot(u[lo - _NEAR : lo])
-            # the first leaf's first micro-block starts at step 1, past u0
-            starts = range(max(lo, 1), hi, m)
-            inverses = [shared] * len(starts) if constant else _block_inverses((pivots, q), starts, toeplitz)
-            for s, inverse in zip(starts, inverses):
-                e = min(s + m, hi)
+        for first in range(0, len(starts), _STACK // m):
+            stack = starts[first : first + _STACK // m]
+            inverses = [shared] * len(stack) if constant else _block_inverses((pivots, q), stack, toeplitz)
+            for s, inverse in zip(stack, inverses):
+                e = min(s + m, n_max + 1)
                 inverse = inverse[..., : e - s, : e - s]
-                # every lag reaching before the micro-block: the rows' pending
-                # history and the leaf's lags before them
-                behind = u[s:e] + strip[: e - s, back - (s - lo) : back] @ u[lo:s]
+                # the rows that left the near window decay into the states
+                near = max(s - _NEAR, 0)
+                if near > folded:
+                    if folded:
+                        states *= decay
+                    states += fold[:, m - (near - folded) :] @ u[folded:near]
+                    folded = near
+                # every lag reaching before the micro-block: the near rows'
+                # lags and, once rows are folded, the states'
+                behind = strip[: e - s, _NEAR - (s - near) : _NEAR] @ u[near:s]
+                if folded:
+                    behind += far[: e - s] @ states
                 b = g[s - 1 : e - 1] - behind
                 b[0] += q[s - 1] * u[s - 1]
                 block = (inverse, toeplitz[: e - s, : e - s], pivots[s - 1 : e - 1], q[s : e - 1])
@@ -452,7 +521,7 @@ def _solve_steps(
                 for j in np.flatnonzero(np.isfinite(u2[s - 1]) & ~np.isfinite(u2[s:e]).all(axis=0)):
                     steps = (c[s - 1 : e - 1, j] for c in (q2, g2, pivots2))
                     u2[s:e, j] = _substitute(weights, float(u2[s - 1, j]), *steps, behind[:, j])
-            # free this leaf's inverses before the next leaf builds its own
+            # free this stack's inverses before the next stack builds its own
             del inverses, inverse
     return u
 
@@ -467,7 +536,7 @@ def mittag_leffler_seq(c: CoefficientLike, nu: float, n_max: int) -> np.ndarray:
     Values depend only on offsets, never on the base point a (translation
     invariance), so none is taken.  Returns the values at offsets 0..n_max.
     An (n_max, k) coefficient array holds k problems as columns and gives
-    (n_max + 1, k): one batch of the stepping core, whose history merges
+    (n_max + 1, k): one batch of the stepping core, whose near strip, modes
     and micro-blocks serve every column, and each column gets the values
     its own call would give, up to the order of the sums.  A trace that
     overflows is returned as it is.  The weight row is formed before the

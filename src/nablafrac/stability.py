@@ -324,7 +324,7 @@ def stability_scan(nu_grid: Sequence[float], c_grid: Sequence[float], n_max: int
     All coefficients of one order are stepped as one batch: one
     :func:`mittag_leffler_seq` call on the (n_max, k) array whose every
     row is the c grid, a broadcast view of one row.  The batch shares the
-    stepping core's history merges and micro-blocks, and each column
+    stepping core's near strip and micro-blocks, and each column
     solves its micro-blocks with its own block inverse, formed once per
     order.  Each column gets the values its own call would give it, up to
     the order of the sums.  The order's traces are then classified by one
@@ -337,10 +337,10 @@ def stability_scan(nu_grid: Sequence[float], c_grid: Sequence[float], n_max: int
     tour"), and every order of ``nu_grid`` is checked before any is
     stepped.
 
-    One order's batch is the largest array a scan holds: the merges
-    transform a few of its columns at a time, and the classifiers take
-    |u| of the windows they read only, so an order peaks at about 2.2
-    times its batch, the block inverses and one merge chunk beside it.
+    One order's batch is the largest array a scan holds: its far memory is
+    about a hundred states per column (120 at 2000 steps), and the
+    classifiers take |u| of the windows they read only, so an order peaks
+    at about 1.9 times its batch, the block inverses beside it.
     """
     nus, cs = _real_array(nu_grid, "nu_grid"), _real_array(c_grid, "c_grid")
     if not nus.ndim or not cs.ndim:

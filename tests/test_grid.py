@@ -352,7 +352,7 @@ def _far_lags_loop(source, weights, near, count):
     lagged = np.zeros(2 * b, dtype=np.longdouble)
     lagged[near : len(weights)] = weights[near : 2 * b]
     source = source.astype(np.longdouble)
-    out = np.empty((count,) + source.shape[1:], dtype=np.longdouble)
+    out = np.empty(count, dtype=np.longdouble)
     for i in range(count):
         # source j reaches output i at lag b + i - j
         out[i] = lagged[b + i : i : -1].dot(source)
@@ -361,15 +361,14 @@ def _far_lags_loop(source, weights, near, count):
 
 @pytest.mark.parametrize("dtype, bound", [(np.longdouble, 1e-18), (float, 1e-15)])
 @pytest.mark.parametrize("near", [65, _BLOCK, 2 * _BLOCK])
-@pytest.mark.parametrize("columns", [(), (3,)])
-def test_far_lags_match_the_direct_sum(dtype, bound, near, columns):
+def test_far_lags_match_the_direct_sum(dtype, bound, near):
     # one block of b = 512 points into the next b, and into the first 100
     # and 250 points of a last, partial block, whose weight row ends at the
     # last lag it needs; those merges transform 5 * 2^7 and 3 * 2^8 points,
     # the smallest such lengths of at least b + count.  The bound is
     # relative to the largest sum of |w| |x| at a point
     b, rng = 2 * _BLOCK, np.random.default_rng(near)
-    source = rng.uniform(-1.0, 1.0, size=(b,) + columns).astype(dtype)
+    source = rng.uniform(-1.0, 1.0, size=b).astype(dtype)
     for count, size in ((b, 2 * b), (100, 5 * 2**7), (250, 3 * 2**8)):
         weights = convolution_weights(0.7, b + count).astype(dtype)
         want = _far_lags_loop(source, weights, near, count)
@@ -385,9 +384,9 @@ def test_far_lags_match_the_direct_sum(dtype, bound, near, columns):
 
 @pytest.mark.parametrize("leaf", [_BLOCK, 512])
 def test_the_merge_schedule_meets_each_pair_of_leaves_once(leaf):
-    # the heads run it on leaves of _BLOCK points, the stepping core on 512:
-    # every horizon up to three leaves, those around each power of two up to
-    # 16 leaves, and the long horizons of the benchmark
+    # the heads run it on leaves of _BLOCK points, and it holds for leaves
+    # of 512 too: every horizon up to three leaves, those around each power
+    # of two up to 16 leaves, and the long horizons of the benchmark
     horizons = list(range(1, 3 * leaf + 1))
     horizons += [leaf * 2**k + d for k in range(5) for d in (-1, 0, 1)] + [5000, 40001]
     for n in horizons:

@@ -40,7 +40,7 @@ from nablafrac import cli, solver
 from nablafrac.exact import SOLVE_COST_GUARD, oracle_solve
 from nablafrac.formats import write_trace_csv, write_trace_json
 from nablafrac.grid import _BLOCK, _transform_length
-from nablafrac.solver import _LEAF, _NEAR, _micro_size, _solve_steps
+from nablafrac.solver import _NEAR, _STACK, _micro_size, _modes, _solve_steps
 
 
 def _rel_gap(got: np.ndarray, want: np.ndarray, floor: float = 1.0) -> float:
@@ -584,8 +584,7 @@ def _first_nonfinite(values):
 @pytest.mark.parametrize("form", [f.value for f in FirstOrderForm])
 def test_first_order_matches_its_stepping_loop_bit_for_bit(form):
     rng = np.random.default_rng(43)
-    # the longer horizon crosses leaf boundaries of the stepping core
-    for n in (500, 2 * _LEAF + 300):
+    for n in (500, 1324):
         c_steps = rng.uniform(-1.8, 0.8, size=n)
         g_steps = rng.normal(size=n)
         cases = [(c, g) for c in (-0.3, 0.4, 2.0, c_steps) for g in (None, 0.25, g_steps)]
@@ -617,15 +616,16 @@ def test_first_order_failures_match_its_stepping_loop():
     assert info.value.t == 3 + first
 
 
-# --- divide-and-conquer history ----------------------------------------
+# --- near strip and far-memory modes -----------------------------------
 
 
 def _history_loop(p, q, g, nu, u0, lags=None):
     """The plain stepping loop, one full-history dot product per step: O(n^2).
 
-    The reference for the divide-and-conquer history of ``_solve_steps``;
-    coefficients have shape (n_max,) or (n_max, k) as there.  Given
-    ``lags``, each step keeps only that many nearest history lags.
+    The reference for the near strip and far-memory modes of
+    ``_solve_steps``; coefficients have shape (n_max,) or (n_max, k) as
+    there.  Given ``lags``, each step keeps only that many nearest history
+    lags.
     """
     n_max = len(q)
     weights = convolution_weights(nu, n_max + 1)
@@ -644,7 +644,7 @@ def _history_loop(p, q, g, nu, u0, lags=None):
 @settings(max_examples=25, deadline=None)
 @given(
     nu=st.floats(0.01, 0.99),
-    n_max=st.one_of(st.integers(1, _LEAF - 1), st.integers(_LEAF, 3 * _LEAF)),
+    n_max=st.one_of(st.integers(1, _STACK - 1), st.integers(_STACK, 3 * _STACK)),
     columns=st.sampled_from([None, 3]),
     per_step=st.tuples(st.booleans(), st.booleans(), st.booleans()),
     seed=st.integers(0, 2**32 - 1),
@@ -668,28 +668,31 @@ def test_fast_history_matches_the_plain_loop(nu, n_max, columns, per_step, seed)
 def _block_edges(m):
     """Horizons around the edges of micro-blocks of m steps.
 
-    The steps advance m at a time, the first leaf's from step 1; these
-    horizons end on the first step, around the middle of, inside, at the
-    end of and one step past the first micro-block, at the first leaf's last
-    step, one step into the next leaf, in the middle of and inside its first
-    micro-block, just past the lags that cross the leaf edge, the same
-    around the fourth leaf's end, where a merged block of four leaves
-    starts, and a few steps after the merges of two and of eight leaves.
+    The steps advance m at a time from step 1; these horizons end on the
+    first step, around the middle of, at the end of and one step past the
+    first micro-block; around the first block past ``_NEAR``, before which
+    the first rows are folded into the modes, and the block after it, the
+    first to fold m rows; around the ends of the first and fourth stacks of
+    a per-step solve's block inverses, inside and just past their next
+    block; and a few steps after two and eight stacks.
     """
+    # the first block that starts past _NEAR
+    fold = 1 + (_NEAR - 1) // m * m + m
     return (
         [1, m // 2 - 1, m // 2, m // 2 + 1, m - 1, m, m + 1]
-        + [k * _LEAF + d for k in (1, 4) for d in (-1, 1, m // 2 - 1, m - 1, _NEAR + 1)]
-        + [2 * _LEAF + 3, 8 * _LEAF + 3]
+        + [fold + d for d in (-1, 0, 1, m - 1, m, m + 1)]
+        + [k * _STACK + d for k in (1, 4) for d in (-1, 1, m // 2 - 1, m - 1, _NEAR + 1)]
+        + [2 * _STACK + 3, 8 * _STACK + 3]
     )
 
 
-# the three problem shapes and their micro-block sizes past the first leaf:
+# the three problem shapes and their micro-block sizes:
 # one problem with per-step coefficients (None), a batch of three columns (3)
 # and one problem with constant coefficients
 _MICRO_SIZES = {
-    None: _micro_size(np.zeros(_LEAF), False),
-    3: _micro_size(np.zeros((_LEAF, 3)), False),
-    "constant": _micro_size(np.zeros(_LEAF), True),
+    None: _micro_size(np.zeros(_STACK), False),
+    3: _micro_size(np.zeros((_STACK, 3)), False),
+    "constant": _micro_size(np.zeros(_STACK), True),
 }
 
 
@@ -712,11 +715,12 @@ def test_micro_blocks_match_the_plain_loop_at_their_edges(n_max, columns):
 
 
 def test_micro_blocks_keep_the_first_nonfinite_step():
-    # at nu 0.1, c = -1.198 alternates in sign and overflows two steps into a
-    # micro-block of the third leaf.  The step before it reads 1.48e308 and
-    # the history that pulls the next value back below the float64 limit is
-    # split between the block's earlier lags and its in-block lags, so the
-    # two must be added before they are subtracted from q u(t-1)
+    # at nu 0.1, c = -1.198 alternates in sign and overflows inside a
+    # micro-block, thousands of steps past the first fold.  The step before
+    # it reads 1.48e308 and the history that pulls the next value back below
+    # the float64 limit is split between the block's earlier lags (its near
+    # strip and the modes) and its in-block lags, so the two must be added
+    # before they are subtracted from q u(t-1)
     nu, c, n_max = 0.1, -1.198, 6100
     zeros = np.zeros(n_max)
     loop = _history_loop(zeros, np.full(n_max, c), zeros, nu, 1.0)
@@ -724,7 +728,7 @@ def test_micro_blocks_keep_the_first_nonfinite_step():
     coeffs = np.broadcast_to([c, -0.5], (n_max, 2))
     # not on the first step of a micro-block, alone or in the batch
     sizes = [_micro_size(np.full(n_max, c), True), _micro_size(coeffs, True)]
-    assert first > 2 * _LEAF and all(first % _LEAF % m != 0 for m in sizes)
+    assert first > 2 * _STACK and all((first - 1) % m != 0 for m in sizes)
     weights = convolution_weights(nu, n_max + 1)
     assert _first_nonfinite(_solve_steps(zeros, np.full(n_max, c), zeros, weights, 1.0, 0)) == first
     batch = _solve_steps(zeros, coeffs, zeros, weights, 1.0, 0)
@@ -736,7 +740,7 @@ def test_micro_blocks_keep_the_first_nonfinite_step():
 
 def test_long_solves_keep_the_envelope_near_order_one():
     # c = 0 makes E the envelope exactly, the tight case of the bound.  Near
-    # order 1 the memory decays slowly, so rounding in the merged history
+    # order 1 the memory decays slowly, so rounding in the modes' states
     # accumulates over the whole horizon; the plain loop stays within 2e-14
     for nu in (0.9, 0.99):
         report = bound_check(0.0, nu, 40000)
@@ -744,12 +748,54 @@ def test_long_solves_keep_the_envelope_near_order_one():
         assert np.max(np.abs(report.values - report.envelope)) <= 5e-14
 
 
+@pytest.mark.parametrize("n", [2000, 40000])
+@pytest.mark.parametrize("nu", [0.01, 0.1, 0.5, 0.99])
+def test_modes_reproduce_the_far_weights(nu, n):
+    # the modes of a solve of n steps stand for its weights at lags
+    # _NEAR + 1..n.  Their summed error is gated against those lags' mass,
+    # sum |w_k| = H_{-nu}(_NEAR + 1) - H_{-nu}(n + 1) by the memory property
+    log_x, omega = _modes(nu, (n - 1).bit_length())
+    assert len(omega) <= 250 and np.all(omega < 0.0) and np.all(log_x < 0.0)
+    weights = convolution_weights(nu, n + 1)
+    lags = np.arange(_NEAR + 1, n + 1)
+    error = sum(
+        np.sum(np.abs(np.exp(np.multiply.outer(k - 1.0, log_x)) @ omega - weights[k]))
+        for k in np.split(lags, range(4096, len(lags), 4096))
+    )
+    h = monomial_sequence(-nu, n + 1)
+    assert error <= 1e-14 * (h[_NEAR + 1] - h[n + 1])
+
+
+@pytest.mark.parametrize("n_max", [4097, 40000])
+@pytest.mark.parametrize("nu", [0.3, 0.8])
+def test_per_step_solves_stay_between_their_constant_brackets(nu, n_max):
+    # the lagged step is u(t) = (c(t) + nu) u(t-1) + sum_{k>=2} |w_k| u(t-k),
+    # so for c(t) in [c_lo, c_hi] inside [-nu, 0] every coefficient is >= 0
+    # and E_{c_lo} <= E_c <= E_{c_hi} at every step, E_x the solve at
+    # constant x.  Sinusoidal c in four ranges, as one batch and alone: a
+    # check of the per-step path at horizons the plain loop cannot reach
+    ranges = nu * np.array([[-1.0, -0.5], [-0.5, 0.0], [-0.9, -0.1], [-1.0, 0.0]])
+    lo, hi = ranges.T
+    rng = np.random.default_rng(int(100 * nu) + n_max)
+    rate, phase = rng.uniform(0.01, 3.0, len(lo)), rng.uniform(0.0, 2.0 * np.pi, len(lo))
+    t = np.arange(1.0, n_max + 1)[:, None]
+    c = np.clip((lo + hi) / 2 + (hi - lo) / 2 * np.sin(rate * t + phase), lo, hi)
+    below = mittag_leffler_seq(np.broadcast_to(lo, c.shape), nu, n_max)
+    above = mittag_leffler_seq(np.broadcast_to(hi, c.shape), nu, n_max)
+    batch = mittag_leffler_seq(c, nu, n_max)
+    alone = np.column_stack([mittag_leffler_seq(column, nu, n_max) for column in c.T])
+    for e in (batch, alone):
+        slack = 1e-14 * np.max(np.abs(e), axis=0)
+        assert np.all(below - slack <= e) and np.all(e <= above + slack)
+
+
 def test_fast_history_keeps_the_first_nonfinite_step_across_merges():
-    # at nu 0.1, c = -4.5 overflows inside the first leaf, c = -2 after the
-    # merge at offset 2 * _LEAF and c = -2.077 five steps after it, when the
-    # merged block already nears overflow; c = -0.5 decays.  Each column's
-    # transform input is scaled on its own, so neither the large block nor
-    # the overflowed column moves a first non-finite step.
+    # at nu 0.1, c = -4.5, -2.077 and -2 overflow in that order, each long
+    # after its first rows were folded into the modes, while their states
+    # hold rows near overflow; c = -0.5 decays.  Each column has states of
+    # its own, which hold at most max|u|, so neither a column near overflow
+    # nor the inf and nan of an overflowed one moves a first non-finite
+    # step.
     nu, n_max = 0.1, 5000
     cs = np.array([-4.5, -2.0, -2.077, -0.5])
     zeros = np.zeros(n_max)
@@ -758,7 +804,7 @@ def test_fast_history_keeps_the_first_nonfinite_step_across_merges():
     loop = _history_loop(zeros, coeffs, zeros, nu, 1.0)
     firsts = [_first_nonfinite(column) for column in loop.T]
     assert [_first_nonfinite(column) for column in fast.T] == firsts
-    assert firsts[0] < _LEAF < 2 * _LEAF < firsts[2] < 2 * _LEAF + 10 < firsts[1]
+    assert 4 * _NEAR < firsts[0] < firsts[2] < firsts[1]
     assert firsts[3] is None
     for c, first in zip(cs[:3], firsts):
         with pytest.raises(DivergentSolutionError) as info:
@@ -843,12 +889,11 @@ def test_block_solves_near_overflow_keep_every_finite_block(monkeypatch):
     m = _micro_size(coeffs, True)
     assert np.sum(np.abs(loop[:first]) >= 2.0**1000) > 4 * m
     assert np.all(np.abs(fast[:first] - loop[:first]) <= 5e-14 * np.abs(loop[:first]))
-    # the micro-block that holds the first non-finite step, from its leaf's
-    # start (the first leaf's from step 1)
-    lo = max(first // _LEAF * _LEAF, 1)
-    start = lo + (first - lo) // m * m
+    # the micro-block that holds the first non-finite step; blocks start at
+    # step 1 and advance m at a time
+    start = 1 + (first - 1) // m * m
     ((prev, steps),) = calls
-    assert prev == fast[start - 1] and len(steps) == min(m, n_max + 1 - start, _LEAF - start % _LEAF)
+    assert prev == fast[start - 1] and len(steps) == min(m, n_max + 1 - start)
 
 
 def test_block_solves_near_overflow_substitute_only_the_columns_that_trip(monkeypatch):
@@ -897,10 +942,11 @@ def test_growing_solves_overflow_at_the_plain_loops_step(nu):
 
 
 def test_a_shrunk_last_merge_matches_the_plain_loop():
-    # at n_max 8700 the last merge adds the 8192 points before offset 8192
-    # to the 509 after it by a transform of 5 * 2^11 points, not 2 * 8192:
-    # decaying solves stay within 1e-14 max|u| of the loop, and a column
-    # that overflows past the merge does so at the loop's step
+    # at n_max 8700 a grid head's last merge adds the 8192 points before
+    # offset 8192 to the 509 after it by a transform of 5 * 2^11 points, not
+    # 2 * 8192, and the stepping core's modes take 14 dyadic levels, one
+    # more than at 8192: decaying solves stay within 1e-14 max|u| of the
+    # loop, and a column that overflows past 8192 does so at the loop's step
     nu, n_max = 0.5, 8700
     assert _transform_length(8192, n_max + 1 - 8192) == 5 * 2**11
     zeros = np.zeros(n_max)
@@ -953,7 +999,7 @@ def test_solves_refuse_batches_before_stepping(monkeypatch, call):
 
 def test_long_solves_free_their_buffers_without_the_cycle_collector():
     # a reference cycle through the stepping core would keep each solve's
-    # solution, history and spectra alive until the cyclic collector ran
+    # solution, states and block inverses alive until the cyclic collector ran
     gc.collect()
     gc.disable()
     try:
@@ -967,10 +1013,11 @@ def test_long_solves_free_their_buffers_without_the_cycle_collector():
 
 
 def test_batch_keeps_its_pending_history_in_the_trace():
-    # the default scan grid's batch: the unstepped rows of the trace hold
-    # the history, so the peak is the trace, the block inverses and one
-    # chunk's merge transforms (2.22 traces; 3.94 when a merge transformed
-    # every column at once), not a second trace-sized history array as well
+    # the default scan grid's batch: the far history is M states per column
+    # and the near strip reads the trace itself, so the peak is the trace
+    # and the block inverses beside it (1.91 traces; 2.22 with the FFT
+    # merges of 0.4.19, 3.94 when a merge transformed every column at
+    # once), not a second trace-sized history array as well
     cs = np.round(np.arange(-2.0, 0.5001, 0.05), 10)
     coeffs = np.broadcast_to(cs, (2000, cs.size))
     mittag_leffler_seq(coeffs, 0.5, 2000)
@@ -991,7 +1038,7 @@ def test_batch_keeps_its_pending_history_in_the_trace():
 def test_short_solves_copy_no_block_operands(solve):
     # the micro-blocks' products read strided views of the lag strip, which
     # keeps only the columns they read, and constant coefficients stay
-    # broadcast: about 0.98 and 1.06 MB, against 1.57 and 1.66 MB when
+    # broadcast: about 0.90 and 0.98 MB, against 1.57 and 1.66 MB when
     # every block copied its strip and Toeplitz windows
     solve()
     tracemalloc.start()
@@ -1001,22 +1048,6 @@ def test_short_solves_copy_no_block_operands(solve):
     finally:
         tracemalloc.stop()
     assert peak < 1.2e6
-
-
-@pytest.mark.parametrize("width", [1, 3, 64])
-def test_merge_chunk_width_changes_no_value(monkeypatch, width):
-    # each column is scaled and transformed on its own inside a chunk, so
-    # the columns a merge takes at once change no value, bit for bit: a
-    # batch of per-step coefficients with a column that grows to 1e217 and
-    # one that overflows, and one problem, over the merges of 2100 points
-    n_max = 2100
-    ramp = np.linspace(-0.9, -0.1, n_max)
-    coeffs = np.column_stack([ramp * (k + 1) / 9 for k in range(15)] + [np.full(n_max, 0.5), np.full(n_max, 40.0)])
-    want = mittag_leffler_seq(coeffs, 0.6, n_max), mittag_leffler_seq(ramp, 0.6, n_max)
-    assert solver._MERGE_COLUMNS not in (width, 1) and not np.isfinite(want[0][:, -1]).all()
-    monkeypatch.setattr(solver, "_MERGE_COLUMNS", width)
-    got = mittag_leffler_seq(coeffs, 0.6, n_max), mittag_leffler_seq(ramp, 0.6, n_max)
-    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 # --- oracle agreement ---------------------------------------------------
@@ -1123,14 +1154,14 @@ _RESTART_COEFFICIENTS = {
 def test_a_solve_cut_anywhere_continues_with_its_memory_as_forcing(nu, c):
     # the operator's sum split at b: the steps from b on see the history
     # before b as the forcing of the general problem based at b, from u(b).
-    # A cut moves every leaf and merge boundary of the stepping core by b,
-    # so the two solves run different schedules over the same steps, and a
-    # large non-smooth g goes through every merge.  Cuts at a leaf's edges,
-    # past a merge and past two
+    # A cut moves every micro-block, fold and stack boundary of the stepping
+    # core by b, so the two solves fold different rows into their modes over
+    # the same steps, and a large non-smooth g goes through every near strip.
+    # Cuts at a stack's edges and past two and four stacks
     c, n_max = _RESTART_COEFFICIENTS[c], _RESTART_STEPS
     whole = solve_lagged(c, nu, 1.0, n_max).values
     tolerance = 1e-14 * np.max(np.abs(whole))
-    for b in (_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 4 * _LEAF + 1):
+    for b in (_STACK - 1, _STACK, _STACK + 1, 2 * _STACK + 1, 4 * _STACK + 1):
         assert np.max(np.abs(_restarted(whole, c, nu, b, n_max) - whole[b:])) <= tolerance, b
 
 
@@ -1141,7 +1172,7 @@ def test_a_solve_cut_anywhere_continues_at_the_long_horizon():
 
 
 def test_a_batch_cut_anywhere_continues_with_a_column_of_memory_per_problem():
-    nu, n_max, b = 0.5, _RESTART_STEPS, 2 * _LEAF + 1
+    nu, n_max, b = 0.5, _RESTART_STEPS, 2 * _STACK + 1
     batch = np.stack(np.broadcast_arrays(*_RESTART_COEFFICIENTS.values()), axis=1)
     whole = mittag_leffler_seq(batch, nu, n_max)
     g = np.stack([_memory_before(u, b, nu, n_max) for u in whole.T], axis=1)
