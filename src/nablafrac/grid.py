@@ -28,16 +28,21 @@ only the first n terms, the head, are formed (:func:`_convolve_head`):
   weights with all of the input sums every lag below ``_BLOCK``.  An input
   of at most ``_BLOCK`` points has no other lag, so its head is that one
   ``np.convolve``, bit-identical to the unsplit convolution.
-* Block-causal merges, a schedule that serves the heads alone
-  (:func:`_merge_at`); the solver's stepping core holds its far memory in
-  decaying exponential modes instead.  The points fall into leaves of
-  ``_BLOCK`` points.  At every multiple e of the leaf, with 2^i the largest
-  power of two dividing e / leaf, the last leaf * 2^i points before e add
-  their far lags (from ``_BLOCK`` on) to the next as many points, or to
-  those left before n, by one real FFT (:func:`_far_lags`).  Each earlier
-  leaf meets each later one at exactly one merge, no merge reads a point
-  at or past e or feeds one at or past n, and the head costs
-  O(n log^2 n) beyond the near lags' O(256 n).
+* Block-causal merges.  At every multiple e of ``_BLOCK`` before n, with
+  b = e & -e the largest power of two dividing e, the b points before e add
+  their far lags (from ``_BLOCK`` on) to the min(b, n - e) points from e
+  on, by one real FFT.  Each leaf of ``_BLOCK`` points meets each later
+  leaf at exactly one merge, and the head costs O(n log^2 n) beyond the
+  near lags' O(256 n).  Simpler schedules lose accuracy, for two reasons
+  that this one keeps:
+
+  - each merge reads only sources before e, so no output reads a later
+    input, even in its rounding: an input that grows along the grid
+    cannot swamp the outputs before it;
+  - each merge's kernel holds only lags below 2b, so an FFT, whose
+    rounding scales with its largest entry, never rounds a near lag
+    against a far weight many times larger (a growing sum kernel).
+
 * Transform length.  A merge of b points into the next b transforms 2b
   points.  The last merge, which feeds only the count points left, takes
   the smallest 2^k, 3 * 2^k or 5 * 2^k of at least b + count points,
@@ -153,56 +158,9 @@ class GridFunction:
         return float(self.values[t - self.base])
 
 
-def _merge_at(offset: int, leaf: int, n: int) -> tuple[int, int]:
-    """The merge of the block-causal schedule at ``offset``, a positive multiple of ``leaf``.
-
-    Returns its block, ``leaf * 2^i`` with 2^i the largest power of two
-    dividing ``offset / leaf``, and the count of points it feeds,
-    ``min(block, n - offset)``: the ``block`` points before ``offset`` add
-    their far lags to the ``count`` points from ``offset`` on, of ``n``.
-    The module notes state what the schedule guarantees.
-    """
-    k = offset // leaf
-    block = leaf * (k & -k)
-    return block, min(block, n - offset)
-
-
-def _transform_length(b: int, count: int) -> int:
-    """The FFT length of a merge: the smallest 2^k, 3 * 2^k or 5 * 2^k of at least b + count."""
-    need = b + count
+def _transform_length(need: int) -> int:
+    """The FFT length of a merge: the smallest 2^k, 3 * 2^k or 5 * 2^k of at least ``need``."""
     return min(f << (-(-need // f) - 1).bit_length() for f in (1, 3, 5))
-
-
-def _far_lags(
-    source: np.ndarray, weights: np.ndarray, near: int, count: int, spectra: dict
-) -> np.ndarray:
-    """The far lags of a block of b points at the ``count`` <= b points after it.
-
-    Entry i is sum_j weights[b + i - j] source[j] over the lags
-    b + i - j >= ``near``: the history that ``source`` adds to the point i
-    after its end.  ``weights[d]`` is the weight at lag d, and a lag past
-    its end weighs 0.  It is one real FFT of length L =
-    :func:`_transform_length` of the one-dimensional ``source``, in the
-    dtype of the inputs.  The kernel is ``weights[1:L]`` with the lags below
-    ``near`` zeroed, so the product's entry b - 1 + i holds lag b + i - j,
-    at most b - 1 + ``count`` < L, and the circular wrap of the product's
-    tail lands only on its first b - 2 entries, which are dropped.  The kernel depends on L alone, so ``spectra`` caches its
-    spectrum by L, for one weight row and one ``near``.
-    """
-    b = len(source)
-    size = _transform_length(b, count)
-    kernel = spectra.get(size)
-    if kernel is None:
-        lags = weights[1:size].copy()
-        lags[: near - 1] = 0
-        kernel = spectra[size] = np.fft.rfft(lags, size)
-        # not held through the transforms below, which set a merge's peak
-        del lags
-    # in place: the spectrum and the inverse's output, each about the
-    # source and its outputs together, are a merge's largest temporaries
-    spectrum = np.fft.rfft(source, size)
-    spectrum *= kernel
-    return np.fft.irfft(spectrum, size)[b - 1 : b - 1 + count]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -230,10 +188,23 @@ def _convolve_head(kernel: np.ndarray, v: np.ndarray, dtype=_ACCUMULATION) -> np
         v = np.ldexp(v, -exponent)
     kernel, v = kernel.astype(dtype), v.astype(dtype)
     out = np.convolve(kernel[: min(_BLOCK, m)], v[:m])[:m]
-    spectra: dict = {}
+    # the kernel spectra, by transform length
+    spectra = {}
     for e in range(_BLOCK, m, _BLOCK):
-        b, count = _merge_at(e, _BLOCK, m)
-        out[e : e + count] += _far_lags(v[e - b : e], kernel[:m], _BLOCK, count, spectra)
+        b = e & -e
+        count = min(b, m - e)
+        size = _transform_length(b + count)
+        if size not in spectra:
+            # lags 1 to size - 1: the near ones zeroed, and none from m on
+            lags = (np.zeros(_BLOCK - 1, dtype), kernel[_BLOCK : min(size, m)])
+            spectra[size] = np.fft.rfft(np.concatenate(lags), size)
+        # source j reaches point e + i at lag b + i - j, entry b - 1 + i of
+        # the product; the circular wrap lands only on the b - 1 dropped
+        # entries.  In place: the spectrum and the inverse's output are a
+        # merge's largest temporaries
+        spectrum = np.fft.rfft(v[e - b : e], size)
+        spectrum *= spectra[size]
+        out[e : e + count] += np.fft.irfft(spectrum, size)[b - 1 : b - 1 + count]
     if m < n:
         out = np.concatenate((out, [kernel[m::-1].dot(v[: m + 1])], np.full(n - m - 1, np.nan)))
     out = out.astype(float)

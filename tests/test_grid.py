@@ -33,7 +33,7 @@ from nablafrac.exact import (
     oracle_nabla_sum,
 )
 from nablafrac.formats import GridCsvError, read_grid_csv, write_grid_csv
-from nablafrac.grid import _BLOCK, _convolve_head, _far_lags, _merge_at
+from nablafrac.grid import _BLOCK, _convolve_head, _transform_length
 
 
 def _common_domain_gap(direct, composed):
@@ -328,8 +328,14 @@ def test_blocked_heads_match_the_full_convolution(nu, n):
     v = np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
     kernel = _kernel(nu, n)
     full = _full_head(kernel, v)
-    assert _max_rel(_convolve_head(kernel, v), full) <= 1e-12
+    head = _convolve_head(kernel, v)
+    assert _max_rel(head, full) <= 1e-12
     assert np.max(np.abs(_convolve_head(kernel, v, float) - full)) <= 1e-13 * np.max(np.abs(full))
+    if n == 5000:
+        # long-double merges round to the full sum's float64 but for the
+        # few entries near a rounding tie (13 to 31 here); merges run in
+        # float64 miss in 30 to 3821
+        assert np.count_nonzero(head != full) <= n // 100
 
 
 @pytest.mark.parametrize("nu", [0.5, 0.3])
@@ -346,63 +352,54 @@ def test_float64_heads_of_inputs_near_overflow_stay_finite(nu, n):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def _far_lags_loop(source, weights, near, count):
-    """The far lags by their definition, one long-double sum over the sources per output."""
-    b = len(source)
-    lagged = np.zeros(2 * b, dtype=np.longdouble)
-    lagged[near : len(weights)] = weights[near : 2 * b]
-    source = source.astype(np.longdouble)
-    out = np.empty(count, dtype=np.longdouble)
-    for i in range(count):
-        # source j reaches output i at lag b + i - j
-        out[i] = lagged[b + i : i : -1].dot(source)
-    return out
+def _rounding_error(kernel, v, dtype):
+    """The head's error at each point, over the sum of |kernel| |v| that the point reads."""
+    want = np.convolve(kernel.astype(np.longdouble), v.astype(np.longdouble))[: v.size]
+    scale = np.convolve(np.abs(kernel).astype(np.longdouble), np.abs(v).astype(np.longdouble))
+    return np.abs(_convolve_head(kernel, v, dtype) - want) / scale[: v.size]
 
 
-@pytest.mark.parametrize("dtype, bound", [(np.longdouble, 1e-18), (float, 1e-15)])
-@pytest.mark.parametrize("near", [65, _BLOCK, 2 * _BLOCK])
-def test_far_lags_match_the_direct_sum(dtype, bound, near):
-    # one block of b = 512 points into the next b, and into the first 100
-    # and 250 points of a last, partial block, whose weight row ends at the
-    # last lag it needs; those merges transform 5 * 2^7 and 3 * 2^8 points,
-    # the smallest such lengths of at least b + count.  The bound is
-    # relative to the largest sum of |w| |x| at a point
-    b, rng = 2 * _BLOCK, np.random.default_rng(near)
-    source = rng.uniform(-1.0, 1.0, size=b).astype(dtype)
-    for count, size in ((b, 2 * b), (100, 5 * 2**7), (250, 3 * 2**8)):
-        weights = convolution_weights(0.7, b + count).astype(dtype)
-        want = _far_lags_loop(source, weights, near, count)
-        scale = np.max(_far_lags_loop(np.abs(source), np.abs(weights), near, count))
-        spectra: dict = {}
-        for _ in range(2):  # the second call reads the cached spectrum
-            got = _far_lags(source, weights, near, count, spectra)
-            assert got.shape == want.shape and got.dtype == dtype
-            assert np.max(np.abs(got - want)) <= bound * scale
-        # the kernel spectrum is cached by its transform length
-        assert list(spectra) == [size]
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("nu", [0.3, 0.75, 1.5])
+def test_no_head_output_reads_a_later_input(nu, seed):
+    # an input growing along the grid, e^(j/100) U(0.5, 1), reaches 5e21:
+    # each merge reads only the sources before the points it feeds, so the
+    # error at a point scales with what the point reads.  A merge over all
+    # sources, one per lag band say, rounds the first points against the
+    # last inputs (errors of 6e-3 to 44 in long double)
+    n = 5000
+    v = np.exp(np.arange(n) / 100) * np.random.default_rng(seed).uniform(0.5, 1.0, n)
+    kernel = _kernel(nu, n)
+    assert np.max(_rounding_error(kernel, v, np.longdouble)) <= 1e-12
+    assert np.max(_rounding_error(kernel, v, float)) <= 1e-10
 
 
-@pytest.mark.parametrize("leaf", [_BLOCK, 512])
-def test_the_merge_schedule_meets_each_pair_of_leaves_once(leaf):
-    # the heads run it on leaves of _BLOCK points, and it holds for leaves
-    # of 512 too: every horizon up to three leaves, those around each power
-    # of two up to 16 leaves, and the long horizons of the benchmark
-    horizons = list(range(1, 3 * leaf + 1))
-    horizons += [leaf * 2**k + d for k in range(5) for d in (-1, 0, 1)] + [5000, 40001]
-    for n in horizons:
-        leaves = -(-n // leaf)
-        # meets[i, j], the merges that carry leaf i's points to leaf j's
-        meets = np.zeros((leaves, leaves), dtype=int)
-        for offset in range(leaf, n, leaf):
-            block, count = _merge_at(offset, leaf, n)
-            assert count == min(block, n - offset), (n, offset)
-            # the sources lie before the offset, from 0 on, and the fed
-            # points before n
-            assert block % leaf == 0 and 0 <= offset - block < offset, (n, offset)
-            assert offset + count <= n, (n, offset)
-            first, last = (offset - block) // leaf, offset // leaf
-            meets[first:last, last : -(-(offset + count) // leaf)] += 1
-        assert np.array_equal(meets, np.triu(np.ones_like(meets), 1)), n
+@pytest.mark.parametrize("nu", [3.5, 5.5, 10.5])
+def test_each_merge_transforms_only_the_lags_it_needs(nu):
+    # the sum kernel of order nu grows as lag^(nu - 1); a merge of b points
+    # holds lags below 2b, so its FFT never rounds a near lag against a
+    # weight more than about 2^(nu - 1) times larger.  One FFT over every
+    # far lag misses by 2.0e-6 at order 10.5
+    v = np.random.default_rng(53).uniform(0.5, 1.0, 5000)
+    kernel = monomial_sequence(nu - 1.0, v.size)[1:]
+    assert np.max(_rounding_error(kernel, v, np.longdouble)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2049, 4095, 40001])
+def test_every_merge_is_made_once_at_long_horizons(n):
+    # the order-1 sum of ones counts its points: a merge skipped or made
+    # twice moves an output by a whole unit, and float64 merges miss by
+    # their rounding at 40001 points
+    ones = GridFunction(1, np.ones(n))
+    assert np.array_equal(nabla_sum(ones, 1.0).values, np.arange(n + 1.0))
+
+
+def test_a_last_merge_takes_the_shortest_transform_that_holds_it():
+    # in a head of 8701 points, a solve's residual at 8700 steps, the merge
+    # at 8192 feeds the 509 points left, by a transform of 5 * 2^11 points,
+    # not 2 * 8192
+    assert _transform_length(8192 + 509) == 5 * 2**11
+    assert _transform_length(2 * 8192) == 2 * 8192
 
 
 def test_memory_crosses_block_edges():

@@ -39,7 +39,7 @@ from nablafrac import (
 from nablafrac import cli, solver
 from nablafrac.exact import SOLVE_COST_GUARD, oracle_solve
 from nablafrac.formats import write_trace_csv, write_trace_json
-from nablafrac.grid import _BLOCK, _transform_length
+from nablafrac.grid import _BLOCK
 from nablafrac.solver import _NEAR, _STACK, _micro_size, _modes, _solve_steps
 
 
@@ -784,9 +784,19 @@ def test_per_step_solves_stay_between_their_constant_brackets(nu, n_max):
     above = mittag_leffler_seq(np.broadcast_to(hi, c.shape), nu, n_max)
     batch = mittag_leffler_seq(c, nu, n_max)
     alone = np.column_stack([mittag_leffler_seq(column, nu, n_max) for column in c.T])
+    # where both brackets classify tends_to_zero over the default window, so
+    # does the solve between them (at nu 0.8 the upper bracket c = 0 reads
+    # bounded_nonvanishing).  The ordering holds for values, not for
+    # log-log slopes: the tail exponent can fall outside the brackets'
+    window = default_window(n_max + 1)
+    lower, upper = decay_classify(below, window), decay_classify(above, window)
+    decided = [a == b == DecayClass.TENDS_TO_ZERO for a, b in zip(lower, upper)]
+    assert sum(decided) >= 2
     for e in (batch, alone):
         slack = 1e-14 * np.max(np.abs(e), axis=0)
         assert np.all(below - slack <= e) and np.all(e <= above + slack)
+        classes = decay_classify(e, window)
+        assert all(got == DecayClass.TENDS_TO_ZERO for got, both in zip(classes, decided) if both)
 
 
 def test_fast_history_keeps_the_first_nonfinite_step_across_merges():
@@ -941,14 +951,11 @@ def test_growing_solves_overflow_at_the_plain_loops_step(nu):
             assert [_first_nonfinite(column) for column in public.T] == firsts
 
 
-def test_a_shrunk_last_merge_matches_the_plain_loop():
-    # at n_max 8700 a grid head's last merge adds the 8192 points before
-    # offset 8192 to the 509 after it by a transform of 5 * 2^11 points, not
-    # 2 * 8192, and the stepping core's modes take 14 dyadic levels, one
+def test_a_horizon_past_a_power_of_two_matches_the_plain_loop():
+    # at n_max 8700 the stepping core's modes take 14 dyadic levels, one
     # more than at 8192: decaying solves stay within 1e-14 max|u| of the
     # loop, and a column that overflows past 8192 does so at the loop's step
     nu, n_max = 0.5, 8700
-    assert _transform_length(8192, n_max + 1 - 8192) == 5 * 2**11
     zeros = np.zeros(n_max)
     weights = convolution_weights(nu, n_max + 1)
     rng = np.random.default_rng(87)
