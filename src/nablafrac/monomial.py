@@ -213,10 +213,14 @@ def monomial_limit_sequence(mu: float, n_max: int) -> np.ndarray:
 def convolution_weights(nu: float, max_lag: int) -> np.ndarray:
     """Weights at lags 1..max_lag of the direct order-nu difference (H_{-nu-1}).
 
-    For non-integer nu the lag-1 weight is exactly 1, the lag-2 weight is
-    exactly -nu, and when 0 < nu < 1 every weight at lag >= 2 is strictly
-    negative.  The order -nu-1 is formed in extended precision so the lag-2
-    identity holds to the last bit even when nu itself is not dyadic.
+    For non-integer nu the lag-1 weight is exactly 1, and when 0 < nu < 1
+    every weight at lag >= 2 is strictly negative.  The order -nu-1 is
+    formed in extended precision, and the lag-2 weight is exactly -nu
+    wherever -nu-1 is exact there: with x86-64's 80-bit long double, at
+    every non-integer nu >= 2^-11, dyadic or not.  Below 2^-11 the order
+    rounds and the row is that of the rounded order, off from the exact row
+    by 2.4e-14 relative at nu = 1e-6.  Where ``np.longdouble`` is 64-bit the
+    identity holds only where -nu-1 is exact in float64.
     """
     nu = _real(nu, "order", 0.0)
     max_lag = _integral(max_lag, "max_lag", 1)

@@ -389,8 +389,11 @@ def _solve_steps(
     Coefficients have shape (n_max,) or, to step k independent problems at
     once, (n_max, k); ``u`` then has shape (n_max + 1, k).  ``weights`` is
     the direct weight row ``convolution_weights(nu, n_max + 1)`` of a
-    fractional order nu, formed once by the caller, whose entry 1 is
-    exactly -nu; ``weights=None`` steps the classical nabla for one
+    fractional order nu, formed once by the caller, whose entry 1 is -nu,
+    exactly so where -nu - 1 is exact in long double (every nu >= 2^-11 on
+    x86-64; :func:`~nablafrac.monomial.convolution_weights`).  The modes
+    take their order from that entry, the row's own order even where it
+    is not exactly nu.  ``weights=None`` steps the classical nabla for one
     problem, whose lag-2 weight -1 is folded into q; it has no history
     term.
 

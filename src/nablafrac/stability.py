@@ -333,23 +333,18 @@ def stability_scan(nu_grid: Sequence[float], c_grid: Sequence[float], n_max: int
     the class and the tail that calls on that trace alone give.  Every
     trace is classified and fitted over the default window.  Cells are
     returned in row-major order (nu outer, c inner).  Both grids are
-    sequences of reals, taken as every array is (README, "Library quick
-    tour"), and every order of ``nu_grid`` is checked before any is
-    stepped.
+    one-dimensional arrays, taken and refused as every array is (README,
+    "Library quick tour"): a scalar grid is refused for its shape and a
+    non-finite c grid as ``c_grid``.  Every order of ``nu_grid`` is checked
+    before any is stepped.
 
     One order's batch is the largest array a scan holds: its far memory is
     about a hundred states per column (120 at 2000 steps), and the
     classifiers take |u| of the windows they read only, so an order peaks
     at about 1.9 times its batch, the block inverses beside it.
     """
-    nus, cs = _real_array(nu_grid, "nu_grid"), _real_array(c_grid, "c_grid")
-    if not nus.ndim or not cs.ndim:
-        raise TypeError(f"nu_grid and c_grid must be sequences, got {nu_grid!r} and {c_grid!r}")
-    for name, grid in (("nu_grid", nus), ("c_grid", cs)):
-        if grid.ndim > 1:
-            raise ValueError(f"{name} must be one-dimensional, got shape {grid.shape}")
-    nus = [_real(nu, "nu_grid order", 0.0, 1.0) for nu in nus.tolist()]
-    cs = coefficient_array(cs, len(cs))
+    nus = [_real(nu, "nu_grid order", 0.0, 1.0) for nu in _real_array(nu_grid, "nu_grid", (1,)).tolist()]
+    cs = _real_array(c_grid, "c_grid", (1,), finite=True)
     n_max = _integral(n_max, "n_max", 2)
     # one row of memory for every order
     coeffs = np.broadcast_to(cs, (n_max,) + cs.shape)

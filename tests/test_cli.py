@@ -534,6 +534,12 @@ def test_scan_parameter_errors(runner):
     assert runner.invoke(main, ["scan", "--n-max", "5"]).exit_code == 2
 
 
+def test_scan_names_its_c_grid_when_a_coefficient_is_not_finite(runner):
+    result = runner.invoke(main, ["scan", "--c-grid", "nan,0", "--n-max", "20"])
+    assert result.exit_code == 2
+    assert "Error: c_grid must be finite" in result.output
+
+
 def test_scan_rejects_infinite_range_parts(runner):
     # a range part or step count that is not finite once ended in an
     # OverflowError traceback from the step count

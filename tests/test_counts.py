@@ -201,8 +201,7 @@ def test_a_huge_scalar_coefficient_is_a_broadcast_view():
 # is "function-parameter", call(value) puts the value at that parameter with
 # every other argument valid, and a refusal's message matches word.  A row
 # ending in "-entry" takes the value as every entry of a sequence, the
-# others the value as the whole argument.  The scan hands its c grid to the
-# coefficient checks, whose messages name the coefficients.
+# others the value as the whole argument.
 _REALS = [
     ("solve_lagged-nu", "order", lambda v: solve_lagged(-0.3, v, 1.0, 20)),
     ("compare_orders-nu", "order", lambda v: compare_orders(-0.3, v, "on_u_lag", 1.0, 20)),
@@ -243,8 +242,8 @@ _REALS = [
     ("tail_exponent-trace-entry", "trace", lambda v: tail_exponent([v] * 20, 1)),
     ("stability_scan-nu_grid", "nu_grid", lambda v: stability_scan(v, [-0.5], 20)),
     ("stability_scan-nu_grid-entry", "nu_grid", lambda v: stability_scan([v], [-0.5], 20)),
-    ("stability_scan-c_grid", "c_grid|coefficients", lambda v: stability_scan([0.5], v, 20)),
-    ("stability_scan-c_grid-entry", "c_grid|coefficients", lambda v: stability_scan([0.5], [v], 20)),
+    ("stability_scan-c_grid", "c_grid", lambda v: stability_scan([0.5], v, 20)),
+    ("stability_scan-c_grid-entry", "c_grid", lambda v: stability_scan([0.5], [v], 20)),
 ]
 
 # the kinds of ROADMAP direction 7, then a fraction, a Decimal, a long
@@ -399,6 +398,7 @@ _ARRAY_REFUSALS = [
     ("coefficient_array-short", "coefficient sequence has 2 entries, need 20", lambda: coefficient_array([0.3] * 2, 20)),
     ("GridFunction-finite", "grid values must be finite", lambda: GridFunction(0, [1.0, -np.inf])),
     ("GridFunction-empty", "grid values must contain at least one value", lambda: GridFunction(0, [])),
+    ("stability_scan-c_grid-finite", "c_grid must be finite", lambda: stability_scan([0.5], [np.nan], 20)),
 ]
 
 
@@ -411,8 +411,9 @@ def test_array_refusals_name_the_argument_and_what_it_lacks(message, call):
 
 
 def test_the_scan_refuses_grids_that_are_not_sequences_of_reals():
-    for nu_grid, c_grid in (([0.5], 0.1), (0.5, [0.1])):
-        with pytest.raises(TypeError, match="^nu_grid and c_grid must be sequences"):
+    # a scalar grid is refused for its shape, as every array argument is
+    for name, nu_grid, c_grid in (("c_grid", [0.5], 0.1), ("nu_grid", 0.5, [0.1])):
+        with pytest.raises(ValueError, match=rf"^{name} must be one-dimensional, got shape \(\)$"):
             stability_scan(nu_grid, c_grid, 20)
     with pytest.raises(TypeError, match="^nu_grid must be real numbers"):
         stability_scan(["0.5"], [-0.5], 20)

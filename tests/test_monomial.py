@@ -131,6 +131,29 @@ def test_weight_first_two_lags_are_exact():
         assert convolution_weights(nu, 2)[-1] == -nu
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit np.longdouble")
+def test_the_lag_two_weight_is_minus_nu_wherever_its_order_fits_long_double():
+    # -nu - 1 holds every bit of a float64 nu >= 2^-11 in a 64-bit
+    # significand, so 1 + (-nu - 1) is exactly -nu; below 2^-11 the order
+    # rounds, and the identity failed at orders up to 4.7e-4
+    rng = np.random.default_rng(0)
+    orders = np.concatenate(([2.0**-11], 2.0 ** rng.uniform(-11, 0, 2000), rng.uniform(1, 10, 2000)))
+    for nu in orders.tolist():
+        assert convolution_weights(nu, 2)[-1] == -nu, nu
+
+
+def test_envelopes_of_small_order_hold_to_the_exact_monomial():
+    # the envelope's order nu - 1 is rounded to float64, by up to 2^-54,
+    # which moves the row by up to about 2^-54 / nu relative.  Over 4000
+    # orders from 1e-3 to 1, offsets 1 to 41, the worst error measured was
+    # 5.3e-14 (near 1e-3) and at most 0.67 of this bound
+    rng = np.random.default_rng(0)
+    for nu in np.concatenate(([1e-3], 10 ** rng.uniform(-3, 0, 100))).tolist():
+        exact = [oracle_monomial(Fraction(nu) - 1, n) for n in range(1, 42)]
+        error = max(abs(float(Fraction(x) / y - 1)) for x, y in zip(envelope_sequence(nu, 40).tolist(), exact))
+        assert error <= 2.0**-53 / nu + 4e-16, nu
+
+
 def test_weight_frozen_value():
     # lag-5 weight at nu = 0.3 is -3213/80000
     assert convolution_weights(0.3, 5)[-1] == pytest.approx(-0.0401625, abs=1e-15)
