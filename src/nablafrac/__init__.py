@@ -18,4 +18,4 @@ from .monomial import *
 from .solver import *
 from .stability import *
 
-__version__ = "0.4.22"
+__version__ = "0.5.0"

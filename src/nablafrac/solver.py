@@ -90,8 +90,9 @@ rounding, and on decaying solves the residuals agree with the long-double
 operator's to within 1e-14 max|u|.  The float64 head's scaling keeps the
 residuals of a finite trace near overflow finite.  At either order, a
 re-application that still overflows raises :class:`DivergentSolutionError`
-at its first non-finite point.  A fractional trace also carries the decay
-envelope H_{nu-1}(t, rho(a)) of :func:`envelope_sequence`.
+at its first non-finite point.  A fractional trace derives the decay
+envelope H_{nu-1}(t, rho(a)) of :func:`envelope_sequence` from its order
+when it is built.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -565,23 +566,26 @@ class SolutionTrace(GridFunction):
     ``nabla_frac_diff_direct(trace, trace.nu)`` re-applies a fractional
     solve's own operator.  ``residuals[n]`` is the absolute defect of the
     governing equation at t = base + n (0 at n = 0, where the initial
-    condition sits instead).  ``envelope`` and ``nu`` are None for
-    first-order solves.  ``residuals`` and ``envelope`` have the values'
-    shape, else ``ValueError`` names the one that does not.  Every array is
-    read-only.
+    condition sits instead); it has the values' shape, else ``ValueError``
+    names it, and the trace keeps a read-only copy, as it does of the
+    values.  A trace derives its read-only ``envelope`` when it is built:
+    :func:`envelope_sequence` at its order ``nu`` over its offsets.
+    ``envelope`` and ``nu`` are None for first-order solves.
     """
 
     residuals: np.ndarray
-    envelope: np.ndarray | None
     nu: float | None
+    envelope: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for name in ("residuals",) + (("envelope",) if self.envelope is not None else ()):
-            arr = _real_array(getattr(self, name), name)
-            if arr.shape != self.values.shape:
-                raise ValueError(f"{name} must have the values' shape {self.values.shape}, got {arr.shape}")
-            arr.setflags(write=False)
+        residuals = np.array(_real_array(self.residuals, "residuals"))
+        if residuals.shape != self.values.shape:
+            raise ValueError(f"residuals must have the values' shape {self.values.shape}, got {residuals.shape}")
+        envelope = None if self.nu is None else envelope_sequence(self.nu, len(self) - 1)
+        for name, arr in (("residuals", residuals), ("envelope", envelope)):
+            if arr is not None:
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -636,8 +640,7 @@ def _solve(problem: LinearProblem, n_max: int) -> SolutionTrace:
     _require_finite(applied, base + 1)
     residuals = np.zeros(u.size)
     residuals[1:] = np.abs(applied - (p * u[1:] + q * u[:-1] + g))
-    envelope = None if nu is None else envelope_sequence(nu, n_max)
-    return SolutionTrace(base, u, residuals, envelope, nu)
+    return SolutionTrace(base, u, residuals, nu)
 
 
 def solve_lagged(

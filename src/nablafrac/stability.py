@@ -15,12 +15,15 @@ global maximum, the last window must drop below 0.5x the initial window's
 maximum and 0.1x the global maximum to classify ``tends_to_zero``, and a
 last-window maximum above 10x the first sample, or any non-finite sample
 (an overflowed trace), classifies ``unbounded``.
-``bound_check``, ``compare_orders`` and ``stability_scan`` take both the
-class and the tail of every trace over the default window, a tenth of the
-trace; only ``decay_classify`` and ``tail_exponent`` take the caller's
-window.  Algebraic tails n^(nu-1) are slow, so classification runs want
-n_max >= 2000; close to nu = 1 no desk-scale horizon can pass the 0.1x
-clause (the envelope decays like n^(-0.1) at nu = 0.9).
+A :class:`StabilityReport`, an :class:`OrderComparison` and
+``stability_scan`` take both the class and the tail of every trace over the
+default window, a tenth of the trace; only ``decay_classify`` and
+``tail_exponent`` take the caller's window.  The two result types derive
+their classes and tails, and a report its envelope and bound, from what
+they hold when they are built, so no result carries a class its own
+values contradict.  Algebraic tails n^(nu-1) are slow, so classification
+runs want n_max >= 2000; close to nu = 1 no desk-scale horizon can pass
+the 0.1x clause (the envelope decays like n^(-0.1) at nu = 0.9).
 
 The module steps equations through public solver functions only: each
 report steps :func:`mittag_leffler_seq` or a solve, and a scan steps each
@@ -39,7 +42,7 @@ diagnostic only; no acceptance claim is made about it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import math
@@ -191,25 +194,41 @@ def tail_exponent(trace: Sequence[float] | np.ndarray, window: int) -> float | n
     return float(slopes[0]) if single else slopes
 
 
+def _derive(result, **fields) -> None:
+    """Set the derived fields of a frozen result."""
+    for name, value in fields.items():
+        object.__setattr__(result, name, value)
+
+
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
     """Criterion, bound, and classification diagnostics for one solve.
 
-    Each array is indexed by the offset n = t - a from the solve's base a,
-    which the report does not name: every bound holds for any base.
+    A report holds the order, the per-step criterion and the lagged
+    equation's values; it derives the rest when it is built: the
+    ``envelope`` of :func:`envelope_sequence` over the values' offsets,
+    ``bound_ok[n]``, which tests |E(a+n)| <= H_{nu-1}(a+n, rho(a))
+    + 1e-12 (1 + H), and the ``decay_class`` and ``tail_stat`` of the
+    values over the default window.  Each array is indexed by the offset
+    n = t - a from the solve's base a, which the report does not name:
+    every bound holds for any base.  The report owns its arrays, so they
+    are frozen in place, not copied.
     """
 
     nu: float
     criterion_holds: np.ndarray
-    bound_ok: np.ndarray
-    decay_class: DecayClass
-    tail_stat: float
     values: np.ndarray
-    envelope: np.ndarray
+    envelope: np.ndarray = field(init=False)
+    bound_ok: np.ndarray = field(init=False)
+    decay_class: DecayClass = field(init=False)
+    tail_stat: float = field(init=False)
 
     def __post_init__(self) -> None:
-        # the report owns its arrays, so they are frozen in place, not copied
-        for arr in (self.criterion_holds, self.bound_ok, self.values, self.envelope):
+        envelope = envelope_sequence(self.nu, len(self.values) - 1)
+        bound_ok = np.abs(self.values) <= envelope + BOUND_SLACK * (1.0 + envelope)
+        decay_class, tail_stat = _default_evidence(self.values)
+        _derive(self, envelope=envelope, bound_ok=bound_ok, decay_class=decay_class, tail_stat=tail_stat)
+        for arr in (self.criterion_holds, bound_ok, self.values, envelope):
             arr.setflags(write=False)
 
     @property
@@ -222,46 +241,50 @@ class StabilityReport:
 
 
 def bound_check(c: CoefficientLike, nu: float, n_max: int) -> StabilityReport:
-    """Run the lagged equation and check the envelope bound pointwise.
+    """Run the lagged equation and report its criterion and envelope bound.
 
-    bound_ok[n] tests |E(a+n)| <= H_{nu-1}(a+n, rho(a)) + 1e-12 (1 + H).
-    When criterion_holds is all true, bound_ok must be all true; the converse
-    does not hold (the criterion is sufficient, not necessary).  The values
-    are :func:`mittag_leffler_seq`'s and the envelope is
-    :func:`envelope_sequence`'s, both from offset 0; neither depends on the
-    base a.  The decay class and the tail are taken over the default window.
+    When criterion_holds is all true, the report's bound_ok must be all
+    true; the converse does not hold (the criterion is sufficient, not
+    necessary).  The values are :func:`mittag_leffler_seq`'s from offset 0,
+    which do not depend on the base a; the report derives the envelope,
+    the bound, the decay class and the tail from them.
     """
     n_max = _integral(n_max, "n_max", 2)
     nu = _real(nu, "order", 0.0, 1.0)
     # the criterion refuses a batch before anything is stepped
     criterion_holds = criterion_check(coefficient_array(c, n_max), nu)
-    values = mittag_leffler_seq(c, nu, n_max)
-    envelope = envelope_sequence(nu, n_max)
-    bound_ok = np.abs(values) <= envelope + BOUND_SLACK * (1.0 + envelope)
-    decay_class, tail_stat = _default_evidence(values)
-    return StabilityReport(
-        nu=nu,
-        criterion_holds=criterion_holds,
-        bound_ok=bound_ok,
-        decay_class=decay_class,
-        tail_stat=tail_stat,
-        values=values,
-        envelope=envelope,
-    )
+    return StabilityReport(nu, criterion_holds, mittag_leffler_seq(c, nu, n_max))
 
 
 @dataclass(frozen=True, eq=False)
 class OrderComparison:
-    """First-order and fractional solves of the same coefficient, side by side."""
+    """First-order and fractional solves of the same coefficient, side by side.
 
-    nu: float
+    A comparison holds the form and the two traces; it derives ``nu``, the
+    fractional trace's order, and the decay class and the tail of each
+    trace over the default window.
+    """
+
     form: FirstOrderForm
     first_order: SolutionTrace
     fractional: SolutionTrace
-    first_order_class: DecayClass
-    fractional_class: DecayClass
-    first_order_tail: float
-    fractional_tail: float
+    nu: float = field(init=False)
+    first_order_class: DecayClass = field(init=False)
+    fractional_class: DecayClass = field(init=False)
+    first_order_tail: float = field(init=False)
+    fractional_tail: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        first_order_class, first_order_tail = _default_evidence(self.first_order.values)
+        fractional_class, fractional_tail = _default_evidence(self.fractional.values)
+        _derive(
+            self,
+            nu=self.fractional.nu,
+            first_order_class=first_order_class,
+            fractional_class=fractional_class,
+            first_order_tail=first_order_tail,
+            fractional_tail=fractional_tail,
+        )
 
     def verdict(self) -> dict:
         return {
@@ -288,24 +311,12 @@ def compare_orders(
     The problem keeps the right-hand side of ``form``: ``on_u_lag`` is the
     lagged equation, ``on_u_t`` the undelayed one (p = c).  Its first-order
     trace is the same problem with order None; ``nu`` itself must lie in
-    (0, 1).  Both decay classes and tails are taken over the default window.
+    (0, 1).  The comparison derives both decay classes and tails.
     """
     form = FirstOrderForm(form)
     problem = LinearProblem(_real(nu, "order", 0.0, 1.0), base, *form.split(c), 0.0, u0)
     first = solve_general(replace(problem, nu=None), n_max)
-    frac = solve_general(problem, n_max)
-    first_order_class, first_order_tail = _default_evidence(first.values)
-    fractional_class, fractional_tail = _default_evidence(frac.values)
-    return OrderComparison(
-        nu=problem.nu,
-        form=form,
-        first_order=first,
-        fractional=frac,
-        first_order_class=first_order_class,
-        fractional_class=fractional_class,
-        first_order_tail=first_order_tail,
-        fractional_tail=fractional_tail,
-    )
+    return OrderComparison(form, first, solve_general(problem, n_max))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""The README's library quick tour runs as written, and every reference to
-one of its sections names a heading it has."""
+"""The README's library quick tour runs as written, every reference to one
+of its sections names a heading it has, and its release section is the
+package's version."""
 
 import contextlib
 import io
 import pathlib
 import re
+
+import nablafrac
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -35,3 +38,7 @@ def test_section_references_name_a_heading():
         references |= {(path.name, name) for name in re.findall(r'README,? "([^"]+)"', words)}
     assert references
     assert {(file, name) for file, name in references if name not in headings} == set()
+
+
+def test_the_release_section_names_the_package_version():
+    assert re.findall(r"^## Changes in (\S+)$", README.read_text(), re.M) == [nablafrac.__version__]

@@ -39,7 +39,7 @@ from nablafrac import (
 from nablafrac import cli, solver
 from nablafrac.exact import SOLVE_COST_GUARD, oracle_solve
 from nablafrac.formats import write_trace_csv, write_trace_json
-from nablafrac.grid import _BLOCK
+from nablafrac.grid import _BLOCK, _convolve_head
 from nablafrac.solver import _NEAR, _STACK, _micro_size, _modes, _solve_steps
 
 
@@ -315,12 +315,25 @@ def test_trace_is_immutable():
 
 
 def test_a_trace_refuses_diagnostics_of_another_shape():
-    # the writers zip the columns, so a short one would cut the table
+    # the writers zip the columns, so a short one would cut the table; the
+    # envelope is derived over the values' offsets, so it has their shape
     with pytest.raises(ValueError, match=r"residuals must have the values' shape \(3,\), got \(1,\)"):
-        SolutionTrace(0, [1.0, 2.0, 3.0], [0.0], [1.0, 0.5, 0.25], 0.5)
-    with pytest.raises(ValueError, match=r"envelope must have the values' shape \(3,\), got \(2,\)"):
-        SolutionTrace(0, [1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.0, 0.5], 0.5)
-    SolutionTrace(0, [1.0, 2.0, 3.0], [0.0, 0.0, 0.0], None, None)
+        SolutionTrace(0, [1.0, 2.0, 3.0], [0.0], 0.5)
+    assert SolutionTrace(0, [1.0, 2.0, 3.0], [0.0, 0.0, 0.0], None).envelope is None
+    assert SolutionTrace(0, [1.0, 2.0, 3.0], [0.0, 0.0, 0.0], 0.5).envelope.shape == (3,)
+
+
+def test_a_trace_copies_the_callers_arrays():
+    # the trace keeps read-only copies and leaves the caller's arrays as
+    # they were, residuals included
+    v, r = np.array([1.0, 0.5, 0.25]), np.array([0.0, 1e-17, 2e-17])
+    trace = SolutionTrace(0, v, r, 0.5)
+    for mine, kept in ((v, trace.values), (r, trace.residuals)):
+        assert mine.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(mine, kept)
+        np.testing.assert_array_equal(mine, kept)
+    assert not trace.envelope.flags.writeable
+    np.testing.assert_array_equal(trace.envelope, envelope_sequence(0.5, 2))
 
 
 def test_a_trace_is_a_grid_function():
@@ -1067,6 +1080,47 @@ def test_short_solves_copy_no_block_operands(solve):
     finally:
         tracemalloc.stop()
     assert peak < 1.2e6
+
+
+def _backward_error(u: np.ndarray, c: np.ndarray, nu: float) -> np.ndarray:
+    """The componentwise backward error of a lagged trace at t = 1, ..., n.
+
+    eta_t = |r_t| / (sum_k |w_k| |u(t - k)| + |c(t) u(t - 1)|), the smallest
+    relative change of the weights and the coefficient for which the trace
+    solves its equation exactly at t (Oettli and Prager).  The defect r_t and
+    the sum of magnitudes are both long-double heads.
+    """
+    weights = convolution_weights(nu, u.size)
+    lagged = c * u[:-1]
+    defect = np.abs(_convolve_head(weights, u)[1:] - lagged)
+    scale = _convolve_head(np.abs(weights), np.abs(u))[1:] + np.abs(lagged)
+    assert np.all(scale > 0.0)
+    return defect / scale
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="the defect needs an x87 long double")
+def test_every_step_solves_its_equation_to_a_componentwise_backward_error_of_1e_14():
+    # the core against its own equation at every step of long horizons, with
+    # no plain loop: the absolute residual column speaks for the first steps
+    # only, eta for each.  Scaling every mode weight by 1 + 1e-12 raises the
+    # worst eta from about 3e-15 to about 4e-13
+    rng = np.random.default_rng(0)
+    cases = []
+    n = 4097
+    for nu in (0.01, 0.3, 0.99):
+        for c in (
+            np.full(n, -0.3),
+            -0.5 + 0.3 * np.sin(np.arange(1, n + 1)),
+            rng.uniform(-(2.0**nu), 0.0, n),
+        ):
+            cases.append((mittag_leffler_seq(c, nu, n), c, nu))
+    batch = np.stack((np.full(n, -0.3), rng.uniform(-np.sqrt(2.0), 0.0, n)), axis=1)
+    u = mittag_leffler_seq(batch, 0.5, n)
+    cases += [(u[:, k], batch[:, k], 0.5) for k in range(2)]
+    c = rng.uniform(-(2.0**0.99), 0.0, 40000)
+    cases.append((mittag_leffler_seq(c, 0.99, 40000), c, 0.99))
+    worst = max(float(_backward_error(u, c, nu).max()) for u, c, nu in cases)
+    assert worst <= 1e-14
 
 
 # --- oracle agreement ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Stability tooling: criterion, envelope bound, classification, scans."""
 
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -14,7 +15,10 @@ from nablafrac import (
     BOUND_SLACK,
     DecayClass,
     LinearProblem,
+    OrderComparison,
+    StabilityReport,
     bound_check,
+    coefficient_array,
     compare_orders,
     criterion_check,
     decay_classify,
@@ -440,6 +444,40 @@ def test_compare_splits_the_coefficient_by_form(c):
     problem = LinearProblem(nu, base, p=c, q=0.0, g=0.0, u0=u0)
     assert _same_trace(undelayed, solve_general(problem, n))
     assert not np.array_equal(lag.values, undelayed.values)
+
+
+def _same_fields(got, want):
+    # every field, derived ones included: arrays and tails compare as values
+    # (a nan tail equals a nan tail), classes and traces as objects
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, (np.ndarray, float)):
+            assert np.array_equal(a, b, equal_nan=True), f.name
+        else:
+            assert a is b or a == b, f.name
+
+
+@pytest.mark.parametrize("c", [-0.3, 0.2, np.linspace(-1.5, 0.4, 300)], ids=["-0.3", "0.2", "ramp"])
+def test_results_built_by_hand_derive_what_the_library_derives(c):
+    nu, n = 0.6, 300
+    report = bound_check(c, nu, n)
+    _same_fields(StabilityReport(nu, criterion_check(coefficient_array(c, n), nu), mittag_leffler_seq(c, nu, n)), report)
+    comparison = compare_orders(c, nu, "on_u_t", 1.5, n, 2)
+    by_hand = OrderComparison(comparison.form, comparison.first_order, comparison.fractional)
+    _same_fields(by_hand, comparison)
+    assert by_hand.verdict() == comparison.verdict()
+
+
+def test_a_replaced_report_derives_from_its_new_values():
+    # the class, the bound and the envelope follow the values, so a report
+    # cannot carry a class its own values contradict
+    report = bound_check(-0.5, 0.5, 400)
+    grown = dataclasses.replace(report, values=monomial_sequence(0.5, 400) + 1.0)
+    assert report.decay_class is DecayClass.TENDS_TO_ZERO and report.bound_all
+    # u(a) = 1 meets the envelope's 1, and every later value exceeds it
+    assert grown.decay_class is DecayClass.UNBOUNDED and grown.bound_ok.tolist() == [True] + [False] * 400
+    np.testing.assert_array_equal(grown.envelope, envelope_sequence(0.5, 400))
+    assert grown.tail_stat == tail_exponent(grown.values, default_window(401))
 
 
 # --- scans --------------------------------------------------------------
